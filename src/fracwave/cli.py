@@ -53,6 +53,7 @@ from .estimators import (
     ks_coupled_se,
     ks_normality,
     run_experiment,
+    strict_json,
     summary_to_dict,
 )
 from .noise import NoiseSpec, sample_sheet, write_sheet
@@ -210,7 +211,7 @@ def serialize_config(rc: RunConfig) -> str:
         f"seed = {plan.seed}",
         f"normalization = {plan.normalization}",
         f"chaos = {'true' if plan.chaos else 'false'}",
-        f"x_half_width = {plan.window_half_width!r}",
+        f"x_half_width = {plan.x_half_width!r}",
         "",
         "[sigma]",
         f"kind = {plan.sigma.kind}",
@@ -253,7 +254,7 @@ def _effective_threads(rc: RunConfig, cli_threads: Optional[int]) -> Optional[in
 
 
 def _json_print(obj, stream=None) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=False), file=stream or sys.stdout)
+    print(json.dumps(obj, indent=2, allow_nan=False), file=stream or sys.stdout)
 
 
 # ---------------------------------------------------------------- oracle
@@ -358,17 +359,16 @@ def cmd_simulate(args) -> int:
     rc = _load_config(args.config)
     summary = run_experiment(rc.plan, threads=_effective_threads(rc, args.threads))
     payload = summary_to_dict(summary, deterministic=args.deterministic)
-    blob = json.dumps(payload, indent=2, sort_keys=False)
     out_path = args.out or rc.summary_path
     raw_path = args.raw or rc.raw_path
     if raw_path:
         _write_raw_csv(raw_path, summary)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(blob + "\n")
+            _json_print(payload, fh)
         print(_human_table(summary), end="")
     else:
-        print(blob)
+        _json_print(payload)
         print(_human_table(summary), end="", file=sys.stderr)
     return 0
 
@@ -473,7 +473,7 @@ def cmd_funcclt(args) -> int:
         raise ConfigError("functional covariance check needs at least 2 times in the config")
     summary = run_experiment(rc.plan, threads=_effective_threads(rc, args.threads))
     report = functional_cov_check(summary)
-    payload = {
+    payload = strict_json({
         "schema": "fracwave.funcclt/1",
         "times": report.times.tolist(),
         "radius": report.radius,
@@ -482,10 +482,10 @@ def cmd_funcclt(args) -> int:
         "oracle": report.oracle.tolist(),
         "se": report.se.tolist(),
         "max_se_units": report.max_se_units,
-    }
+    })
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
+            _json_print(payload, fh)
     else:
         _json_print(payload)
     return 0

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -26,7 +27,7 @@ from scipy.special import ndtr
 
 from . import analytic
 from .analytic import MomentCurves
-from .noise import NoiseSpec, NoiseSheet, sample_sheet
+from .noise import STREAM, NoiseSpec, NoiseSheet, sample_sheet
 from .solver import LatticeConfig, SigmaSpec, SolutionField, calibrate_kernel, solve
 
 __all__ = [
@@ -49,6 +50,7 @@ __all__ = [
     "FunctionalCovReport",
     "tightness_moment",
     "plan_to_dict",
+    "strict_json",
     "plan_hash",
     "summary_to_dict",
     "resolve_threads",
@@ -109,12 +111,8 @@ class ExperimentPlan:
         if abs(n - round(n)) > 1e-9:
             raise ValueError(f"x_half_width {self.x_half_width} is not a multiple of h={self.h}")
 
-    @property
-    def window_half_width(self) -> float:
-        return self.x_half_width
-
     def lattice(self) -> LatticeConfig:
-        return LatticeConfig(h=self.h, t_max=max(self.times), x_half_width=self.window_half_width)
+        return LatticeConfig(h=self.h, t_max=max(self.times), x_half_width=self.x_half_width)
 
     def noise_spec(self) -> NoiseSpec:
         cfg = self.lattice()
@@ -139,7 +137,8 @@ def plan_to_dict(plan: ExperimentPlan) -> dict:
         "seed": plan.seed,
         "normalization": plan.normalization,
         "chaos": plan.chaos,
-        "x_half_width": plan.window_half_width,
+        "x_half_width": plan.x_half_width,
+        "stream": STREAM,
     }
 
 
@@ -700,10 +699,23 @@ def tightness_moment(summary: ExperimentSummary, p: float, s: float, t: float, r
     }
 
 
+def strict_json(obj):
+    """Copy of a JSON-ready value with every non-finite float replaced by
+    None: strict JSON has no NaN or Infinity."""
+    if isinstance(obj, dict):
+        return {k: strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [strict_json(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def summary_to_dict(summary: ExperimentSummary, deterministic: bool = False) -> dict:
     """JSON-ready view of a summary.  Raw samples stay out (CSV export covers
     them); with deterministic=True the volatile fields (wall time) are omitted
-    so identical plans produce identical bytes."""
+    so identical plans produce identical bytes.  Statistics undefined at the
+    replica count (SEs at M = 1, say) read None."""
     rows = []
     for (it, ir), ps in sorted(summary.stats.items()):
         rows.append(
@@ -749,4 +761,4 @@ def summary_to_dict(summary: ExperimentSummary, deterministic: bool = False) -> 
     }
     if not deterministic:
         out["wall_seconds"] = summary.wall_seconds
-    return out
+    return strict_json(out)

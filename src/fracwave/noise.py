@@ -3,9 +3,10 @@
 The driving field W has independent rows in time; within a row, cell masses
 form a stationary Gaussian vector whose covariance is the second difference
 of |x|^{2H} (fractional increments with Hurst index H).  H = 1/2 reduces to
-space-time white noise.  Rows are sampled exactly with a circulant (FFT)
-embedding, so statistical tests downstream see the true lattice law, not an
-approximation.
+space-time white noise.  Rows are sampled exactly with the minimal circulant
+(FFT) embedding of size 2*n_space, two rows per complex FFT, so statistical
+tests downstream see the true lattice law, not an approximation.  STREAM
+names the version of the mapping from (seed, replica) to sheets.
 
 Contents
 --------
@@ -31,6 +32,7 @@ __all__ = [
     "NoiseSpec",
     "NoiseSheet",
     "EmbeddingError",
+    "STREAM",
     "fgn_cell_covariance",
     "sample_sheet",
     "region_mass",
@@ -38,9 +40,12 @@ __all__ = [
     "read_sheet",
 ]
 
+STREAM = "philox2"
+
 SHEET_MAGIC = b"FWNS"
-SHEET_VERSION = 1
+SHEET_VERSION = 2
 _HEADER = struct.Struct("<4sIdddII")  # magic, version, hurst, dt, dx, n_time, n_space
+_HEADER_V2 = struct.Struct("<Qq8s")  # seed, replica (-1: external), stream
 
 
 class EmbeddingError(RuntimeError):
@@ -94,7 +99,7 @@ class NoiseSheet:
         """Stable provenance tag: generator seed and substream, or 'external'."""
         if self.replica is None:
             return "external"
-        return f"philox:{self.spec.seed}:{self.replica}"
+        return f"{STREAM}:{self.spec.seed}:{self.replica}"
 
 
 def fgn_cell_covariance(lag, hurst: float, dx: float):
@@ -113,13 +118,6 @@ def fgn_cell_covariance(lag, hurst: float, dx: float):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
 
 
 @lru_cache(maxsize=32)
@@ -159,9 +157,9 @@ def _embedding_spectrum(hurst: float, embed_size: int) -> np.ndarray:
 def _replica_rng(seed: int, replica: int) -> np.random.Generator:
     """Counter-based stream for one replica: Philox keyed by (seed, replica).
 
-    Each row of the sheet occupies a fixed-length slice of this stream's
-    counter sequence, so replicas never share state and results do not
-    depend on scheduling.
+    Each row (each row pair, for H > 1/2) of the sheet occupies a
+    fixed-length slice of this stream's counter sequence, so replicas never
+    share state and results do not depend on scheduling.
     """
     key = np.array([seed, replica], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -172,7 +170,10 @@ def sample_sheet(spec: NoiseSpec, replica: int = 0) -> NoiseSheet:
 
     H = 1/2: cells are iid N(0, dt*dx).  H > 1/2: each row is an exact
     stationary fractional-increment vector, synthesized by the circulant
-    embedding of size next_pow2(2*n_space).
+    embedding of size 2*n_space.  The real and imaginary parts of one FFT of
+    sqrt(lambda)*(z1 + i*z2) are two independent rows with that covariance
+    (Davies & Harte 1987, Wood & Chan 1994): rows 2k and 2k+1; the spare
+    row of an odd n_time is dropped.
     """
     rng = _replica_rng(spec.seed, replica)
     if spec.hurst == 0.5:
@@ -180,19 +181,17 @@ def sample_sheet(spec: NoiseSpec, replica: int = 0) -> NoiseSheet:
         masses = z * np.sqrt(spec.dt * spec.dx)
         return NoiseSheet(spec=spec, masses=masses, replica=replica)
 
-    embed = _next_pow2(2 * spec.n_space)
-    m = embed // 2
+    embed = 2 * spec.n_space
+    pairs = (spec.n_time + 1) // 2
     lam = _embedding_spectrum(spec.hurst, embed)
-    z = rng.standard_normal((spec.n_time, embed))
-    xi = np.empty((spec.n_time, embed), dtype=np.complex128)
-    xi[:, 0] = z[:, 0]
-    xi[:, m] = z[:, 1]
-    half = (z[:, 2::2] + 1j * z[:, 3::2]) / np.sqrt(2.0)
-    xi[:, 1:m] = half
-    xi[:, m + 1:] = np.conj(half[:, ::-1])
-    synth = np.fft.fft(np.sqrt(lam) * xi, axis=1).real[:, : spec.n_space]
     scale = np.sqrt(spec.dt) * spec.dx**spec.hurst / np.sqrt(embed)
-    return NoiseSheet(spec=spec, masses=synth * scale, replica=replica)
+    xi = rng.standard_normal((pairs, embed, 2)).view(np.complex128)[..., 0]
+    xi *= np.sqrt(lam) * scale
+    synth = np.fft.fft(xi, axis=1)[:, : spec.n_space]
+    masses = np.empty((2 * pairs, spec.n_space))
+    masses[0::2] = synth.real
+    masses[1::2] = synth.imag
+    return NoiseSheet(spec=spec, masses=masses[: spec.n_time], replica=replica)
 
 
 def region_mass(sheet: NoiseSheet, rows: tuple[int, int], cols: tuple[int, int]) -> float:
@@ -205,10 +204,16 @@ def region_mass(sheet: NoiseSheet, rows: tuple[int, int], cols: tuple[int, int])
 
 
 def write_sheet(sheet: NoiseSheet, path) -> None:
-    """Dump a sheet: 40-byte header then row-major little-endian float64."""
+    """Dump a sheet: 64-byte header then row-major little-endian float64.
+
+    The header carries the geometry, then the generator seed, the replica
+    (-1 for an external sheet) and the stream version, so a dump keeps its
+    provenance tag."""
     spec = sheet.spec
     header = _HEADER.pack(
         SHEET_MAGIC, SHEET_VERSION, spec.hurst, spec.dt, spec.dx, spec.n_time, spec.n_space
+    ) + _HEADER_V2.pack(
+        spec.seed, -1 if sheet.replica is None else sheet.replica, STREAM.encode()
     )
     with open(path, "wb") as fh:
         fh.write(header)
@@ -216,7 +221,11 @@ def write_sheet(sheet: NoiseSheet, path) -> None:
 
 
 def read_sheet(path) -> NoiseSheet:
-    """Read a dumped sheet.  The generator seed is not stored; spec.seed = 0."""
+    """Read a dumped sheet, version 1 or 2.
+
+    A version-2 sheet keeps its seed and replica, but reads back as external
+    if another stream version wrote it.  Version 1 stores no provenance: the
+    sheet reads back external with seed 0."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
@@ -224,11 +233,19 @@ def read_sheet(path) -> NoiseSheet:
         magic, version, hurst, dt, dx, n_time, n_space = _HEADER.unpack(raw)
         if magic != SHEET_MAGIC:
             raise ValueError(f"not a noise sheet dump: bad magic {magic!r}")
-        if version != SHEET_VERSION:
+        seed, replica = 0, None
+        if version == SHEET_VERSION:
+            raw = fh.read(_HEADER_V2.size)
+            if len(raw) != _HEADER_V2.size:
+                raise ValueError(f"truncated sheet header in {path}")
+            seed, stored, stream = _HEADER_V2.unpack(raw)
+            if stored >= 0 and stream.rstrip(b"\0") == STREAM.encode():
+                replica = stored
+        elif version != 1:
             raise ValueError(f"unsupported sheet version {version}")
         body = np.frombuffer(fh.read(), dtype="<f8")
     expected = n_time * n_space
     if body.size != expected:
         raise ValueError(f"sheet body has {body.size} values, expected {expected}")
-    spec = NoiseSpec(hurst=hurst, dt=dt, dx=dx, n_time=n_time, n_space=n_space, seed=0)
-    return NoiseSheet(spec=spec, masses=body.reshape(n_time, n_space).copy())
+    spec = NoiseSpec(hurst=hurst, dt=dt, dx=dx, n_time=n_time, n_space=n_space, seed=seed)
+    return NoiseSheet(spec=spec, masses=body.reshape(n_time, n_space).copy(), replica=replica)

@@ -187,6 +187,23 @@ def test_simulate_stdout_json_and_table(tmp_path, capsys):
     assert code2 == 0 and out2 == out
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_simulate_single_replica_is_strict_json(tmp_path, capsys):
+    # at M = 1 the SEs and the variance are undefined: they read null, never NaN
+    path = _write_cfg(tmp_path, SMALL_CFG.replace("replicas = 60", "replicas = 1"))
+    code, out, _ = _run(capsys, ["simulate", path, "--deterministic"])
+    assert code == 0
+    payload = json.loads(out, parse_constant=_reject_constant)
+    row = payload["pairs"][0]
+    assert row["n"] == 1
+    for key in ("mean_se", "variance", "variance_se", "chaos_cov", "chaos_var"):
+        assert row[key] is None, key
+    assert math.isfinite(row["mean"])
+
+
 def test_simulate_out_and_raw_files(tmp_path, capsys):
     path = _write_cfg(tmp_path, SMALL_CFG)
     out_json = tmp_path / "summary.json"
@@ -341,6 +358,7 @@ def test_noise_dump_round_trip(tmp_path, capsys):
     spec = NoiseSpec(hurst=0.75, dt=0.125, dx=0.125, n_time=8, n_space=16, seed=11)
     fresh = sample_sheet(spec, replica=2)
     assert sheet.masses.tobytes() == fresh.masses.tobytes()
+    assert sheet.ref == fresh.ref == "philox2:11:2"
 
 
 def test_noise_dump_bad_hurst(tmp_path, capsys):

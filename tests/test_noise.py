@@ -1,6 +1,8 @@
 """Noise sampler tests: closed-form covariances against quadrature, exactness
 of the sampled law, determinism, and the binary dump format."""
 
+import struct
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -9,8 +11,8 @@ from fracwave.noise import (
     EmbeddingError,
     NoiseSheet,
     NoiseSpec,
+    STREAM,
     _embedding_spectrum,
-    _next_pow2,
     fgn_cell_covariance,
     read_sheet,
     region_mass,
@@ -95,17 +97,15 @@ def test_kernel_validation():
 # ------------------------------------------------------------ embedding
 
 
-def test_next_pow2():
-    assert [_next_pow2(n) for n in (1, 2, 3, 5, 64, 65)] == [1, 2, 4, 8, 64, 128]
-
-
 def test_embedding_spectrum_nonnegative_across_hurst():
-    # the embedded spectrum must be numerically nonnegative for every H we
-    # support, including H close to 1 where the sequence decays slowest
-    for hurst in (0.51, 0.6, 0.75, 0.9, 0.95, 0.99):
-        lam = _embedding_spectrum(hurst, 1024)
-        assert lam.min() >= 0.0
-        assert lam.max() > 0.0
+    # the minimal embedding (size 2n) must be numerically nonnegative for
+    # every H we support, including H close to 1 where the sequence decays
+    # slowest; the row widths n cover the tier-1 and benchmark shapes
+    for n_space in (64, 256, 1056, 2112, 4224):
+        for hurst in (0.51, 0.6, 0.75, 0.9, 0.95, 0.99):
+            lam = _embedding_spectrum(hurst, 2 * n_space)
+            assert lam.min() >= 0.0, (n_space, hurst)
+            assert lam.max() > 0.0
 
 
 def test_embedding_reproduces_covariance_exactly():
@@ -147,10 +147,13 @@ def test_white_case_empirical_moments():
 
 
 def test_fractional_case_empirical_covariance():
-    # many iid rows: sample covariances at small lags match the closed form
-    spec = NoiseSpec(hurst=0.75, dt=0.5, dx=1.0, n_time=60000, n_space=16, seed=3)
-    sheet = sample_sheet(spec)
-    x = sheet.masses
+    # many iid rows: sample covariances at small lags match the closed form.
+    # n_time is odd, so the imaginary half of the last FFT pair is dropped:
+    # the sheet is the one-row-longer sheet of the same seed less its last row
+    spec = NoiseSpec(hurst=0.75, dt=0.5, dx=1.0, n_time=59999, n_space=16, seed=3)
+    x = sample_sheet(spec).masses
+    longer = sample_sheet(NoiseSpec(**{**spec.__dict__, "n_time": 60000})).masses
+    assert np.array_equal(x, longer[:-1])
     n = spec.n_time
     for lag in (0, 1, 3):
         emp = float(np.mean(x[:, 0] * x[:, lag]))
@@ -174,6 +177,7 @@ def test_fractional_block_variance_telescopes():
 
 
 def test_rows_are_independent_in_time():
+    # adjacent rows 2k, 2k+1 are the real and imaginary parts of one FFT
     spec = NoiseSpec(hurst=0.9, dt=1.0, dx=1.0, n_time=20000, n_space=4, seed=17)
     sheet = sample_sheet(spec)
     col = sheet.masses[:, 2]
@@ -202,13 +206,25 @@ def test_sheet_round_trip(tmp_path):
     path = tmp_path / "sheet.bin"
     write_sheet(sheet, path)
     back = read_sheet(path)
-    assert back.spec.hurst == spec.hurst
-    assert back.spec.dt == spec.dt
-    assert back.spec.dx == spec.dx
-    assert (back.spec.n_time, back.spec.n_space) == (7, 33)
+    assert back.spec == spec  # geometry and seed
+    assert back.replica == 4
+    assert back.ref == sheet.ref == f"{STREAM}:5:4"
     assert np.array_equal(back.masses, sheet.masses)
-    # 40-byte header + payload
-    assert path.stat().st_size == 40 + 7 * 33 * 8
+    # 64-byte header (40 geometry + seed, replica, stream) + payload
+    assert path.stat().st_size == 64 + 7 * 33 * 8
+
+    # an external sheet keeps its seed but no replica
+    write_sheet(NoiseSheet(spec=spec, masses=sheet.masses), path)
+    back = read_sheet(path)
+    assert (back.spec.seed, back.replica, back.ref) == (5, None, "external")
+
+    # version-1 bytes (40-byte header, no provenance) still read
+    header = struct.pack("<4sIdddII", b"FWNS", 1, 0.75, 0.125, 0.25, 7, 33)
+    path.write_bytes(header + sheet.masses.astype("<f8").tobytes())
+    back = read_sheet(path)
+    assert back.spec == NoiseSpec(hurst=0.75, dt=0.125, dx=0.25, n_time=7, n_space=33)
+    assert back.ref == "external"
+    assert np.array_equal(back.masses, sheet.masses)
 
 
 def test_sheet_read_rejects_garbage(tmp_path):

@@ -330,9 +330,9 @@ def test_constant_sigma_point_variance_matches_discrete_law():
 def test_noise_provenance_tag():
     cfg = LatticeConfig(h=0.25, t_max=0.5, x_half_width=1.0)
     sampled = _sheet(cfg, seed=9, replica=4)
-    assert sampled.ref == "philox:9:4"
+    assert sampled.ref == "philox2:9:4"
     fld = solve(cfg, sampled, SigmaSpec.linear())
-    assert fld.noise_ref == "philox:9:4"
+    assert fld.noise_ref == "philox2:9:4"
     external = _zero_sheet(cfg)
     assert external.ref == "external"
     assert picard_reference(cfg, external, SigmaSpec.linear(), 1).noise_ref == "external"
