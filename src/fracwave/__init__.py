@@ -71,6 +71,7 @@ from .estimators import (
     summarize,
     summary_to_dict,
     tightness_moment,
+    window_averages,
 )
 
 __version__ = "0.1.0"

@@ -471,6 +471,8 @@ def cmd_funcclt(args) -> int:
     rc = _load_config(args.config)
     if len(rc.plan.times) < 2:
         raise ConfigError("functional covariance check needs at least 2 times in the config")
+    if rc.plan.replicas < 2:
+        raise ConfigError("functional covariance check needs at least 2 replicas")
     summary = run_experiment(rc.plan, threads=_effective_threads(rc, args.threads))
     report = functional_cov_check(summary)
     payload = strict_json({

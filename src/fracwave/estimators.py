@@ -36,6 +36,7 @@ __all__ = [
     "ExperimentSummary",
     "PairStats",
     "spatial_average",
+    "window_averages",
     "chaos_projection",
     "first_chaos_weights",
     "ks_normality",
@@ -57,6 +58,12 @@ __all__ = [
 ]
 
 _CHUNK = 256
+# Bytes of solution field solved as one stack.  run_replica_chunk stacks
+# (n_steps + 1) x n_nodes lattices up to this size: the 9 x 145-node
+# lattices of rate studies run 100 per stack, about twice as fast per
+# replica as one by one, while lattices over half a MiB (33 x 2113 nodes),
+# whose steps are already wide ufuncs and which ran slower stacked, run alone.
+_BATCH_BYTES = 1 << 20
 _JACK_GROUPS = 100
 _KS_MIN_N = 100
 
@@ -154,27 +161,43 @@ def plan_hash(plan: ExperimentPlan) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def spatial_average(fld: SolutionField, t: float, radius: float) -> float:
-    """Trapezoid integral of u(t, .) - 1 over [-radius, radius].
-
-    End nodes carry half weight.  Raises if any needed node is outside the
-    validity cone at that time level.
-    """
-    cfg = fld.config
-    n = cfg.time_index(t)
+def _radius_steps(cfg: LatticeConfig, radius: float) -> int:
     rn = int(round(radius / cfg.h))
     if abs(radius / cfg.h - rn) > 1e-9 or rn < 1:
         raise ValueError(f"radius {radius} is not a positive multiple of h={cfg.h}")
+    return rn
+
+
+def window_averages(fld: SolutionField, times: Sequence[float], radii: Sequence[float]) -> np.ndarray:
+    """Trapezoid integrals of u(t, .) - 1 over [-radius, radius], for every
+    (t, radius) pair.
+
+    Shape fld.values.shape[:-2] + (len(times), len(radii)): a field solved
+    from a stack gives one row per replica.  End nodes carry half weight.
+    Raises if any needed node is outside the validity cone at its level.
+    """
+    cfg = fld.config
     j0 = cfg.center_index
-    lo, hi = j0 - rn, j0 + rn
-    vlo, vhi = fld.valid_bounds(n)
-    if lo < vlo or hi > vhi:
-        raise ValueError(
-            f"window radius {radius} at t={t} leaves the validity cone; "
-            f"grow x_half_width to at least radius + t"
-        )
-    row = fld.values[n, lo: hi + 1] - 1.0
-    return float(cfg.h * (row.sum() - 0.5 * (row[0] + row[-1])))
+    rns = [_radius_steps(cfg, radius) for radius in radii]
+    out = np.empty(fld.values.shape[:-2] + (len(times), len(radii)))
+    for it, t in enumerate(times):
+        n = cfg.time_index(t)
+        row = fld.values[..., n, :] - 1.0
+        for ir, (radius, rn) in enumerate(zip(radii, rns)):
+            if n + rn > j0:  # the cone at level n spans nodes n .. 2*j0 - n
+                raise ValueError(
+                    f"window radius {radius} at t={t} leaves the validity cone; "
+                    f"grow x_half_width to at least radius + t"
+                )
+            seg = row[..., j0 - rn: j0 + rn + 1]
+            out[..., it, ir] = cfg.h * (np.add.reduce(seg, axis=-1) - 0.5 * (seg[..., 0] + seg[..., -1]))
+    return out
+
+
+def spatial_average(fld: SolutionField, t: float, radius: float) -> float:
+    """Trapezoid integral of u(t, .) - 1 over [-radius, radius] (see
+    window_averages) for a single field."""
+    return float(window_averages(fld, (t,), (radius,))[0, 0])
 
 
 def first_chaos_weights(cfg: LatticeConfig, t: float, radius: float, kappa: float) -> np.ndarray:
@@ -185,9 +208,7 @@ def first_chaos_weights(cfg: LatticeConfig, t: float, radius: float, kappa: floa
     map the scheme applies to the noise when sigma is constant 1.
     """
     n_t = cfg.time_index(t)
-    rn = int(round(radius / cfg.h))
-    if abs(radius / cfg.h - rn) > 1e-9 or rn < 1:
-        raise ValueError(f"radius {radius} is not a positive multiple of h={cfg.h}")
+    rn = _radius_steps(cfg, radius)
     j0 = cfg.center_index
     left, right = j0 - rn, j0 + rn  # window node-index ends
     if n_t + rn > j0:
@@ -206,6 +227,21 @@ def first_chaos_weights(cfg: LatticeConfig, t: float, radius: float, kappa: floa
     return weights
 
 
+def _chaos_stacks(cfg: LatticeConfig, times, radii, kappa: float) -> list[np.ndarray]:
+    """Per time, the flattened first-chaos weights of every radius, one row each."""
+    return [np.stack([first_chaos_weights(cfg, t, r, kappa).ravel() for r in radii]) for t in times]
+
+
+def _chaos_samples(stacks: list[np.ndarray], masses: np.ndarray) -> np.ndarray:
+    """First-chaos samples of one sheet, shape (n_times, n_radii): one gemv
+    per time over the rows of the sheet that reach it.  A gemm over a stack
+    of sheets would sum in another order and change the last bits."""
+    out = np.empty((len(stacks), stacks[0].shape[0]))
+    for it, w in enumerate(stacks):
+        out[it] = w @ masses[: w.shape[1] // masses.shape[1]].ravel()
+    return out
+
+
 def chaos_projection(fld: SolutionField, sheet: NoiseSheet, t: float, radius: float) -> float:
     """Sample of the first-chaos component: sum of weights times cell masses.
 
@@ -213,8 +249,8 @@ def chaos_projection(fld: SolutionField, sheet: NoiseSheet, t: float, radius: fl
     float roundoff; for linear sigma its covariance with the spatial average
     equals its own variance.
     """
-    w = first_chaos_weights(fld.config, t, radius, fld.kappa)
-    return float(np.vdot(w, sheet.masses[: w.shape[0]]))
+    stacks = _chaos_stacks(fld.config, (t,), (radius,), fld.kappa)
+    return float(_chaos_samples(stacks, sheet.masses)[0, 0])
 
 
 def ks_normality(samples: Sequence[float]) -> float:
@@ -289,57 +325,47 @@ class ChunkResult:
 
 
 def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int]) -> ChunkResult:
-    """Solve and reduce the given replicas.  Pure in (plan, ids)."""
+    """Solve and reduce the given replicas.  Pure in (plan, ids).
+
+    Each replica draws its own sheet; the sheets are solved and reduced in
+    stacks whose solution field fits _BATCH_BYTES, so a lattice larger than
+    half of it runs alone on its sheet's own array.
+    """
     ids = np.asarray(list(replica_ids), dtype=np.int64)
     cfg = plan.lattice()
     spec = plan.noise_spec()
     kappa = calibrate_kernel(plan.h, plan.hurst)
-    n_t, n_r = len(plan.times), len(plan.radii)
-    levels = [cfg.time_index(t) for t in plan.times]
-    j0 = cfg.center_index
-    rns = [int(round(r / plan.h)) for r in plan.radii]
+    batch = max(1, _BATCH_BYTES // (8 * (cfg.n_steps + 1) * cfg.n_nodes))
+    stacks = _chaos_stacks(cfg, plan.times, plan.radii, kappa) if plan.chaos else None
 
-    weight_stacks = None
-    if plan.chaos:
-        weight_stacks = []
-        for t in plan.times:
-            mats = [first_chaos_weights(cfg, t, r, kappa).ravel() for r in plan.radii]
-            weight_stacks.append(np.stack(mats))
-
-    g = np.empty((ids.size, n_t, n_r))
-    i1 = np.empty((ids.size, n_t, n_r)) if plan.chaos else None
+    g = np.empty((ids.size, len(plan.times), len(plan.radii)))
+    i1 = np.empty_like(g) if plan.chaos else None
     sig_c = np.empty((ids.size, cfg.n_steps + 1))
-
-    for k, rid in enumerate(ids):
-        sheet = sample_sheet(spec, replica=int(rid))
-        fld = solve(cfg, sheet, plan.sigma, kappa=kappa)
-        for it, lvl in enumerate(levels):
-            row = fld.values[lvl] - 1.0
-            for ir, rn in enumerate(rns):
-                seg = row[j0 - rn: j0 + rn + 1]
-                g[k, it, ir] = cfg.h * (seg.sum() - 0.5 * (seg[0] + seg[-1]))
-            if plan.chaos:
-                flat = sheet.masses[:lvl].ravel()
-                i1[k, it, :] = weight_stacks[it][:, : flat.size] @ flat
-        sig_c[k] = plan.sigma(fld.values[:, j0])
+    for start in range(0, ids.size, batch):
+        sheets = [sample_sheet(spec, replica=int(rid)) for rid in ids[start: start + batch]]
+        fld = solve(cfg, sheets, plan.sigma, kappa=kappa)
+        part = slice(start, start + len(sheets))
+        g[part] = window_averages(fld, plan.times, plan.radii)
+        sig_c[part] = plan.sigma(fld.values[..., cfg.center_index])
+        if stacks is not None:
+            for k, sheet in enumerate(sheets):
+                i1[start + k] = _chaos_samples(stacks, sheet.masses)
     return ChunkResult(replica_ids=ids, g=g, i1=i1, sigma_center=sig_c)
 
 
-def merge_chunks(a: ChunkResult, b: ChunkResult) -> ChunkResult:
-    """Associative, commutative merge; summarize() re-sorts to canonical order."""
-    both = np.concatenate([a.replica_ids, b.replica_ids])
-    if np.unique(both).size != both.size:
+def merge_chunks(*chunks: ChunkResult) -> ChunkResult:
+    """Associative, commutative merge of any number of chunks, in one
+    concatenation; summarize() re-sorts to canonical order."""
+    ids = np.concatenate([c.replica_ids for c in chunks])
+    if np.unique(ids).size != ids.size:
         raise ValueError("merge would duplicate replica ids")
-    i1 = None
-    if (a.i1 is None) != (b.i1 is None):
+    if len({c.i1 is None for c in chunks}) > 1:
         raise ValueError("cannot merge chunks with and without chaos samples")
-    if a.i1 is not None:
-        i1 = np.concatenate([a.i1, b.i1])
     return ChunkResult(
-        replica_ids=both,
-        g=np.concatenate([a.g, b.g]),
-        i1=i1,
-        sigma_center=np.concatenate([a.sigma_center, b.sigma_center]),
+        replica_ids=ids,
+        g=np.concatenate([c.g for c in chunks]),
+        i1=None if chunks[0].i1 is None else np.concatenate([c.i1 for c in chunks]),
+        sigma_center=np.concatenate([c.sigma_center for c in chunks]),
     )
 
 
@@ -613,10 +639,7 @@ def run_experiment(plan: ExperimentPlan, threads: Optional[int] = None) -> Exper
             results = list(pool.map(_chunk_star, [(plan, c) for c in chunks]))
     else:
         results = [run_replica_chunk(plan, c) for c in chunks]
-    merged = results[0]
-    for r in results[1:]:
-        merged = merge_chunks(merged, r)
-    return summarize(plan, merged, kappa, time.perf_counter() - start)
+    return summarize(plan, merge_chunks(*results), kappa, time.perf_counter() - start)
 
 
 @dataclass
@@ -645,6 +668,8 @@ def functional_cov_check(summary: ExperimentSummary, i_radius: Optional[int] = N
     plan = summary.plan
     if len(plan.times) < 2:
         raise ValueError("functional covariance check needs at least two observation times")
+    if plan.replicas < 2:
+        raise ValueError("functional covariance check needs at least 2 replicas")
     if i_radius is None:
         i_radius = len(plan.radii) - 1
     r = plan.radii[i_radius]

@@ -13,14 +13,16 @@ its rows exactly.  Matching the resulting variance against one quarter of the
 discrete cone-mass variance fixes kappa = 1/2 for every step size and Hurst
 index; calibrate_kernel performs that count.
 
-Values outside the shrinking interior cone of the spatial window are never
-defined; they are stored as NaN and never read by the recursion.
+solve runs one sheet or a stack of sheets (replica axis first) through the
+same update.  Values outside the shrinking interior cone of the spatial
+window are never defined; they are stored as NaN and never read by the
+recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -193,16 +195,18 @@ class LatticeConfig:
 
 @dataclass
 class SolutionField:
-    """Solved field on the lattice: values[n, j] = u(n*h, -x_half_width + j*h).
+    """Solved field on the lattice: values[..., n, j] = u(n*h, -x_half_width + j*h).
 
-    NaN marks nodes outside the interior validity cone (the window shrinks by
-    one node per side per step)."""
+    A field solved from a stack of sheets has a leading replica axis
+    (values[b] is replica b) and one noise_ref tag per sheet.  NaN marks
+    nodes outside the interior validity cone (the window shrinks by one node
+    per side per step)."""
 
     config: LatticeConfig
     sigma: SigmaSpec
     kappa: float
     values: np.ndarray = field(repr=False)
-    noise_ref: str = "external"
+    noise_ref: Union[str, tuple[str, ...]] = "external"
 
     def valid_bounds(self, level: int) -> tuple[int, int]:
         """Inclusive node-index range valid at a time level."""
@@ -262,41 +266,59 @@ def _check_sheet(config: LatticeConfig, sheet: NoiseSheet) -> None:
 
 def solve(
     config: LatticeConfig,
-    sheet: NoiseSheet,
+    sheets: Union[NoiseSheet, Sequence[NoiseSheet]],
     sigma: SigmaSpec,
     kappa: Optional[float] = None,
 ) -> SolutionField:
-    """Run the scheme over the whole lattice.
+    """Run the scheme over the whole lattice, for one sheet or a stack.
 
     The noise attached to node j at level n is the mass of the two cells
     [x_j - h, x_j + h) in time row n.  sigma is evaluated on the previous
     level (the update stays adapted).
-    """
-    _check_sheet(config, sheet)
-    if kappa is None:
-        kappa = calibrate_kernel(config.h, sheet.spec.hurst)
-    n_steps, n_nodes = config.n_steps, config.n_nodes
-    w = sheet.masses
-    pair = w[:, :-1] + w[:, 1:]  # pair[n, i] = window mass of node i+1 at row n
 
-    u = np.full((n_steps + 1, n_nodes), np.nan)
-    u[0, :] = 1.0
+    A sequence of sheets is solved as one stack: the replica axis comes
+    first, values has shape (len(sheets), n_steps + 1, n_nodes) and
+    values[b] is the field driven by sheets[b].  Every update is elementwise
+    along the replica axis, so values[b] equals, bit for bit and NaN for
+    NaN, the values of solving sheets[b] alone.  A single NoiseSheet is a
+    stack of one without the replica axis: values has shape
+    (n_steps + 1, n_nodes).
+    """
+    single = isinstance(sheets, NoiseSheet)
+    stack = [sheets] if single else list(sheets)
+    if not stack:
+        raise ValueError("solve needs at least one sheet")
+    if kappa is None:
+        kappa = calibrate_kernel(config.h, stack[0].spec.hurst)
+    n_steps, n_nodes = config.n_steps, config.n_nodes
+    # pair[..., n, i] = window mass of node i+1 at row n
+    pair = np.empty((len(stack), n_steps, n_nodes - 2))
+    for b, sheet in enumerate(stack):
+        _check_sheet(config, sheet)
+        w = sheet.masses
+        np.add(w[:n_steps, :-1], w[:n_steps, 1:], out=pair[b])
+    if single:
+        pair = pair[0]
+
+    u = np.full(pair.shape[:-2] + (n_steps + 1, n_nodes), np.nan)
+    u[..., 0, :] = 1.0
 
     lo, hi = 1, n_nodes - 1  # valid slice [lo, hi) at level 1
-    u[1, lo:hi] = (
-        0.5 * (u[0, lo + 1: hi + 1] + u[0, lo - 1: hi - 1])
-        + kappa * sigma(u[0, lo:hi]) * pair[0, lo - 1: hi - 1]
+    u[..., 1, lo:hi] = (
+        0.5 * (u[..., 0, lo + 1: hi + 1] + u[..., 0, lo - 1: hi - 1])
+        + kappa * sigma(u[..., 0, lo:hi]) * pair[..., 0, lo - 1: hi - 1]
     )
     for n in range(1, n_steps):
         lo, hi = n + 1, n_nodes - 1 - n
-        u[n + 1, lo:hi] = (
-            u[n, lo + 1: hi + 1]
-            + u[n, lo - 1: hi - 1]
-            - u[n - 1, lo:hi]
-            + kappa * sigma(u[n, lo:hi]) * pair[n, lo - 1: hi - 1]
+        u[..., n + 1, lo:hi] = (
+            u[..., n, lo + 1: hi + 1]
+            + u[..., n, lo - 1: hi - 1]
+            - u[..., n - 1, lo:hi]
+            + kappa * sigma(u[..., n, lo:hi]) * pair[..., n, lo - 1: hi - 1]
         )
+    noise_ref = sheets.ref if single else tuple(sheet.ref for sheet in stack)
     return SolutionField(config=config, sigma=sigma, kappa=kappa, values=u,
-                         noise_ref=sheet.ref)
+                         noise_ref=noise_ref)
 
 
 def picard_reference(

@@ -10,7 +10,7 @@ import pytest
 
 from fracwave import analytic
 from fracwave.cli import main, parse_config, serialize_config
-from fracwave.estimators import ks_coupled, ks_coupled_se, run_experiment
+from fracwave.estimators import functional_cov_check, ks_coupled, ks_coupled_se, run_experiment
 from fracwave.noise import NoiseSpec, read_sheet, sample_sheet
 
 SMALL_CFG = """
@@ -322,6 +322,21 @@ def test_funcclt_needs_two_times(tmp_path, capsys):
     code, _, err = _run(capsys, ["funcclt", path])
     assert code == 2
     assert "2 times" in err
+
+
+def test_funcclt_needs_two_replicas(tmp_path, capsys):
+    # one replica leaves every covariance entry and SE undefined
+    text = SMALL_CFG.replace("times = 1.0", "times = 0.5, 1.0").replace(
+        "replicas = 60", "replicas = 1"
+    )
+    path = _write_cfg(tmp_path, text)
+    code, out, err = _run(capsys, ["funcclt", path])
+    assert code == 2
+    assert out == ""
+    assert "2 replicas" in err
+    summary = run_experiment(parse_config(text).plan, threads=1)
+    with pytest.raises(ValueError, match="2 replicas"):
+        functional_cov_check(summary)
 
 
 def test_funcclt_json(tmp_path, capsys):

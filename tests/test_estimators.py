@@ -10,7 +10,7 @@ import pytest
 import scipy.stats
 from scipy.special import ndtr
 
-from fracwave import analytic
+from fracwave import analytic, estimators, noise
 from fracwave.estimators import (
     ExperimentPlan,
     chaos_projection,
@@ -30,6 +30,7 @@ from fracwave.estimators import (
     summarize,
     summary_to_dict,
     tightness_moment,
+    window_averages,
 )
 from fracwave.noise import sample_sheet
 from fracwave.solver import SigmaSpec, calibrate_kernel, solve
@@ -238,6 +239,80 @@ def test_constant_sigma_average_equals_first_chaos():
                 assert abs(g - i1) <= 1e-8  # typically ~1e-14
 
 
+def _rate_plan(replicas=1):
+    # the lattice shape of a rate study: a few hundred of them fit one stack
+    return ExperimentPlan(hurst=0.75, sigma=SigmaSpec.affine_sine(1.0, 0.5), h=0.125,
+                          times=(0.5, 1.0), radii=(1.0, 2.0), replicas=replicas, seed=41)
+
+
+def _stack_size(plan):
+    cfg = plan.lattice()
+    return estimators._BATCH_BYTES // (8 * (cfg.n_steps + 1) * cfg.n_nodes)
+
+
+@pytest.mark.parametrize("ids", ["across_stacks", "one_replica"])
+def test_chunk_reductions_equal_per_replica_reductions(ids):
+    # run_replica_chunk solves and reduces stacks of replicas; every row must
+    # equal what the single-field reducers give on that replica alone
+    plan = _rate_plan()
+    stack = _stack_size(plan)
+    assert stack > 2
+    chosen = list(range(stack + 3, 0, -1)) if ids == "across_stacks" else [7]
+    res = run_replica_chunk(plan, chosen)
+    cfg = plan.lattice()
+    assert res.replica_ids.tolist() == chosen
+    for k, rid in enumerate(chosen):
+        sheet = sample_sheet(plan.noise_spec(), replica=rid)
+        fld = solve(cfg, sheet, plan.sigma)
+        assert res.sigma_center[k].tobytes() == plan.sigma(fld.values[:, cfg.center_index]).tobytes()
+        for it, t in enumerate(plan.times):
+            for ir, r in enumerate(plan.radii):
+                assert res.g[k, it, ir] == spatial_average(fld, t, r)
+                # one gemv per time over all radii vs one dot: summation
+                # order may differ in the last bits
+                assert res.i1[k, it, ir] == pytest.approx(
+                    chaos_projection(fld, sheet, t, r), rel=1e-12, abs=1e-15)
+        assert res.g[k].tobytes() == window_averages(fld, plan.times, plan.radii).tobytes()
+
+
+def test_chunk_calls_the_traced_seams(monkeypatch):
+    # the benchmark trace wraps these module attributes; a chunk that stops
+    # calling them through the module would leave its spans empty
+    plan = _rate_plan(replicas=2 * estimators._CHUNK + 1)
+    calls = {"sample_sheet": 0, "_replica_rng": 0, "solve": 0, "first_chaos_weights": 0,
+             "_embedding_spectrum": [], "merge_chunks": []}
+
+    def counted(module, name, record=None):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            if record is None:
+                calls[name] += 1
+            else:
+                calls[name].append(record(args))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    expected = run_replica_chunk(plan, range(40))
+    counted(estimators, "sample_sheet")
+    counted(estimators, "solve")
+    counted(estimators, "first_chaos_weights")
+    counted(noise, "_replica_rng")
+    counted(noise, "_embedding_spectrum", record=lambda args: args[1])
+    res = run_replica_chunk(plan, range(40))
+    assert res.g.tobytes() == expected.g.tobytes()
+    assert res.i1.tobytes() == expected.i1.tobytes()
+    assert calls["sample_sheet"] == calls["_replica_rng"] == 40
+    assert calls["solve"] == 1  # 40 of these lattices fit one stack
+    assert calls["first_chaos_weights"] == len(plan.times) * len(plan.radii)
+    assert calls["_embedding_spectrum"] == [2 * plan.lattice().n_cells] * 40
+
+    counted(estimators, "merge_chunks", record=len)
+    summary = run_experiment(plan, threads=1)
+    assert calls["merge_chunks"] == [3]  # one merge of all three chunks
+    assert summary.g_samples.shape[0] == plan.replicas
+
+
 def test_first_chaos_weights_shape_and_plateau():
     cfg = ExperimentPlan(hurst=0.5, sigma=SigmaSpec.linear(), h=0.25,
                          times=(1.0,), radii=(1.0,), replicas=1, seed=0).lattice()
@@ -379,6 +454,13 @@ def test_merge_rejects_duplicates_and_gaps():
     partial = merge_chunks(a, run_replica_chunk(plan, range(6, 8)))  # gap at 5
     with pytest.raises(ValueError, match="exactly once"):
         summarize(plan, partial, kappa, 0.0)
+    # the many-chunk merge checks all ids at once
+    with pytest.raises(ValueError, match="duplicate"):
+        merge_chunks(a, run_replica_chunk(plan, range(5, 8)), run_replica_chunk(plan, range(0, 1)))
+    whole = merge_chunks(run_replica_chunk(plan, range(6, 8)), a, run_replica_chunk(plan, [5]))
+    assert whole.g.tobytes() == merge_chunks(merge_chunks(run_replica_chunk(plan, range(6, 8)), a),
+                                             run_replica_chunk(plan, [5])).g.tobytes()
+    summarize(plan, whole, kappa, 0.0)
 
 
 def test_run_experiment_deterministic_across_calls():

@@ -208,6 +208,32 @@ def test_cone_locality_bit_equality():
     assert not np.array_equal(a.values[n - 1], b.values[n - 1], equal_nan=True)
 
 
+@pytest.mark.parametrize("sigma", [
+    SigmaSpec.constant(1.3),
+    SigmaSpec.linear(),
+    SigmaSpec.affine_sine(1.0, 0.5),
+    SigmaSpec.tabulated([-1.0, 0.0, 2.0], [0.5, 1.0, 0.2]),
+], ids=lambda s: s.kind)
+def test_batched_solve_matches_single_sheets_bit_for_bit(sigma):
+    # a stack is solved along a leading replica axis; each slice must carry
+    # the bytes of the single-sheet solve, NaN layout outside the cone included
+    cfg = LatticeConfig(h=0.125, t_max=1.0, x_half_width=3.0)
+    sheets = [_sheet(cfg, hurst=hurst, seed=31, replica=r)
+              for hurst in (0.5, 0.75) for r in range(3)]
+    stacked = solve(cfg, sheets, sigma)
+    assert stacked.values.shape == (len(sheets), cfg.n_steps + 1, cfg.n_nodes)
+    assert stacked.noise_ref == tuple(sheet.ref for sheet in sheets)
+    for b, sheet in enumerate(sheets):
+        alone = solve(cfg, sheet, sigma)
+        assert alone.values.shape == (cfg.n_steps + 1, cfg.n_nodes)
+        assert stacked.values[b].tobytes() == alone.values.tobytes()
+    one = solve(cfg, sheets[:1], sigma)
+    assert one.values.shape == (1, cfg.n_steps + 1, cfg.n_nodes)
+    assert one.values[0].tobytes() == stacked.values[0].tobytes()
+    with pytest.raises(ValueError, match="at least one sheet"):
+        solve(cfg, [], sigma)
+
+
 def test_first_step_formula():
     cfg = LatticeConfig(h=0.5, t_max=0.5, x_half_width=2.0)
     sheet = _sheet(cfg, seed=2)
