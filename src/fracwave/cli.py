@@ -411,23 +411,25 @@ def _bootstrap_slope_ci(
     self-normalized KS distance.
     """
     plan = summary.plan
-    g = summary.g_samples[:, i_time, :]
-    i1 = None if summary.i1_samples is None else summary.i1_samples[:, i_time, :]
-    m = g.shape[0]
+    radii = range(len(plan.radii))
+    # one contiguous column per radius: take() on it is the same resample
+    # as a row gather of the (M, n_radii) view, at a fraction of the cost
+    g = [np.ascontiguousarray(summary.samples(i_time, ir)) for ir in radii]
+    i1 = None if summary.i1_samples is None else [
+        np.ascontiguousarray(summary.chaos_samples(i_time, ir)) for ir in radii]
+    m = g[0].size
     logr = np.log(np.asarray(plan.radii))
     rng = np.random.Generator(np.random.Philox(key=np.array([plan.seed, 2**63], dtype=np.uint64)))
     slopes = np.empty(n_boot)
     for b in range(n_boot):
         idx = rng.integers(0, m, size=m)
-        resampled = g[idx]
-        ref = None if i1 is None else i1[idx]
         ks = np.empty(len(plan.radii))
-        for ir in range(len(plan.radii)):
-            x = resampled[:, ir]
-            if ref is None:
+        for ir in radii:
+            x = g[ir].take(idx)
+            if i1 is None:
                 ks[ir] = ks_normality(x / x.std(ddof=1))
             else:
-                ks[ir] = ks_coupled(x, ref[:, ir])
+                ks[ir] = ks_coupled(x, i1[ir].take(idx))
         slopes[b] = _ols_slope(logr, np.log(ks))
     lo, hi = np.quantile(slopes, [(1 - level) / 2, 1 - (1 - level) / 2])
     return float(lo), float(hi)

@@ -66,6 +66,12 @@ _CHUNK = 256
 _BATCH_BYTES = 1 << 20
 _JACK_GROUPS = 100
 _KS_MIN_N = 100
+# ks_normality evaluates Phi at the ends of blocks of this many sorted points
+# and in full only in blocks that can still hold the sup (see _ks_sorted).
+# That pays once a block (64/n) is narrow against the statistic's spread
+# (about 0.87/sqrt(n)): from about 10^4 points on a 2-CPU VM.
+_KS_BLOCK = 64
+_KS_PRUNE_MIN = 8192
 
 
 @dataclass(frozen=True)
@@ -253,6 +259,45 @@ def chaos_projection(fld: SolutionField, sheet: NoiseSheet, t: float, radius: fl
     return float(_chaos_samples(stacks, sheet.masses)[0, 0])
 
 
+def _check_ks_size(n: int) -> None:
+    if n < _KS_MIN_N:
+        raise ValueError(f"KS distance needs at least {_KS_MIN_N} samples, got {n}")
+
+
+def _ks_terms(cdf: np.ndarray, rank: np.ndarray, n: int) -> np.ndarray:
+    """max(i/n - Phi(x_(i)), Phi(x_(i)) - (i-1)/n) at float ranks i, given Phi(x_(i))."""
+    return np.maximum(rank / n - cdf, cdf - (rank - 1.0) / n)
+
+
+def _ks_sorted(x: np.ndarray) -> float:
+    """ks_normality of a sorted sample, evaluated only where the sup can be.
+
+    The terms at the two ends of every _KS_BLOCK-point block give an exact
+    lower bound `best`.  Phi is monotone, so within a block of ranks
+    first..last every term is at most max(last/n - Phi(x_first),
+    Phi(x_last) - (first-1)/n); only blocks whose bound reaches best (less
+    1e-9, far above rounding) are evaluated in full.  The result is the max
+    of the same floats over a subset that holds the argmax, so it equals the
+    full formula bit for bit.  Below _KS_PRUNE_MIN points most blocks reach
+    best and the full formula is cheaper.  A NaN sorts last and makes best
+    NaN; then every term is evaluated and the NaN propagates.
+    """
+    n = x.size
+    if n >= _KS_PRUNE_MIN:
+        first = np.arange(0, n, _KS_BLOCK)
+        last = np.minimum(first + (_KS_BLOCK - 1), n - 1)
+        ends = np.concatenate([first, last])
+        cdf = ndtr(x[ends])
+        best = _ks_terms(cdf, ends + 1.0, n).max()
+        if np.isfinite(best):
+            k = first.size
+            bound = np.maximum((last + 1.0) / n - cdf[:k], cdf[k:] - first / n)
+            hot = first[bound >= best - 1e-9]
+            idx = np.minimum(hot[:, None] + np.arange(_KS_BLOCK), n - 1).ravel()
+            return float(max(best, _ks_terms(ndtr(x[idx]), idx + 1.0, n).max()))
+    return float(_ks_terms(ndtr(x), np.arange(1, n + 1, dtype=np.float64), n).max())
+
+
 def ks_normality(samples: Sequence[float]) -> float:
     """Kolmogorov-Smirnov distance of the sample to the standard normal law.
 
@@ -260,12 +305,24 @@ def ks_normality(samples: Sequence[float]) -> float:
     Requires at least 100 samples; the caller normalizes beforehand.
     """
     x = np.sort(np.asarray(samples, dtype=np.float64))
-    n = x.size
-    if n < _KS_MIN_N:
-        raise ValueError(f"KS distance needs at least {_KS_MIN_N} samples, got {n}")
-    cdf = ndtr(x)
-    i = np.arange(1, n + 1, dtype=np.float64)
-    return float(np.maximum(i / n - cdf, cdf - (i - 1.0) / n).max())
+    _check_ks_size(x.size)
+    return _ks_sorted(x)
+
+
+def _paired(samples: Sequence[float], reference: Sequence[float]) -> list[np.ndarray]:
+    x = np.asarray(samples, dtype=np.float64)
+    y = np.asarray(reference, dtype=np.float64)
+    if y.size != x.size:
+        raise ValueError(f"coupled KS needs paired samples, got {x.size} and {y.size}")
+    return [x, y]
+
+
+def _ks_coupled_sorted(a: np.ndarray, b: np.ndarray) -> float:
+    """sup_z |F_a(z) - F_b(z)| for two sorted samples of equal size."""
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(a, grid, side="right")
+    fb = np.searchsorted(b, grid, side="right")
+    return float(np.abs(fa - fb).max() / a.size)
 
 
 def ks_coupled(samples: Sequence[float], reference: Sequence[float]) -> float:
@@ -284,27 +341,14 @@ def ks_coupled(samples: Sequence[float], reference: Sequence[float]) -> float:
     correlation near 1 the statistic resolves distances well below the
     sampling floor of ks_normality (about 0.87/sqrt(n)).
     """
-    x = np.asarray(samples, dtype=np.float64)
-    y = np.asarray(reference, dtype=np.float64)
-    n = x.size
-    if y.size != n:
-        raise ValueError(f"coupled KS needs paired samples, got {n} and {y.size}")
-    if n < _KS_MIN_N:
-        raise ValueError(f"KS distance needs at least {_KS_MIN_N} samples, got {n}")
-    a = np.sort(x / x.std(ddof=1))
-    b = np.sort(y / y.std(ddof=1))
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right")
-    fb = np.searchsorted(b, grid, side="right")
-    return float(np.abs(fa - fb).max() / n)
+    x, y = _paired(samples, reference)
+    _check_ks_size(x.size)
+    return _ks_coupled_sorted(np.sort(x / x.std(ddof=1)), np.sort(y / y.std(ddof=1)))
 
 
 def ks_coupled_se(samples: Sequence[float], reference: Sequence[float], n_groups: int = _JACK_GROUPS) -> float:
     """Delete-group jackknife SE of ks_coupled; groups drop whole pairs."""
-    pairs = np.column_stack(
-        [np.asarray(samples, dtype=np.float64), np.asarray(reference, dtype=np.float64)]
-    )
-    return _stat_jackknife(pairs, lambda p: ks_coupled(p[:, 0], p[:, 1]), n_groups)
+    return _ks_jackknife(_paired(samples, reference), normalize=True, n_groups=n_groups)
 
 
 def ks_critical(n: int, alpha: float = 0.01) -> float:
@@ -343,7 +387,9 @@ def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int]) -> Chunk
     sig_c = np.empty((ids.size, cfg.n_steps + 1))
     for start in range(0, ids.size, batch):
         sheets = [sample_sheet(spec, replica=int(rid)) for rid in ids[start: start + batch]]
-        fld = solve(cfg, sheets, plan.sigma, kappa=kappa)
+        # a stack of one is solved as the sheet alone, so that the
+        # reductions below work on scalars, not length-1 arrays
+        fld = solve(cfg, sheets[0] if len(sheets) == 1 else sheets, plan.sigma, kappa=kappa)
         part = slice(start, start + len(sheets))
         g[part] = window_averages(fld, plan.times, plan.radii)
         sig_c[part] = plan.sigma(fld.values[..., cfg.center_index])
@@ -403,19 +449,42 @@ def _variance_jackknife(x: np.ndarray, n_groups: int = _JACK_GROUPS) -> float:
     return _jackknife_se(reps)
 
 
-def _stat_jackknife(x: np.ndarray, stat, n_groups: int = _JACK_GROUPS) -> float:
-    """Delete-group jackknife SE of an arbitrary statistic (used for KS).
+def _ks_jackknife(columns: list[np.ndarray], normalize: bool, n_groups: int = _JACK_GROUPS) -> float:
+    """Delete-group jackknife SE of the KS distance of one column
+    (ks_normality) or of two paired columns (ks_coupled).
 
-    Groups are taken along the first axis, so rows of a 2-d array (paired
-    samples) are deleted together."""
-    n = len(x)
+    Each column is sorted once.  A replicate drops its group's ranks through
+    one reused mask, which leaves the rest sorted; with normalize it then
+    divides them by the sample SD of the column less the group, taken over
+    the same concatenation as deleting the group would give.  Division by a
+    positive scalar keeps the order, so every replicate is the float that
+    sorting it afresh would give.
+    """
+    n = columns[0].size
     bounds = _group_bounds(n, n_groups)
     g = bounds.size - 1
     if g < 2:
         return 0.0
+    ranked = []
+    for col in columns:
+        order = np.argsort(col)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        ranked.append((col[order], rank))
+    keep = np.ones(n, dtype=bool)
     reps = np.empty(g)
     for i in range(g):
-        reps[i] = stat(np.concatenate([x[: bounds[i]], x[bounds[i + 1]:]]))
+        lo, hi = bounds[i], bounds[i + 1]
+        _check_ks_size(n - (hi - lo))
+        rest = []
+        for col, (srt, rank) in zip(columns, ranked):
+            keep[rank[lo:hi]] = False
+            part = srt[keep]
+            keep[rank[lo:hi]] = True
+            if normalize:
+                part /= np.concatenate([col[:lo], col[hi:]]).std(ddof=1)
+            rest.append(part)
+        reps[i] = _ks_sorted(*rest) if len(rest) == 1 else _ks_coupled_sorted(*rest)
     return _jackknife_se(reps)
 
 
@@ -582,9 +651,9 @@ def summarize(plan: ExperimentPlan, merged: ChunkResult, kappa: float, wall_seco
                 normalized = x / scale
                 ks = ks_normality(normalized)
                 if plan.normalization == "self":
-                    ks_se = _stat_jackknife(x, lambda s: ks_normality(s / s.std(ddof=1)))
+                    ks_se = _ks_jackknife([x], normalize=True)
                 else:
-                    ks_se = _stat_jackknife(normalized, ks_normality)
+                    ks_se = _ks_jackknife([normalized], normalize=False)
             ps = PairStats(
                 t=t, radius=r, n=m, mean=mean, mean_se=mean_se,
                 variance=var, variance_se=var_se, scale=scale, ks=ks, ks_se=ks_se,

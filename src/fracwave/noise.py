@@ -154,15 +154,27 @@ def _embedding_spectrum(hurst: float, embed_size: int) -> np.ndarray:
     return lam
 
 
+# One Philox and its Generator, re-keyed for every replica: setting the
+# state costs a fraction of building a new bit generator.  _FRESH is the
+# state of an unused Philox (zero counter, empty buffer) with a key slot.
+_PHILOX = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+_GENERATOR = np.random.Generator(_PHILOX)
+_FRESH = _PHILOX.state
+
+
 def _replica_rng(seed: int, replica: int) -> np.random.Generator:
     """Counter-based stream for one replica: Philox keyed by (seed, replica).
 
     Each row (each row pair, for H > 1/2) of the sheet occupies a
     fixed-length slice of this stream's counter sequence, so replicas never
-    share state and results do not depend on scheduling.
+    share state and results do not depend on scheduling.  The returned
+    Generator is shared: the next call re-keys it (counter, buffer and all,
+    as a new Philox would start), so a caller draws what it needs before
+    asking for another replica's stream.  Not safe across threads.
     """
-    key = np.array([seed, replica], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    _FRESH["state"]["key"] = np.array([seed, replica], dtype=np.uint64)
+    _PHILOX.state = _FRESH
+    return _GENERATOR
 
 
 def sample_sheet(spec: NoiseSpec, replica: int = 0) -> NoiseSheet:

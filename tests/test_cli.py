@@ -2,15 +2,22 @@
 frozen oracle values on the oracle surface, config parsing round trips, and
 the exit-code contract (0 ok, 1 runtime, 2 config/domain)."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from fracwave import analytic
-from fracwave.cli import main, parse_config, serialize_config
-from fracwave.estimators import functional_cov_check, ks_coupled, ks_coupled_se, run_experiment
+from fracwave import analytic, cli, estimators, noise
+from fracwave.cli import _bootstrap_slope_ci, _ols_slope, main, parse_config, serialize_config
+from fracwave.estimators import (
+    functional_cov_check,
+    ks_coupled,
+    ks_coupled_se,
+    ks_normality,
+    run_experiment,
+)
 from fracwave.noise import NoiseSpec, read_sheet, sample_sheet
 
 SMALL_CFG = """
@@ -312,6 +319,71 @@ def test_rate_chaos_off_reads_plain_ks(tmp_path, capsys):
     for ir, (_, ks, se) in enumerate(rows):
         assert ks == summary.stats[(0, ir)].ks
         assert se == summary.stats[(0, ir)].ks_se
+
+
+def _bootstrap_row_gather(summary, i_time, n_boot, level):
+    # the bootstrap as first written: gather whole rows of the (M, n_radii)
+    # view per draw, then read each radius off the resample
+    plan = summary.plan
+    g = summary.g_samples[:, i_time, :]
+    i1 = None if summary.i1_samples is None else summary.i1_samples[:, i_time, :]
+    m = g.shape[0]
+    logr = np.log(np.asarray(plan.radii))
+    rng = np.random.Generator(np.random.Philox(key=np.array([plan.seed, 2**63], dtype=np.uint64)))
+    slopes = np.empty(n_boot)
+    for b in range(n_boot):
+        idx = rng.integers(0, m, size=m)
+        resampled = g[idx]
+        ref = None if i1 is None else i1[idx]
+        ks = np.empty(len(plan.radii))
+        for ir in range(len(plan.radii)):
+            x = resampled[:, ir]
+            ks[ir] = ks_normality(x / x.std(ddof=1)) if ref is None else ks_coupled(x, ref[:, ir])
+        slopes[b] = _ols_slope(logr, np.log(ks))
+    lo, hi = np.quantile(slopes, [(1 - level) / 2, 1 - (1 - level) / 2])
+    return float(lo), float(hi)
+
+
+def test_bootstrap_column_gather_equals_row_gather():
+    text = SMALL_CFG.replace("radii = 1.0", "radii = 1.0, 2.0, 4.0").replace(
+        "times = 1.0", "times = 0.5, 1.0").replace("replicas = 60", "replicas = 400")
+    chaos_on = run_experiment(parse_config(text).plan, threads=1)
+    chaos_off = dataclasses.replace(chaos_on, i1_samples=None)
+    # several levels, so that most of the bootstrap slopes reach a quantile
+    for summary in (chaos_on, chaos_off):
+        for i_time in (0, 1):
+            for level in (0.95, 0.6, 0.3, 0.05):
+                assert _bootstrap_slope_ci(summary, i_time, n_boot=30, level=level) == \
+                    _bootstrap_row_gather(summary, i_time, 30, level)
+
+
+def test_rate_reaches_the_traced_seams(tmp_path, capsys, monkeypatch):
+    # the benchmark trace wraps these module attributes; a rate run that
+    # stops calling them through the module would leave its spans empty
+    calls = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+        key = f"{module.__name__}.{name}"
+        calls[key] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((estimators, "ks_normality"), (cli, "ks_normality"),
+                         (cli, "run_experiment"), (noise, "_replica_rng")):
+        counted(module, name)
+    text = SMALL_CFG.replace("radii = 1.0", "radii = 1.0, 2.0, 4.0").replace(
+        "times = 1.0", "times = 0.5, 1.0").replace("replicas = 60", "replicas = 150\nchaos = false")
+    path = _write_cfg(tmp_path, text)
+    code, _, _ = _run(capsys, ["rate", path, "--bootstrap", "5", "--threads", "1"])
+    assert code == 0
+    assert calls["fracwave.estimators.ks_normality"] >= 2 * 3  # once per (t, R) pair
+    assert calls["fracwave.cli.ks_normality"] == 5 * 3  # chaos-off bootstrap
+    assert calls["fracwave.cli.run_experiment"] == 1
+    assert calls["fracwave.noise._replica_rng"] == 150  # once per replica
 
 
 # ------------------------------------------------------------ funcclt

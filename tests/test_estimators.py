@@ -74,6 +74,55 @@ def test_ks_sample_size_guard():
         ks_normality([0.0])
 
 
+def _ks_full(samples):
+    # the formula ks_normality prunes: every term of the sup, at every rank
+    x = np.sort(np.asarray(samples, dtype=np.float64))
+    n = x.size
+    cdf = ndtr(x)
+    i = np.arange(1, n + 1, dtype=np.float64)
+    return float(np.maximum(i / n - cdf, cdf - (i - 1.0) / n).max())
+
+
+def _same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("n", [100, 127, 128, 1000, 4096, 8191, 8192, 8193, 12_800, 29_700, 30_000, 40_000])
+def test_ks_normality_equals_full_formula(n):
+    # sizes below and above the pruning threshold, multiples of the 64-point
+    # block and not; ties, skew and heavy tails move the sup around
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal(n)
+    samples = {
+        "normal": z,
+        "scaled": 1.03 * z + 0.01,
+        "tied": np.round(z, 1),
+        "coarse_ties": np.round(2.0 * z),
+        "skewed": rng.exponential(size=n) - 1.0,
+        "heavy": rng.standard_t(2, size=n),
+        "cauchy": rng.standard_cauchy(n),
+        "near_normal": z + 0.05 * (z**2 - 1.0),
+        "all_equal": np.full(n, 0.3),
+        "inf": np.concatenate([z[:-3], [np.inf, -np.inf, np.inf]]),
+        "nan": np.concatenate([z[:-1], [np.nan]]),
+        "nan_inf": np.concatenate([z[:-2], [np.nan, -np.inf]]),
+    }
+    for kind, x in samples.items():
+        got, want = ks_normality(x), _ks_full(x)
+        assert _same_float(got, want), (kind, got, want)
+    assert math.isnan(ks_normality(samples["nan"]))
+
+
+def test_ks_normality_equals_full_formula_randomized():
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        n = int(rng.integers(estimators._KS_PRUNE_MIN, 40_000))
+        x = rng.standard_normal(n) * rng.uniform(0.9, 1.1) + rng.uniform(-0.05, 0.05)
+        if rng.random() < 0.5:
+            x = np.round(x, int(rng.integers(1, 4)))
+        assert ks_normality(x) == _ks_full(x)
+
+
 def test_ks_critical_value():
     # classical 99% point: sqrt(-ln(0.005)/2) = 1.6276
     assert ks_critical(10_000, alpha=0.01) == pytest.approx(1.6276 / 100.0, abs=1e-5)
@@ -413,6 +462,50 @@ def test_paper_normalization_uses_oracle_scale():
     assert ps.scale == pytest.approx(oracle_sd, rel=1e-12)
     x = s.samples(0, 0) / ps.scale
     assert ps.ks == pytest.approx(ks_normality(x), abs=1e-15)
+
+
+def _jackknife_reference(x, stat, n_groups=100):
+    # delete-group jackknife written out: drop each group, recompute afresh
+    n = len(x)
+    bounds = np.linspace(0, n, min(n_groups, n) + 1).astype(np.int64)
+    reps = np.array([stat(np.concatenate([x[:lo], x[hi:]])) for lo, hi in zip(bounds[:-1], bounds[1:])])
+    g = reps.size
+    return float(np.sqrt((g - 1.0) / g * np.sum((reps - reps.mean()) ** 2)))
+
+
+@pytest.mark.parametrize("normalization", ["self", "paper"])
+@pytest.mark.parametrize("m", [257, 1234, 9000])
+def test_summary_ks_se_equals_delete_group_reference(normalization, m):
+    # summarize sorts each column once and masks groups out; the SE must be
+    # the float a from-scratch delete-group jackknife of the full formula gives
+    plan = ExperimentPlan(hurst=0.5, sigma=SigmaSpec.linear(), h=0.25, times=(0.5, 1.0),
+                          radii=(1.0, 2.0), replicas=m, seed=3, chaos=False,
+                          normalization=normalization)
+    rng = np.random.default_rng(m)
+    z = rng.standard_normal((m, 2, 2))
+    g = z + 0.2 * (z**2 - 1.0)
+    g[:, 0, 1] = np.round(g[:, 0, 1], 1)  # ties
+    chunk = estimators.ChunkResult(replica_ids=np.arange(m), g=g, i1=None,
+                                   sigma_center=np.ones((m, plan.lattice().n_steps + 1)))
+    s = summarize(plan, chunk, 0.5, 0.0)
+    for (it, ir), ps in s.stats.items():
+        x = np.ascontiguousarray(g[:, it, ir])
+        if normalization == "self":
+            want = _jackknife_reference(x, lambda v: _ks_full(v / v.std(ddof=1)))
+        else:
+            want = _jackknife_reference(x / ps.scale, _ks_full)
+        assert ps.ks == _ks_full(x / ps.scale)
+        assert ps.ks_se == want
+
+
+@pytest.mark.parametrize("m,n_groups", [(257, 100), (3000, 100), (500, 7)])
+def test_ks_coupled_se_equals_delete_group_reference(m, n_groups):
+    rng = np.random.default_rng(m)
+    y = rng.standard_normal(m)
+    x = np.round(y + 0.1 * (y**2 - 1.0) + 0.05 * rng.standard_normal(m), 2)
+    pairs = np.column_stack([x, y])
+    want = _jackknife_reference(pairs, lambda p: ks_coupled(p[:, 0], p[:, 1]), n_groups)
+    assert ks_coupled_se(x, y, n_groups=n_groups) == want
 
 
 # ------------------------------------------------------------ merge algebra

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from fracwave import noise
 from fracwave.noise import (
     EmbeddingError,
     NoiseSheet,
@@ -131,6 +132,28 @@ def test_sampler_determinism_and_replica_separation():
     assert not np.array_equal(a.masses, c.masses)
     d = sample_sheet(NoiseSpec(**{**spec.__dict__, "seed": 43}), replica=0)
     assert not np.array_equal(a.masses, d.masses)
+
+
+def test_interleaved_sheets_equal_fresh_draws(monkeypatch):
+    # _replica_rng re-keys one shared Philox per call; sheets drawn in any
+    # interleaving, with the shared generator left mid-buffer in between,
+    # must equal sheets drawn from a Philox built afresh for each replica
+    specs = [NoiseSpec(hurst=0.5, dt=0.125, dx=0.125, n_time=8, n_space=144, seed=41),
+             NoiseSpec(hurst=0.75, dt=0.1, dx=0.2, n_time=7, n_space=40, seed=42)]
+    order = [(0, 3), (1, 0), (0, 0), (1, 3), (0, 3), (1, 7), (0, 7), (1, 0)]
+    drawn = []
+    for k, (which, replica) in enumerate(order):
+        drawn.append(sample_sheet(specs[which], replica=replica).masses)
+        leftover = noise._replica_rng(5, 100 + k)  # leave a half-used uint32 and buffer
+        leftover.integers(0, 2**32, size=2 * k + 1, dtype=np.uint32)
+        leftover.standard_normal(k + 1)
+
+    def fresh(seed, replica):
+        return np.random.Generator(np.random.Philox(key=np.array([seed, replica], dtype=np.uint64)))
+
+    monkeypatch.setattr(noise, "_replica_rng", fresh)
+    for (which, replica), masses in zip(order, drawn):
+        assert masses.tobytes() == sample_sheet(specs[which], replica=replica).masses.tobytes()
 
 
 def test_white_case_empirical_moments():
