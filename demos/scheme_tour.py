@@ -5,7 +5,7 @@ Tour of the lattice scheme
 The wave equation with unit initial displacement and zero initial
 velocity is integrated on a lattice with dt = dx = h, where the update
 stencil is exact for the deterministic part.  The noise enters through
-the calibrated kernel weight kappa, applied to the two cells under the
+the kernel weight KAPPA = 1/2, applied to the two cells under the
 light cone of each update.
 
 Run:  python3 demos/scheme_tour.py
@@ -14,6 +14,7 @@ Run:  python3 demos/scheme_tour.py
 import numpy as np
 
 from fracwave import (
+    KAPPA,
     LatticeConfig,
     NoiseSpec,
     SigmaSpec,
@@ -28,9 +29,9 @@ spec = NoiseSpec(hurst=0.5, dt=cfg.h, dx=cfg.h, n_time=cfg.n_steps,
                  n_space=cfg.n_cells, seed=11)
 sheet = sample_sheet(spec, replica=0)
 
-# kappa is the lattice analogue of the 1/2 in the d'Alembert kernel; the
+# KAPPA is the lattice analogue of the 1/2 in the d'Alembert kernel; the
 # calibration integrates the stencil response and lands on 1/2 exactly.
-print(f"calibrated kernel weight: {calibrate_kernel(cfg.h, spec.hurst):.12f}")
+print(f"kernel weight KAPPA = {KAPPA}, calibrated: {calibrate_kernel(cfg.h, spec.hurst):.12f}")
 
 # --- cone of validity -----------------------------------------------------
 # Values are only defined where the numerical domain of dependence fits

@@ -43,6 +43,7 @@ from .analytic import (
     prelimit_variance_white_lower,
 )
 from .solver import (
+    KAPPA,
     LatticeConfig,
     SigmaSpec,
     SolutionField,

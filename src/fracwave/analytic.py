@@ -165,6 +165,17 @@ class MomentCurves:
         return cls(mean_sigma=lambda s: 1.0, mean_sigma_sq=None, provenance="analytic")
 
     @classmethod
+    def closed_form(cls, sigma, hurst: float) -> Optional["MomentCurves"]:
+        """Closed-form curves for a coefficient (a SigmaSpec) at a Hurst index:
+        constant sigma at any H, linear sigma at H = 1/2 with both moments and
+        at H > 1/2 with the mean alone.  None for the other kinds."""
+        if sigma.kind == "constant":
+            return cls.constant(sigma.params[0])
+        if sigma.kind == "linear":
+            return cls.linear_white() if hurst == 0.5 else cls.linear_mean_only()
+        return None
+
+    @classmethod
     def from_samples(cls, knots, mean_values, sq_values, mean_se=None, sq_se=None) -> "MomentCurves":
         """Piecewise-linear empirical curves on the given time knots."""
         knots = np.asarray(knots, dtype=np.float64)

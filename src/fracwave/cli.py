@@ -46,6 +46,7 @@ import numpy as np
 from . import analytic
 from .analytic import MomentCurves
 from .estimators import (
+    KS_MIN_N,
     ExperimentPlan,
     ExperimentSummary,
     functional_cov_check,
@@ -57,7 +58,7 @@ from .estimators import (
     summary_to_dict,
 )
 from .noise import NoiseSpec, sample_sheet, write_sheet
-from .solver import SigmaSpec
+from .solver import KAPPA, SigmaSpec
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "main"]
 
@@ -261,11 +262,8 @@ def _json_print(obj, stream=None) -> None:
 
 
 def _oracle_curves(args) -> MomentCurves:
-    if args.sigma == "constant":
-        return MomentCurves.constant(args.value)
-    if args.hurst == 0.5:
-        return MomentCurves.linear_white()
-    return MomentCurves.linear_mean_only()
+    sigma = SigmaSpec.constant(args.value) if args.sigma == "constant" else SigmaSpec.linear()
+    return MomentCurves.closed_form(sigma, args.hurst)
 
 
 def cmd_oracle(args) -> int:
@@ -337,7 +335,7 @@ def _human_table(summary: ExperimentSummary) -> str:
     plan = summary.plan
     out.write(
         f"plan {summary.plan_digest[:12]}  sigma={plan.sigma.kind}  H={plan.hurst}"
-        f"  h={plan.h}  M={plan.replicas}  kappa={summary.kappa}\n"
+        f"  h={plan.h}  M={plan.replicas}  kappa={KAPPA}\n"
     )
     out.write(f"{'t':>6} {'R':>7} {'variance':>12} {'oracle var':>12} "
               f"{'KS':>9} {'chaos ratio':>12}\n")
@@ -440,8 +438,8 @@ def cmd_rate(args) -> int:
     plan = rc.plan
     if len(plan.radii) < 3:
         raise ConfigError("rate study needs at least 3 radii in the config")
-    if plan.replicas < 100:
-        raise ConfigError("rate study needs at least 100 replicas for KS distances")
+    if plan.replicas < KS_MIN_N:
+        raise ConfigError(f"rate study needs at least {KS_MIN_N} replicas for KS distances")
     summary = run_experiment(plan, threads=_effective_threads(rc, args.threads))
     i_time = len(plan.times) - 1
     ks, se = _ks_by_radius(summary, i_time)

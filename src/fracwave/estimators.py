@@ -28,7 +28,7 @@ from scipy.special import ndtr
 from . import analytic
 from .analytic import MomentCurves
 from .noise import STREAM, NoiseSpec, NoiseSheet, sample_sheet
-from .solver import LatticeConfig, SigmaSpec, SolutionField, calibrate_kernel, solve
+from .solver import KAPPA, LatticeConfig, SigmaSpec, SolutionField, solve
 
 __all__ = [
     "ExperimentPlan",
@@ -43,6 +43,7 @@ __all__ = [
     "ks_coupled",
     "ks_coupled_se",
     "ks_critical",
+    "KS_MIN_N",
     "run_replica_chunk",
     "merge_chunks",
     "summarize",
@@ -65,7 +66,8 @@ _CHUNK = 256
 # whose steps are already wide ufuncs and which ran slower stacked, run alone.
 _BATCH_BYTES = 1 << 20
 _JACK_GROUPS = 100
-_KS_MIN_N = 100
+# fewest samples a KS distance is computed from
+KS_MIN_N = 100
 # ks_normality evaluates Phi at the ends of blocks of this many sorted points
 # and in full only in blocks that can still hold the sup (see _ks_sorted).
 # That pays once a block (64/n) is narrow against the statistic's spread
@@ -233,9 +235,9 @@ def first_chaos_weights(cfg: LatticeConfig, t: float, radius: float, kappa: floa
     return weights
 
 
-def _chaos_stacks(cfg: LatticeConfig, times, radii, kappa: float) -> list[np.ndarray]:
+def _chaos_stacks(cfg: LatticeConfig, times, radii) -> list[np.ndarray]:
     """Per time, the flattened first-chaos weights of every radius, one row each."""
-    return [np.stack([first_chaos_weights(cfg, t, r, kappa).ravel() for r in radii]) for t in times]
+    return [np.stack([first_chaos_weights(cfg, t, r, KAPPA).ravel() for r in radii]) for t in times]
 
 
 def _chaos_samples(stacks: list[np.ndarray], masses: np.ndarray) -> np.ndarray:
@@ -255,13 +257,13 @@ def chaos_projection(fld: SolutionField, sheet: NoiseSheet, t: float, radius: fl
     float roundoff; for linear sigma its covariance with the spatial average
     equals its own variance.
     """
-    stacks = _chaos_stacks(fld.config, (t,), (radius,), fld.kappa)
+    stacks = _chaos_stacks(fld.config, (t,), (radius,))
     return float(_chaos_samples(stacks, sheet.masses)[0, 0])
 
 
 def _check_ks_size(n: int) -> None:
-    if n < _KS_MIN_N:
-        raise ValueError(f"KS distance needs at least {_KS_MIN_N} samples, got {n}")
+    if n < KS_MIN_N:
+        raise ValueError(f"KS distance needs at least {KS_MIN_N} samples, got {n}")
 
 
 def _ks_terms(cdf: np.ndarray, rank: np.ndarray, n: int) -> np.ndarray:
@@ -378,9 +380,8 @@ def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int]) -> Chunk
     ids = np.asarray(list(replica_ids), dtype=np.int64)
     cfg = plan.lattice()
     spec = plan.noise_spec()
-    kappa = calibrate_kernel(plan.h, plan.hurst)
     batch = max(1, _BATCH_BYTES // (8 * (cfg.n_steps + 1) * cfg.n_nodes))
-    stacks = _chaos_stacks(cfg, plan.times, plan.radii, kappa) if plan.chaos else None
+    stacks = _chaos_stacks(cfg, plan.times, plan.radii) if plan.chaos else None
 
     g = np.empty((ids.size, len(plan.times), len(plan.radii)))
     i1 = np.empty_like(g) if plan.chaos else None
@@ -389,7 +390,7 @@ def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int]) -> Chunk
         sheets = [sample_sheet(spec, replica=int(rid)) for rid in ids[start: start + batch]]
         # a stack of one is solved as the sheet alone, so that the
         # reductions below work on scalars, not length-1 arrays
-        fld = solve(cfg, sheets[0] if len(sheets) == 1 else sheets, plan.sigma, kappa=kappa)
+        fld = solve(cfg, sheets[0] if len(sheets) == 1 else sheets, plan.sigma)
         part = slice(start, start + len(sheets))
         g[part] = window_averages(fld, plan.times, plan.radii)
         sig_c[part] = plan.sigma(fld.values[..., cfg.center_index])
@@ -432,21 +433,24 @@ def _jackknife_se(values: np.ndarray) -> float:
     return float(np.sqrt((g - 1.0) / g * np.sum((values - values.mean()) ** 2)))
 
 
-def _variance_jackknife(x: np.ndarray, n_groups: int = _JACK_GROUPS) -> float:
-    """Delete-group jackknife SE of the sample variance, via group sums."""
+def _cov_replicates(x: np.ndarray, y: np.ndarray, n_groups: int = _JACK_GROUPS) -> np.ndarray:
+    """Delete-group replicates of the sample covariance of (x, y), from the
+    sums of x, y and x*y less each group's; a variance is (x, x).  Empty
+    below 2 groups, where _jackknife_se reads 0.0."""
     n = x.size
     bounds = _group_bounds(n, n_groups)
     g = bounds.size - 1
     if g < 2:
-        return 0.0
+        return np.empty(0)
     reps = np.empty(g)
-    s1, s2 = x.sum(), np.dot(x, x)
+    sx, sy, sxy = x.sum(), y.sum(), np.dot(x, y)
     for i in range(g):
-        seg = x[bounds[i]: bounds[i + 1]]
-        ns = n - seg.size
-        r1, r2 = s1 - seg.sum(), s2 - np.dot(seg, seg)
-        reps[i] = (r2 - r1 * r1 / ns) / (ns - 1)
-    return _jackknife_se(reps)
+        gx = x[bounds[i]: bounds[i + 1]]
+        gy = y[bounds[i]: bounds[i + 1]]
+        ns = n - gx.size
+        rx, ry, rxy = sx - gx.sum(), sy - gy.sum(), sxy - np.dot(gx, gy)
+        reps[i] = (rxy - rx * ry / ns) / (ns - 1)
+    return reps
 
 
 def _ks_jackknife(columns: list[np.ndarray], normalize: bool, n_groups: int = _JACK_GROUPS) -> float:
@@ -458,13 +462,13 @@ def _ks_jackknife(columns: list[np.ndarray], normalize: bool, n_groups: int = _J
     divides them by the sample SD of the column less the group, taken over
     the same concatenation as deleting the group would give.  Division by a
     positive scalar keeps the order, so every replicate is the float that
-    sorting it afresh would give.
+    sorting it afresh would give.  The full columns must hold KS_MIN_N
+    samples; a replicate, one group short, may hold fewer.
     """
     n = columns[0].size
+    _check_ks_size(n)
     bounds = _group_bounds(n, n_groups)
     g = bounds.size - 1
-    if g < 2:
-        return 0.0
     ranked = []
     for col in columns:
         order = np.argsort(col)
@@ -475,7 +479,6 @@ def _ks_jackknife(columns: list[np.ndarray], normalize: bool, n_groups: int = _J
     reps = np.empty(g)
     for i in range(g):
         lo, hi = bounds[i], bounds[i + 1]
-        _check_ks_size(n - (hi - lo))
         rest = []
         for col, (srt, rank) in zip(columns, ranked):
             keep[rank[lo:hi]] = False
@@ -485,44 +488,6 @@ def _ks_jackknife(columns: list[np.ndarray], normalize: bool, n_groups: int = _J
                 part /= np.concatenate([col[:lo], col[hi:]]).std(ddof=1)
             rest.append(part)
         reps[i] = _ks_sorted(*rest) if len(rest) == 1 else _ks_coupled_sorted(*rest)
-    return _jackknife_se(reps)
-
-
-def _ratio_jackknife(num: np.ndarray, den: np.ndarray, n_groups: int = _JACK_GROUPS) -> float:
-    """Delete-group jackknife SE of Var(num)/Var(den), via group sums."""
-    n = num.size
-    bounds = _group_bounds(n, n_groups)
-    g = bounds.size - 1
-    if g < 2:
-        return 0.0
-    reps = np.empty(g)
-    a1, a2 = num.sum(), np.dot(num, num)
-    b1, b2 = den.sum(), np.dot(den, den)
-    for i in range(g):
-        sn = num[bounds[i]: bounds[i + 1]]
-        sd = den[bounds[i]: bounds[i + 1]]
-        ns = n - sn.size
-        va = (a2 - np.dot(sn, sn) - (a1 - sn.sum()) ** 2 / ns) / (ns - 1)
-        vb = (b2 - np.dot(sd, sd) - (b1 - sd.sum()) ** 2 / ns) / (ns - 1)
-        reps[i] = va / vb
-    return _jackknife_se(reps)
-
-
-def _cov_jackknife(x: np.ndarray, y: np.ndarray, n_groups: int = _JACK_GROUPS) -> float:
-    """Delete-group jackknife SE of the sample covariance."""
-    n = x.size
-    bounds = _group_bounds(n, n_groups)
-    g = bounds.size - 1
-    if g < 2:
-        return 0.0
-    reps = np.empty(g)
-    sx, sy, sxy = x.sum(), y.sum(), np.dot(x, y)
-    for i in range(g):
-        gx = x[bounds[i]: bounds[i + 1]]
-        gy = y[bounds[i]: bounds[i + 1]]
-        ns = n - gx.size
-        rx, ry, rxy = sx - gx.sum(), sy - gy.sum(), sxy - np.dot(gx, gy)
-        reps[i] = (rxy - rx * ry / ns) / (ns - 1)
     return _jackknife_se(reps)
 
 
@@ -550,7 +515,6 @@ class PairStats:
 @dataclass
 class ExperimentSummary:
     plan: ExperimentPlan
-    kappa: float
     plan_digest: str
     wall_seconds: float
     replica_ids: np.ndarray = field(repr=False)
@@ -582,14 +546,8 @@ class ExperimentSummary:
 
     def oracle_curves(self) -> MomentCurves:
         """Analytic curves when the coefficient admits them, else empirical."""
-        sig = self.plan.sigma
-        if sig.kind == "constant":
-            return MomentCurves.constant(sig.params[0])
-        if sig.kind == "linear":
-            if self.plan.hurst == 0.5:
-                return MomentCurves.linear_white()
-            return MomentCurves.linear_mean_only()
-        return self.empirical_curves()
+        curves = MomentCurves.closed_form(self.plan.sigma, self.plan.hurst)
+        return self.empirical_curves() if curves is None else curves
 
     def oracle_scale(self, i_time: int, i_radius: int) -> float:
         """Oracle standard deviation of the spatial average at a pair."""
@@ -602,7 +560,7 @@ class ExperimentSummary:
         )
 
 
-def summarize(plan: ExperimentPlan, merged: ChunkResult, kappa: float, wall_seconds: float) -> ExperimentSummary:
+def summarize(plan: ExperimentPlan, merged: ChunkResult, wall_seconds: float) -> ExperimentSummary:
     """Build the summary from merged chunks.  All reductions run in canonical
     (sorted replica id) order, so the result is chunking-independent."""
     order = np.argsort(merged.replica_ids, kind="stable")
@@ -622,7 +580,6 @@ def summarize(plan: ExperimentPlan, merged: ChunkResult, kappa: float, wall_seco
     cfg = plan.lattice()
     summary = ExperimentSummary(
         plan=plan,
-        kappa=kappa,
         plan_digest=plan_hash(plan),
         wall_seconds=wall_seconds,
         replica_ids=ids,
@@ -641,13 +598,14 @@ def summarize(plan: ExperimentPlan, merged: ChunkResult, kappa: float, wall_seco
             mean = float(x.mean())
             mean_se = float(x.std(ddof=1) / np.sqrt(m)) if m > 1 else float("nan")
             var = _sample_variance(x)
-            var_se = _variance_jackknife(x) if m > 1 else float("nan")
+            var_reps = _cov_replicates(x, x)
+            var_se = _jackknife_se(var_reps) if m > 1 else float("nan")
             if plan.normalization == "self":
                 scale = float(x.std(ddof=1)) if m > 1 else 1.0
             else:
                 scale = summary.oracle_scale(it, ir)
             ks = ks_se = None
-            if m >= _KS_MIN_N and scale > 0:
+            if m >= KS_MIN_N and scale > 0:
                 normalized = x / scale
                 ks = ks_normality(normalized)
                 if plan.normalization == "self":
@@ -663,10 +621,10 @@ def summarize(plan: ExperimentPlan, merged: ChunkResult, kappa: float, wall_seco
                 ps.chaos_var = _sample_variance(y)
                 cov = float(np.cov(x, y, ddof=1)[0, 1]) if m > 1 else float("nan")
                 ps.chaos_cov = cov
-                ps.chaos_cov_se = _cov_jackknife(x, y)
+                ps.chaos_cov_se = _jackknife_se(_cov_replicates(x, y))
                 if var > 0:
                     ps.chaos_ratio = ps.chaos_var / var
-                    ps.chaos_ratio_se = _ratio_jackknife(y, x)
+                    ps.chaos_ratio_se = _jackknife_se(_cov_replicates(y, y) / var_reps)
             summary.stats[(it, ir)] = ps
     return summary
 
@@ -697,7 +655,6 @@ def run_experiment(plan: ExperimentPlan, threads: Optional[int] = None) -> Exper
     boundaries do not change a single byte of it.
     """
     start = time.perf_counter()
-    kappa = calibrate_kernel(plan.h, plan.hurst)
     ids = np.arange(plan.replicas)
     chunks = [ids[i: i + _CHUNK] for i in range(0, plan.replicas, _CHUNK)]
     workers = resolve_threads(threads)
@@ -708,7 +665,7 @@ def run_experiment(plan: ExperimentPlan, threads: Optional[int] = None) -> Exper
             results = list(pool.map(_chunk_star, [(plan, c) for c in chunks]))
     else:
         results = [run_replica_chunk(plan, c) for c in chunks]
-    return summarize(plan, merge_chunks(*results), kappa, time.perf_counter() - start)
+    return summarize(plan, merge_chunks(*results), time.perf_counter() - start)
 
 
 @dataclass
@@ -749,10 +706,7 @@ def functional_cov_check(summary: ExperimentSummary, i_radius: Optional[int] = N
     se = np.zeros((n_t, n_t))
     for i in range(n_t):
         for j in range(i, n_t):
-            if i == j:
-                se[i, i] = _variance_jackknife(scaled[:, i])
-            else:
-                se[i, j] = se[j, i] = _cov_jackknife(scaled[:, i], scaled[:, j])
+            se[i, j] = se[j, i] = _jackknife_se(_cov_replicates(scaled[:, i], scaled[:, j]))
     oracle = analytic.asymptotic_constants(
         plan.hurst, np.asarray(plan.times), summary.oracle_curves()
     ).covariance
@@ -842,7 +796,7 @@ def summary_to_dict(summary: ExperimentSummary, deterministic: bool = False) -> 
         "schema": "fracwave.summary/1",
         "plan": plan_to_dict(summary.plan),
         "plan_hash": summary.plan_digest,
-        "kappa": summary.kappa,
+        "kappa": KAPPA,
         "pairs": rows,
         "time_covariance": time_cov,
         "curves": {

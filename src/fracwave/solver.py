@@ -11,7 +11,7 @@ recursion, and each node is fed the noise mass of its 2h-wide dual cell (the
 two lattice cells it touches), so the active nodes of any backward cone tile
 its rows exactly.  Matching the resulting variance against one quarter of the
 discrete cone-mass variance fixes kappa = 1/2 for every step size and Hurst
-index; calibrate_kernel performs that count.
+index: that is KAPPA, and calibrate_kernel performs the count.
 
 solve runs one sheet or a stack of sheets (replica axis first) through the
 same update.  Values outside the shrinking interior cone of the spatial
@@ -22,13 +22,14 @@ recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .noise import NoiseSheet, fgn_cell_covariance
 
 __all__ = [
+    "KAPPA",
     "SigmaSpec",
     "LatticeConfig",
     "SolutionField",
@@ -38,6 +39,12 @@ __all__ = [
 ]
 
 _LATTICE_TOL = 1e-9
+# Kernel constant of the update.  For constant sigma the value at a node is
+# 1 + kappa * (sum of the cone's cell masses): impulses carry weight 1 on the
+# checkerboard and the dual cells of the active nodes tile each cone row.  Its
+# variance kappa^2 * V must be one quarter of the discrete cone-mass variance
+# V, so kappa = 1/2 for every h and H (calibrate_kernel does the count).
+KAPPA = 0.5
 
 
 @dataclass(frozen=True)
@@ -204,7 +211,6 @@ class SolutionField:
 
     config: LatticeConfig
     sigma: SigmaSpec
-    kappa: float
     values: np.ndarray = field(repr=False)
     noise_ref: Union[str, tuple[str, ...]] = "external"
 
@@ -232,7 +238,8 @@ def calibrate_kernel(h: float, hurst: float, reference_steps: int = 8) -> float:
     (row at depth p holds one fractional increment of width 2(p+1)h).  The
     target variance is one quarter of the discrete cone-mass variance; both
     sides are assembled here from fgn_cell_covariance and the ratio returns
-    kappa = 1/2 exactly, for every (h, hurst) and reference horizon.
+    kappa = 1/2 exactly, for every (h, hurst) and reference horizon: the
+    count behind KAPPA, which solve uses.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -268,13 +275,12 @@ def solve(
     config: LatticeConfig,
     sheets: Union[NoiseSheet, Sequence[NoiseSheet]],
     sigma: SigmaSpec,
-    kappa: Optional[float] = None,
 ) -> SolutionField:
     """Run the scheme over the whole lattice, for one sheet or a stack.
 
     The noise attached to node j at level n is the mass of the two cells
-    [x_j - h, x_j + h) in time row n.  sigma is evaluated on the previous
-    level (the update stays adapted).
+    [x_j - h, x_j + h) in time row n, scaled by KAPPA.  sigma is evaluated
+    on the previous level (the update stays adapted).
 
     A sequence of sheets is solved as one stack: the replica axis comes
     first, values has shape (len(sheets), n_steps + 1, n_nodes) and
@@ -288,8 +294,6 @@ def solve(
     stack = [sheets] if single else list(sheets)
     if not stack:
         raise ValueError("solve needs at least one sheet")
-    if kappa is None:
-        kappa = calibrate_kernel(config.h, stack[0].spec.hurst)
     n_steps, n_nodes = config.n_steps, config.n_nodes
     # pair[..., n, i] = window mass of node i+1 at row n
     pair = np.empty((len(stack), n_steps, n_nodes - 2))
@@ -306,7 +310,7 @@ def solve(
     lo, hi = 1, n_nodes - 1  # valid slice [lo, hi) at level 1
     u[..., 1, lo:hi] = (
         0.5 * (u[..., 0, lo + 1: hi + 1] + u[..., 0, lo - 1: hi - 1])
-        + kappa * sigma(u[..., 0, lo:hi]) * pair[..., 0, lo - 1: hi - 1]
+        + KAPPA * sigma(u[..., 0, lo:hi]) * pair[..., 0, lo - 1: hi - 1]
     )
     for n in range(1, n_steps):
         lo, hi = n + 1, n_nodes - 1 - n
@@ -314,11 +318,10 @@ def solve(
             u[..., n, lo + 1: hi + 1]
             + u[..., n, lo - 1: hi - 1]
             - u[..., n - 1, lo:hi]
-            + kappa * sigma(u[..., n, lo:hi]) * pair[..., n, lo - 1: hi - 1]
+            + KAPPA * sigma(u[..., n, lo:hi]) * pair[..., n, lo - 1: hi - 1]
         )
     noise_ref = sheets.ref if single else tuple(sheet.ref for sheet in stack)
-    return SolutionField(config=config, sigma=sigma, kappa=kappa, values=u,
-                         noise_ref=noise_ref)
+    return SolutionField(config=config, sigma=sigma, values=u, noise_ref=noise_ref)
 
 
 def picard_reference(
@@ -374,8 +377,7 @@ def picard_reference(
         diffs.append(float(np.nanmax(np.abs(nxt - u))))
         u = nxt
 
-    fld = SolutionField(config=config, sigma=sigma, kappa=0.5, values=u,
-                        noise_ref=sheet.ref)
+    fld = SolutionField(config=config, sigma=sigma, values=u, noise_ref=sheet.ref)
     if return_diffs:
         return fld, diffs
     return fld

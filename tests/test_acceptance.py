@@ -39,7 +39,7 @@ from fracwave.estimators import (
     tightness_moment,
 )
 from fracwave.noise import NoiseSpec, fgn_cell_covariance, sample_sheet
-from fracwave.solver import LatticeConfig, SigmaSpec, calibrate_kernel, solve
+from fracwave.solver import LatticeConfig, SigmaSpec, solve
 
 M = 10_000
 # ensemble E: the smallest size at which criterion 7 passes on each of the
@@ -67,7 +67,7 @@ def ens_a():
         times=(1.0,), radii=(2.0,), replicas=M, seed=20_001,
         normalization="paper", chaos=False,
     )
-    return run_experiment(plan, threads=1)
+    return run_experiment(plan)
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +76,7 @@ def ens_b():
         hurst=0.5, sigma=SigmaSpec.linear(), h=1.0 / 64.0,
         times=(1.0,), radii=(4.0, 8.0, 16.0, 32.0), replicas=M, seed=20_002,
     )
-    return run_experiment(plan, threads=1)
+    return run_experiment(plan)
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +85,7 @@ def ens_c():
         hurst=0.75, sigma=SigmaSpec.linear(), h=1.0 / 32.0,
         times=(0.5, 1.0), radii=(8.0, 16.0, 32.0), replicas=M, seed=20_003,
     )
-    return run_experiment(plan, threads=1)
+    return run_experiment(plan)
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,7 @@ def ens_d():
         times=(0.25, 0.5, 1.0), radii=(8.0, 16.0, 32.0), replicas=M,
         seed=20_004, chaos=False,
     )
-    return run_experiment(plan, threads=1)
+    return run_experiment(plan)
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +105,7 @@ def ens_e():
         times=(1.0,), radii=(4.0, 8.0, 16.0, 32.0), replicas=M_E,
         seed=20_005, chaos=True,
     )
-    return run_experiment(plan, threads=1)
+    return run_experiment(plan)
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +114,7 @@ def ens_f():
         hurst=0.75, sigma=SigmaSpec.constant(1.0), h=1.0 / 32.0,
         times=(0.5, 1.0), radii=(32.0,), replicas=M, seed=20_006, chaos=False,
     )
-    return run_experiment(plan, threads=1)
+    return run_experiment(plan)
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -441,12 +441,11 @@ def test_criterion_9_determinism_and_structure():
         assert s1.g_samples.tobytes() == s2.g_samples.tobytes()
         assert summary_to_dict(s1, deterministic=True) == summary_to_dict(s2, deterministic=True)
 
-        kappa = calibrate_kernel(plan.h, plan.hurst)
         a = run_replica_chunk(plan, range(0, 20))
         b = run_replica_chunk(plan, range(20, 50))
         c = run_replica_chunk(plan, range(50, 64))
-        left = summarize(plan, merge_chunks(merge_chunks(a, b), c), kappa, 0.0)
-        right = summarize(plan, merge_chunks(c, merge_chunks(b, a)), kappa, 0.0)
+        left = summarize(plan, merge_chunks(merge_chunks(a, b), c), 0.0)
+        right = summarize(plan, merge_chunks(c, merge_chunks(b, a)), 0.0)
         assert left.g_samples.tobytes() == right.g_samples.tobytes()
         assert summary_to_dict(left, deterministic=True) == summary_to_dict(right, deterministic=True)
 

@@ -170,6 +170,19 @@ def test_moment_curves_cauchy_schwarz_guard():
         bad.validate(2.0)
 
 
+def test_moment_curves_closed_form_by_sigma_kind():
+    from fracwave.solver import SigmaSpec
+
+    const = MomentCurves.closed_form(SigmaSpec.constant(3.0), 0.75)
+    assert (const.mean_sigma(0.4), const.mean_sigma_sq(0.4)) == (3.0, 9.0)
+    white = MomentCurves.closed_form(SigmaSpec.linear(), 0.5)
+    assert white.mean_sigma_sq is linear_white_second_moment
+    frac = MomentCurves.closed_form(SigmaSpec.linear(), 0.75)
+    assert frac.mean_sigma(0.4) == 1.0 and frac.mean_sigma_sq is None
+    assert MomentCurves.closed_form(SigmaSpec.affine_sine(1.0, 0.5), 0.5) is None
+    assert MomentCurves.closed_form(SigmaSpec.tabulated([0.0, 1.0], [1.0, 2.0]), 0.5) is None
+
+
 def test_moment_curves_from_samples_interpolates():
     knots = np.array([0.0, 1.0, 2.0])
     curves = MomentCurves.from_samples(knots, [1.0, 2.0, 3.0], [1.0, 4.0, 9.0])

@@ -258,6 +258,18 @@ def test_rate_guards(tmp_path, capsys):
     assert "100 replicas" in err
 
 
+@pytest.mark.parametrize("chaos", ["true", "false"])
+def test_rate_at_the_replica_minimum(tmp_path, capsys, chaos):
+    text = SMALL_CFG.replace("radii = 1.0", "radii = 1.0, 2.0, 4.0").replace(
+        "replicas = 60", f"replicas = 100\nchaos = {chaos}"
+    )
+    path = _write_cfg(tmp_path, text)
+    code, out, err = _run(capsys, ["rate", path, "--bootstrap", "5", "--threads", "1"])
+    assert code == 0, err
+    rows, _ = _rate_rows(out)
+    assert rows.shape == (3, 3) and np.all(np.isfinite(rows))
+
+
 def test_rate_csv_output(tmp_path, capsys):
     text = SMALL_CFG.replace("radii = 1.0", "radii = 1.0, 2.0, 4.0").replace(
         "replicas = 60", "replicas = 120"

@@ -33,7 +33,7 @@ from fracwave.estimators import (
     window_averages,
 )
 from fracwave.noise import sample_sheet
-from fracwave.solver import SigmaSpec, calibrate_kernel, solve
+from fracwave.solver import SigmaSpec, solve
 
 
 @pytest.fixture(scope="module")
@@ -487,7 +487,7 @@ def test_summary_ks_se_equals_delete_group_reference(normalization, m):
     g[:, 0, 1] = np.round(g[:, 0, 1], 1)  # ties
     chunk = estimators.ChunkResult(replica_ids=np.arange(m), g=g, i1=None,
                                    sigma_center=np.ones((m, plan.lattice().n_steps + 1)))
-    s = summarize(plan, chunk, 0.5, 0.0)
+    s = summarize(plan, chunk, 0.0)
     for (it, ir), ps in s.stats.items():
         x = np.ascontiguousarray(g[:, it, ir])
         if normalization == "self":
@@ -496,6 +496,58 @@ def test_summary_ks_se_equals_delete_group_reference(normalization, m):
             want = _jackknife_reference(x / ps.scale, _ks_full)
         assert ps.ks == _ks_full(x / ps.scale)
         assert ps.ks_se == want
+
+
+@pytest.mark.parametrize("m", [257, 1234, 9000])
+def test_summary_moment_ses_equal_delete_group_reference(m):
+    # the moment SEs come from group sums; a from-scratch delete-group
+    # jackknife of np.var / np.cov must agree to rounding.  Centred samples
+    # keep the sums free of cancellation: the two routes differ by a few ulps
+    # per replicate, and the SEs by at most 1.5e-14 relative on these columns.
+    rel = 1e-12
+    plan = ExperimentPlan(hurst=0.5, sigma=SigmaSpec.linear(), h=0.25, times=(0.5, 1.0),
+                          radii=(1.0, 2.0), replicas=m, seed=3)
+    rng = np.random.default_rng(m)
+    i1 = rng.standard_normal((m, 2, 2))
+    g = i1 + 0.3 * (i1**2 - 1.0) + 0.2 * rng.standard_normal((m, 2, 2))
+    # summarize and functional_cov_check read each (time, radius) column of
+    # these (m, 2, 2) arrays as a strided view
+    chunk = estimators.ChunkResult(replica_ids=np.arange(m), g=g, i1=i1,
+                                   sigma_center=np.ones((m, plan.lattice().n_steps + 1)))
+    s = summarize(plan, chunk, 0.0)
+
+    def var(v):
+        return np.var(v, ddof=1)
+
+    def cov(p):
+        return np.cov(p[:, 0], p[:, 1], ddof=1)[0, 1]
+
+    for (it, ir), ps in s.stats.items():
+        pairs = np.column_stack([g[:, it, ir], i1[:, it, ir]])
+        assert ps.variance_se == pytest.approx(_jackknife_reference(pairs[:, 0], var), rel=rel)
+        assert ps.chaos_cov_se == pytest.approx(_jackknife_reference(pairs, cov), rel=rel)
+        want = _jackknife_reference(pairs, lambda p: var(p[:, 1]) / var(p[:, 0]))
+        assert ps.chaos_ratio_se == pytest.approx(want, rel=rel)
+    for ir, r in enumerate(plan.radii):
+        report = functional_cov_check(s, ir)
+        scaled = g[:, :, ir] / r**plan.hurst
+        for i in range(2):
+            for j in range(2):
+                want = _jackknife_reference(scaled[:, [i, j]], cov)
+                assert report.se[i, j] == pytest.approx(want, rel=rel)
+
+
+@pytest.mark.parametrize("m", [100, 101])
+def test_ks_se_at_the_sample_minimum(m):
+    # a replicate drops a group and holds fewer than 100 samples; only the
+    # full column is held to the KS minimum
+    plan = ExperimentPlan(hurst=0.5, sigma=SigmaSpec.linear(), h=0.25, times=(1.0,),
+                          radii=(1.0,), replicas=m, seed=2)
+    ps = run_experiment(plan, threads=1).stats[(0, 0)]
+    assert math.isfinite(ps.ks_se) and ps.ks_se > 0.0
+    x = np.linspace(-2.0, 2.0, 99)
+    with pytest.raises(ValueError, match="100"):
+        ks_coupled_se(x, x)
 
 
 @pytest.mark.parametrize("m,n_groups", [(257, 100), (3000, 100), (500, 7)])
@@ -516,12 +568,11 @@ def test_merge_is_associative_and_chunking_invariant():
         hurst=0.75, sigma=SigmaSpec.affine_sine(1.0, 0.5), h=1.0 / 8.0,
         times=(1.0,), radii=(1.0,), replicas=90, seed=23,
     )
-    kappa = calibrate_kernel(plan.h, plan.hurst)
     a = run_replica_chunk(plan, range(0, 30))
     b = run_replica_chunk(plan, range(30, 75))
     c = run_replica_chunk(plan, range(75, 90))
-    left = summarize(plan, merge_chunks(merge_chunks(a, b), c), kappa, 0.0)
-    right = summarize(plan, merge_chunks(c, merge_chunks(b, a)), kappa, 0.0)
+    left = summarize(plan, merge_chunks(merge_chunks(a, b), c), 0.0)
+    right = summarize(plan, merge_chunks(c, merge_chunks(b, a)), 0.0)
     assert left.g_samples.tobytes() == right.g_samples.tobytes()
     assert left.i1_samples.tobytes() == right.i1_samples.tobytes()
     assert left.curve_mean.tobytes() == right.curve_mean.tobytes()
@@ -540,20 +591,19 @@ def test_merge_rejects_duplicates_and_gaps():
         hurst=0.5, sigma=SigmaSpec.linear(), h=0.25,
         times=(1.0,), radii=(1.0,), replicas=8, seed=1,
     )
-    kappa = calibrate_kernel(plan.h, plan.hurst)
     a = run_replica_chunk(plan, range(0, 5))
     with pytest.raises(ValueError, match="duplicate"):
         merge_chunks(a, run_replica_chunk(plan, range(4, 8)))
     partial = merge_chunks(a, run_replica_chunk(plan, range(6, 8)))  # gap at 5
     with pytest.raises(ValueError, match="exactly once"):
-        summarize(plan, partial, kappa, 0.0)
+        summarize(plan, partial, 0.0)
     # the many-chunk merge checks all ids at once
     with pytest.raises(ValueError, match="duplicate"):
         merge_chunks(a, run_replica_chunk(plan, range(5, 8)), run_replica_chunk(plan, range(0, 1)))
     whole = merge_chunks(run_replica_chunk(plan, range(6, 8)), a, run_replica_chunk(plan, [5]))
     assert whole.g.tobytes() == merge_chunks(merge_chunks(run_replica_chunk(plan, range(6, 8)), a),
                                              run_replica_chunk(plan, [5])).g.tobytes()
-    summarize(plan, whole, kappa, 0.0)
+    summarize(plan, whole, 0.0)
 
 
 def test_run_experiment_deterministic_across_calls():
@@ -595,6 +645,7 @@ def test_single_replica_flags_undefined_ses():
     assert math.isnan(ps.variance_se)
     assert math.isnan(ps.mean_se)
     assert ps.ks is None
+    assert ps.chaos_cov_se == 0.0
 
 
 def test_resolve_threads_env(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 
 from fracwave.noise import NoiseSheet, NoiseSpec, sample_sheet
 from fracwave.solver import (
+    KAPPA,
     LatticeConfig,
     SigmaSpec,
     SolutionField,
@@ -128,9 +129,10 @@ def test_solution_field_cone_access():
 
 
 def test_kernel_constant_is_half_everywhere():
+    assert KAPPA == 0.5
     for h in (1.0, 0.25, 1.0 / 64.0):
         for hurst in (0.5, 0.6, 0.75, 0.95):
-            assert calibrate_kernel(h, hurst) == 0.5, (h, hurst)
+            assert calibrate_kernel(h, hurst) == KAPPA, (h, hurst)
 
 
 def test_kernel_constant_horizon_independent():
