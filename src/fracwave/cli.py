@@ -53,6 +53,8 @@ from .estimators import (
     ks_coupled,
     ks_coupled_se,
     ks_normality,
+    pool_map,
+    resolve_threads,
     run_experiment,
     strict_json,
     summary_to_dict,
@@ -374,19 +376,24 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- rate
 
 
-def _ks_by_radius(summary: ExperimentSummary, i_time: int) -> tuple[np.ndarray, np.ndarray]:
+def _coupled_ks(summary: ExperimentSummary, i_time: int, i_radius: int) -> tuple[float, float]:
+    x, y = summary.samples(i_time, i_radius), summary.chaos_samples(i_time, i_radius)
+    return ks_coupled(x, y), ks_coupled_se(x, y)
+
+
+def _ks_by_radius(summary: ExperimentSummary, i_time: int,
+                  workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """KS ladder over the radii with jackknife SEs.
 
     With first-chaos samples in the summary the ladder uses the coupled
     estimator (ks_coupled), whose floor lies far below that of the plain
-    statistic; without them it reads the plain KS column of the summary.
+    statistic, one radius per pool_map task; without them it reads the
+    plain KS column of the summary.
     """
     radii = range(len(summary.plan.radii))
     if summary.i1_samples is not None:
-        pairs = [(summary.samples(i_time, ir), summary.chaos_samples(i_time, ir)) for ir in radii]
-        ks = np.array([ks_coupled(x, y) for x, y in pairs])
-        se = np.array([ks_coupled_se(x, y) for x, y in pairs])
-        return ks, se
+        ks, se = zip(*pool_map(_coupled_ks, (summary, i_time), radii, workers))
+        return np.array(ks), np.array(se)
     ks = np.array([summary.stats[(i_time, ir)].ks for ir in radii])
     se = np.array([summary.stats[(i_time, ir)].ks_se for ir in radii])
     return ks, se
@@ -397,8 +404,33 @@ def _ols_slope(logr: np.ndarray, logk: np.ndarray) -> float:
     return float(np.dot(lr, logk - logk.mean()) / np.dot(lr, lr))
 
 
+def _bootstrap_ks(summary: ExperimentSummary, i_time: int, n_boot: int, radius_ids) -> np.ndarray:
+    """(n_boot, len(radius_ids)) KS distances of the replica resamples at the
+    given radii.  Every call rebuilds the plan's Philox stream, so each draws
+    the same n_boot index vectors whichever radii it covers."""
+    # one contiguous column per radius: take() on it is the same resample
+    # as a row gather of the (M, n_radii) view, at a fraction of the cost
+    g = [np.ascontiguousarray(summary.samples(i_time, ir)) for ir in radius_ids]
+    i1 = None if summary.i1_samples is None else [
+        np.ascontiguousarray(summary.chaos_samples(i_time, ir)) for ir in radius_ids]
+    m = summary.g_samples.shape[0]
+    key = np.array([summary.plan.seed, 2**63], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    ks = np.empty((n_boot, len(g)))
+    for b in range(n_boot):
+        idx = rng.integers(0, m, size=m)
+        for k, col in enumerate(g):
+            x = col.take(idx)
+            if i1 is None:
+                ks[b, k] = ks_normality(x / x.std(ddof=1))
+            else:
+                ks[b, k] = ks_coupled(x, i1[k].take(idx))
+    return ks
+
+
 def _bootstrap_slope_ci(
-    summary: ExperimentSummary, i_time: int, n_boot: int = 200, level: float = 0.95
+    summary: ExperimentSummary, i_time: int, n_boot: int = 200, level: float = 0.95,
+    workers: int = 1,
 ) -> tuple[float, float]:
     """Percentile CI of the log-log slope under replica resampling.
 
@@ -406,29 +438,16 @@ def _bootstrap_slope_ci(
     replicas), seeded from the plan for reproducibility.  With first-chaos
     samples present, each replica's (G, I1) pair is resampled jointly and the
     statistic is ks_coupled, as in _ks_by_radius; otherwise it is the plain
-    self-normalized KS distance.
+    self-normalized KS distance.  The radii are split into one task per
+    worker (pool_map); each task draws the whole index stream itself, and the
+    slopes and quantiles are taken here from the reassembled
+    (n_boot, n_radii) table, so the worker count does not change a bit.
     """
-    plan = summary.plan
-    radii = range(len(plan.radii))
-    # one contiguous column per radius: take() on it is the same resample
-    # as a row gather of the (M, n_radii) view, at a fraction of the cost
-    g = [np.ascontiguousarray(summary.samples(i_time, ir)) for ir in radii]
-    i1 = None if summary.i1_samples is None else [
-        np.ascontiguousarray(summary.chaos_samples(i_time, ir)) for ir in radii]
-    m = g[0].size
-    logr = np.log(np.asarray(plan.radii))
-    rng = np.random.Generator(np.random.Philox(key=np.array([plan.seed, 2**63], dtype=np.uint64)))
-    slopes = np.empty(n_boot)
-    for b in range(n_boot):
-        idx = rng.integers(0, m, size=m)
-        ks = np.empty(len(plan.radii))
-        for ir in radii:
-            x = g[ir].take(idx)
-            if i1 is None:
-                ks[ir] = ks_normality(x / x.std(ddof=1))
-            else:
-                ks[ir] = ks_coupled(x, i1[ir].take(idx))
-        slopes[b] = _ols_slope(logr, np.log(ks))
+    n_radii = len(summary.plan.radii)
+    groups = np.array_split(range(n_radii), min(workers, n_radii))
+    ks = np.concatenate(pool_map(_bootstrap_ks, (summary, i_time, n_boot), groups, workers), axis=1)
+    logr = np.log(np.asarray(summary.plan.radii))
+    slopes = np.array([_ols_slope(logr, np.log(row)) for row in ks])
     lo, hi = np.quantile(slopes, [(1 - level) / 2, 1 - (1 - level) / 2])
     return float(lo), float(hi)
 
@@ -440,11 +459,13 @@ def cmd_rate(args) -> int:
         raise ConfigError("rate study needs at least 3 radii in the config")
     if plan.replicas < KS_MIN_N:
         raise ConfigError(f"rate study needs at least {KS_MIN_N} replicas for KS distances")
-    summary = run_experiment(plan, threads=_effective_threads(rc, args.threads))
+    threads = _effective_threads(rc, args.threads)
+    summary = run_experiment(plan, threads=threads)
+    workers = resolve_threads(threads)
     i_time = len(plan.times) - 1
-    ks, se = _ks_by_radius(summary, i_time)
+    ks, se = _ks_by_radius(summary, i_time, workers)
     slope = _ols_slope(np.log(np.asarray(plan.radii)), np.log(ks))
-    lo, hi = _bootstrap_slope_ci(summary, i_time, n_boot=args.bootstrap)
+    lo, hi = _bootstrap_slope_ci(summary, i_time, n_boot=args.bootstrap, workers=workers)
     lines = ["R,ks,se"]
     for r, k, s in zip(plan.radii, ks, se):
         lines.append(f"{float(r)!r},{float(k)!r},{float(s)!r}")

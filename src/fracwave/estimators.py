@@ -4,7 +4,11 @@ A plan fixes the lattice, the coefficient, observation times and window radii,
 the replica count and the base seed.  Replicas are pure functions of
 (plan, replica id): chunks of replicas can run in any order or in parallel and
 merge into the same summary, byte for byte, because all reductions happen in
-canonical replica order after the merge.
+canonical replica order after the merge.  The statistics of each (time,
+radius) pair are one task over the merged samples: with more than one worker
+they too run on a process pool, each reducing its columns in canonical order,
+and come back in pair order.  pool_map is the one pool path: chunks, pair
+tasks, and the rate command's coupled ladder and bootstrap.
 
 The summary carries raw per-replica samples of the centered spatial average
 and its first-chaos projection, per-pair statistics (variance, normality
@@ -47,6 +51,7 @@ __all__ = [
     "run_replica_chunk",
     "merge_chunks",
     "summarize",
+    "pool_map",
     "run_experiment",
     "functional_cov_check",
     "FunctionalCovReport",
@@ -320,11 +325,19 @@ def _paired(samples: Sequence[float], reference: Sequence[float]) -> list[np.nda
 
 
 def _ks_coupled_sorted(a: np.ndarray, b: np.ndarray) -> float:
-    """sup_z |F_a(z) - F_b(z)| for two sorted samples of equal size."""
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right")
-    fb = np.searchsorted(b, grid, side="right")
-    return float(np.abs(fa - fb).max() / a.size)
+    """sup_z |F_a(z) - F_b(z)| for two sorted samples of equal size.
+
+    One stable merge of the two sorted runs (timsort merges them in linear
+    time) and a running count, +1 per point of a and -1 per point of b.  At
+    the last point of each run of equal values the count is #a <= z less
+    #b <= z, an exact integer; NaNs sort last and count as one run.
+    """
+    both = np.concatenate([a, b])
+    order = both.argsort(kind="stable")
+    z = both[order]
+    count = np.cumsum(np.where(order < a.size, 1, -1))
+    last = np.append((z[1:] != z[:-1]) & ~np.isnan(z[:-1]), True)
+    return float(np.abs(count[last]).max() / a.size)
 
 
 def ks_coupled(samples: Sequence[float], reference: Sequence[float]) -> float:
@@ -436,11 +449,12 @@ def _jackknife_se(values: np.ndarray) -> float:
 def _cov_replicates(x: np.ndarray, y: np.ndarray, n_groups: int = _JACK_GROUPS) -> np.ndarray:
     """Delete-group replicates of the sample covariance of (x, y), from the
     sums of x, y and x*y less each group's; a variance is (x, x).  Empty
-    below 2 groups, where _jackknife_se reads 0.0."""
+    below 2 groups or when a replicate would hold fewer than 2 samples (as
+    at M = 2), where _jackknife_se reads 0.0."""
     n = x.size
     bounds = _group_bounds(n, n_groups)
     g = bounds.size - 1
-    if g < 2:
+    if g < 2 or n - np.diff(bounds).max() < 2:
         return np.empty(0)
     reps = np.empty(g)
     sx, sy, sxy = x.sum(), y.sum(), np.dot(x, y)
@@ -560,9 +574,52 @@ class ExperimentSummary:
         )
 
 
-def summarize(plan: ExperimentPlan, merged: ChunkResult, wall_seconds: float) -> ExperimentSummary:
+def _pair_stats(summary: ExperimentSummary, pair: tuple[int, int]) -> PairStats:
+    """Statistics of one (time, radius) pair, from the summary's samples."""
+    it, ir = pair
+    plan = summary.plan
+    x = summary.samples(it, ir)
+    m = x.size
+    mean = float(x.mean())
+    mean_se = float(x.std(ddof=1) / np.sqrt(m)) if m > 1 else float("nan")
+    var = _sample_variance(x)
+    var_reps = _cov_replicates(x, x)
+    var_se = _jackknife_se(var_reps) if m > 1 else float("nan")
+    if plan.normalization == "self":
+        scale = float(x.std(ddof=1)) if m > 1 else 1.0
+    else:
+        scale = summary.oracle_scale(it, ir)
+    ks = ks_se = None
+    if m >= KS_MIN_N and scale > 0:
+        normalized = x / scale
+        ks = ks_normality(normalized)
+        if plan.normalization == "self":
+            ks_se = _ks_jackknife([x], normalize=True)
+        else:
+            ks_se = _ks_jackknife([normalized], normalize=False)
+    ps = PairStats(
+        t=plan.times[it], radius=plan.radii[ir], n=m, mean=mean, mean_se=mean_se,
+        variance=var, variance_se=var_se, scale=scale, ks=ks, ks_se=ks_se,
+    )
+    if summary.i1_samples is not None:
+        y = summary.chaos_samples(it, ir)
+        ps.chaos_var = _sample_variance(y)
+        ps.chaos_cov = float(np.cov(x, y, ddof=1)[0, 1]) if m > 1 else float("nan")
+        ps.chaos_cov_se = _jackknife_se(_cov_replicates(x, y))
+        if var > 0:
+            ps.chaos_ratio = ps.chaos_var / var
+            ps.chaos_ratio_se = _jackknife_se(_cov_replicates(y, y) / var_reps)
+    return ps
+
+
+def summarize(plan: ExperimentPlan, merged: ChunkResult, wall_seconds: float,
+              workers: int = 1) -> ExperimentSummary:
     """Build the summary from merged chunks.  All reductions run in canonical
-    (sorted replica id) order, so the result is chunking-independent."""
+    (sorted replica id) order, so the result is chunking-independent.  The
+    pair statistics run as one task per (time, radius) pair through
+    pool_map on `workers` processes; each task reads its columns of the
+    (M, n_times, n_radii) sample block with the strides they have here, so
+    the worker count does not change a bit."""
     order = np.argsort(merged.replica_ids, kind="stable")
     ids = merged.replica_ids[order]
     if ids.size != plan.replicas or not np.array_equal(ids, np.arange(plan.replicas)):
@@ -591,41 +648,8 @@ def summarize(plan: ExperimentPlan, merged: ChunkResult, wall_seconds: float) ->
         curve_mean_se=curve_mean_se,
         curve_sq_se=curve_sq_se,
     )
-
-    for it, t in enumerate(plan.times):
-        for ir, r in enumerate(plan.radii):
-            x = g[:, it, ir]
-            mean = float(x.mean())
-            mean_se = float(x.std(ddof=1) / np.sqrt(m)) if m > 1 else float("nan")
-            var = _sample_variance(x)
-            var_reps = _cov_replicates(x, x)
-            var_se = _jackknife_se(var_reps) if m > 1 else float("nan")
-            if plan.normalization == "self":
-                scale = float(x.std(ddof=1)) if m > 1 else 1.0
-            else:
-                scale = summary.oracle_scale(it, ir)
-            ks = ks_se = None
-            if m >= KS_MIN_N and scale > 0:
-                normalized = x / scale
-                ks = ks_normality(normalized)
-                if plan.normalization == "self":
-                    ks_se = _ks_jackknife([x], normalize=True)
-                else:
-                    ks_se = _ks_jackknife([normalized], normalize=False)
-            ps = PairStats(
-                t=t, radius=r, n=m, mean=mean, mean_se=mean_se,
-                variance=var, variance_se=var_se, scale=scale, ks=ks, ks_se=ks_se,
-            )
-            if i1 is not None:
-                y = i1[:, it, ir]
-                ps.chaos_var = _sample_variance(y)
-                cov = float(np.cov(x, y, ddof=1)[0, 1]) if m > 1 else float("nan")
-                ps.chaos_cov = cov
-                ps.chaos_cov_se = _jackknife_se(_cov_replicates(x, y))
-                if var > 0:
-                    ps.chaos_ratio = ps.chaos_var / var
-                    ps.chaos_ratio_se = _jackknife_se(_cov_replicates(y, y) / var_reps)
-            summary.stats[(it, ir)] = ps
+    pairs = [(it, ir) for it in range(len(plan.times)) for ir in range(len(plan.radii))]
+    summary.stats = dict(zip(pairs, pool_map(_pair_stats, (summary,), pairs, workers)))
     return summary
 
 
@@ -644,28 +668,54 @@ def resolve_threads(threads: Optional[int] = None) -> int:
     return os.cpu_count() or 1
 
 
-def _chunk_star(args):
-    return run_replica_chunk(*args)
+# the (fn, shared) of the pool this worker process serves
+_WORKER_TASK = None
+
+
+def _install_task(fn, shared: tuple) -> None:
+    global _WORKER_TASK
+    _WORKER_TASK = (fn, shared)
+
+
+def _run_task(task):
+    fn, shared = _WORKER_TASK
+    return fn(*shared, task)
+
+
+def pool_map(fn, shared: tuple, tasks: Sequence, workers: int) -> list:
+    """[fn(*shared, task) for task in tasks], in task order.
+
+    With more than one worker and more than one task the tasks run on a
+    process pool started for this call, one worker per task at most.
+    `shared` reaches each worker once, through the pool initializer: where
+    processes fork it is inherited, not pickled, so a pool started after a
+    sample block exists reads that block in place.  Only the tasks and their
+    results cross the pipes.  Otherwise the tasks run here, in order.
+    """
+    tasks = list(tasks)
+    if workers <= 1 or len(tasks) <= 1:
+        return [fn(*shared, task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), initializer=_install_task,
+                             initargs=(fn, shared)) as pool:
+        return list(pool.map(_run_task, tasks))
 
 
 def run_experiment(plan: ExperimentPlan, threads: Optional[int] = None) -> ExperimentSummary:
     """Run all replicas (chunked, optionally in parallel) and summarize.
 
+    Chunks get the plan once per worker and only their id ranges per task.
     The summary is a pure function of the plan: worker count and chunk
     boundaries do not change a single byte of it.
     """
     start = time.perf_counter()
-    ids = np.arange(plan.replicas)
-    chunks = [ids[i: i + _CHUNK] for i in range(0, plan.replicas, _CHUNK)]
     workers = resolve_threads(threads)
-    if workers > 1 and len(chunks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_chunk_star, [(plan, c) for c in chunks]))
-    else:
-        results = [run_replica_chunk(plan, c) for c in chunks]
-    return summarize(plan, merge_chunks(*results), time.perf_counter() - start)
+    ids = [range(i, min(i + _CHUNK, plan.replicas)) for i in range(0, plan.replicas, _CHUNK)]
+    results = pool_map(run_replica_chunk, (plan,), ids, workers)
+    # a plan of one chunk is too small to pay for a pool for its statistics
+    return summarize(plan, merge_chunks(*results), time.perf_counter() - start,
+                     workers if len(ids) > 1 else 1)
 
 
 @dataclass

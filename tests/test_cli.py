@@ -369,6 +369,35 @@ def test_bootstrap_column_gather_equals_row_gather():
                     _bootstrap_row_gather(summary, i_time, 30, level)
 
 
+@pytest.mark.parametrize("chaos", ["false", "true"])
+def test_rate_threads_do_not_change_a_byte(tmp_path, capsys, chaos):
+    # 600 replicas: three chunks, so chunks, pair statistics and the
+    # bootstrap all run on the pool at --threads 2 and 3
+    text = SMALL_CFG.replace("radii = 1.0", "radii = 1.0, 2.0, 4.0, 8.0").replace(
+        "times = 1.0", "times = 0.5, 1.0").replace(
+        "replicas = 60", f"replicas = 600\nchaos = {chaos}")
+    path = _write_cfg(tmp_path, text)
+    outs = []
+    for threads in ("1", "2", "3"):
+        csv = tmp_path / f"rate-{threads}.csv"
+        code, _, err = _run(capsys, ["rate", path, "--bootstrap", "40", "--threads", threads,
+                                     "--out", str(csv)])
+        assert code == 0, err
+        outs.append(csv.read_bytes())
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+def test_bootstrap_split_over_workers_is_exact():
+    text = SMALL_CFG.replace("radii = 1.0", "radii = 1.0, 2.0, 4.0").replace(
+        "replicas = 60", "replicas = 300")
+    chaos_on = run_experiment(parse_config(text).plan, threads=1)
+    chaos_off = dataclasses.replace(chaos_on, i1_samples=None)
+    for summary in (chaos_on, chaos_off):
+        want = _bootstrap_slope_ci(summary, 0, n_boot=30, level=0.6)
+        for workers in (2, 3, 5):
+            assert _bootstrap_slope_ci(summary, 0, n_boot=30, level=0.6, workers=workers) == want
+
+
 def test_rate_reaches_the_traced_seams(tmp_path, capsys, monkeypatch):
     # the benchmark trace wraps these module attributes; a rate run that
     # stops calling them through the module would leave its spans empty

@@ -4,6 +4,8 @@ statistics against the analytic module on small ensembles."""
 
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -158,6 +160,45 @@ def test_ks_coupled_is_two_sample_ks_of_normalized_pair():
         ks_coupled(x, y[:-1])
     with pytest.raises(ValueError, match="100"):
         ks_coupled(x[:99], y[:99])
+
+
+def _ks_coupled_searchsorted(a, b):
+    # the counting formula the merge replaced: F_a and F_b by binary search
+    # over the whole 2n grid
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(a, grid, side="right")
+    fb = np.searchsorted(b, grid, side="right")
+    return float(np.abs(fa - fb).max() / a.size)
+
+
+def test_ks_coupled_merge_count_equals_searchsorted():
+    rng = np.random.default_rng(30)
+    cases = []
+    for k in range(120):
+        n = int(rng.integers(100, 40_000))
+        a, b = rng.standard_normal((2, n))
+        b = 0.9 * a + 0.5 * b
+        if k % 3 == 0:  # ties inside and across the samples
+            a, b = np.round(a, 1), np.round(b, 1)
+        cases.append((a, b))
+    z = np.zeros(500)
+    f = rng.standard_normal(490)
+    cases += [
+        (z, z.copy()),  # one run of ties
+        (z, np.ones(500)),
+        (np.repeat([-np.inf, 0.0, np.inf], [100, 300, 100]), np.linspace(-1.0, 1.0, 500)),
+        # NaNs sort last and count as one run: the sup is 10 / 500, not the
+        # 20 / 500 a count read inside the NaN run would give
+        (np.r_[f, np.full(10, np.nan)], np.r_[f[:480], np.full(20, np.nan)]),
+        (np.full(200, np.nan), rng.standard_normal(200)),
+    ]
+    for a, b in cases:
+        a, b = np.sort(a), np.sort(b)
+        assert estimators._ks_coupled_sorted(a, b) == _ks_coupled_searchsorted(a, b)
+        assert estimators._ks_coupled_sorted(b, a) == _ks_coupled_searchsorted(b, a)
+    x, y = cases[1]
+    assert ks_coupled(x, y) == _ks_coupled_searchsorted(np.sort(x / x.std(ddof=1)),
+                                                        np.sort(y / y.std(ddof=1)))
 
 
 def test_ks_coupled_vanishes_for_constant_sigma():
@@ -622,16 +663,55 @@ def test_run_experiment_deterministic_across_calls():
 
 
 def test_run_experiment_parallel_matches_serial():
+    # several chunks, pairs and workers: chunks, pair statistics (KS, KS SE,
+    # chaos SEs) and the merge all go through the pool
+    plan = ExperimentPlan(
+        hurst=0.5, sigma=SigmaSpec.linear(), h=0.25, times=(0.5, 1.0),
+        radii=(1.0, 2.0, 4.0), replicas=600, seed=4,
+    )
+    paper = replace(plan, normalization="paper")
+    for p, threads in ((plan, 2), (plan, 3), (paper, 2)):
+        serial = run_experiment(p, threads=1)
+        parallel = run_experiment(p, threads=threads)
+        assert serial.g_samples.tobytes() == parallel.g_samples.tobytes()
+        assert serial.i1_samples.tobytes() == parallel.i1_samples.tobytes()
+        assert serial.stats == parallel.stats
+        assert all(ps.ks_se is not None and ps.chaos_ratio_se is not None
+                   for ps in parallel.stats.values())
+        assert summary_to_dict(serial, deterministic=True) == summary_to_dict(
+            parallel, deterministic=True
+        )
+
+
+def test_pool_map_keeps_task_order():
+    tasks = list(range(7))
+    want = [divmod(100 + t, 3) for t in tasks]
+    for workers in (1, 2, 3):
+        assert estimators.pool_map(_add_then_divmod, (100, 3), tasks, workers) == want
+        assert estimators.pool_map(_add_then_divmod, (100, 3), [], workers) == []
+
+
+def _add_then_divmod(a, d, t):
+    return divmod(a + t, d)
+
+
+def test_two_replicas_raise_no_warning():
+    # every delete-group replicate of M = 2 holds one replica: the moment
+    # jackknives have no replicates (SE 0.0, as below 2 groups) instead of
+    # dividing by zero
     plan = ExperimentPlan(
         hurst=0.5, sigma=SigmaSpec.linear(), h=0.25,
-        times=(1.0,), radii=(1.0,), replicas=600, seed=4,
+        times=(0.5, 1.0), radii=(1.0, 2.0), replicas=2, seed=4, chaos=True,
     )
-    serial = run_experiment(plan, threads=1)
-    parallel = run_experiment(plan, threads=2)
-    assert serial.g_samples.tobytes() == parallel.g_samples.tobytes()
-    assert summary_to_dict(serial, deterministic=True) == summary_to_dict(
-        parallel, deterministic=True
-    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = run_experiment(plan, threads=1)
+        d = summary_to_dict(s, deterministic=True)
+        report = functional_cov_check(s)
+    for row in d["pairs"]:
+        assert math.isfinite(row["variance"]) and row["variance"] > 0
+        assert row["variance_se"] == row["chaos_cov_se"] == row["chaos_ratio_se"] == 0.0
+    assert np.all(report.se == 0.0)
 
 
 def test_single_replica_flags_undefined_ses():
