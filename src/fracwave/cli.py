@@ -17,7 +17,7 @@ Config files are INI-style with three sections, unknown keys rejected:
     chaos = true             # also compute first-chaos projections
     x_half_width = 33.0      # optional; default max(radii) + max(times)
 
-    [sigma]
+    [sigma]                  # the keys of each kind: solver.SIGMA_PARAMS
     kind = constant          # constant | linear | affine_sine | tabulated
     value = 1.0              # constant only
     # base = 1.0             # affine_sine: base + amplitude * sin(u)
@@ -38,7 +38,7 @@ import configparser
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -60,16 +60,16 @@ from .estimators import (
     summary_to_dict,
 )
 from .noise import NoiseSpec, sample_sheet, write_sheet
-from .solver import KAPPA, SigmaSpec
+from .solver import KAPPA, SIGMA_PARAMS, SigmaSpec
 
-__all__ = ["RunConfig", "parse_config", "serialize_config", "main"]
+__all__ = ["RunConfig", "parse_config", "main"]
 
-_EXPERIMENT_KEYS = {
-    "hurst", "h", "times", "radii", "replicas", "seed",
-    "normalization", "chaos", "x_half_width",
-}
-_SIGMA_KEYS = {"kind", "value", "base", "amplitude", "knots", "values"}
+# the [experiment] keys are the plan's fields but sigma; those without a
+# default are required
+_PLAN_FIELDS = [f for f in fields(ExperimentPlan) if f.name != "sigma"]
 _OUTPUT_KEYS = {"summary", "raw", "threads"}
+# defaults of the scalar sigma params; the params of each kind are SIGMA_PARAMS
+_SIGMA_DEFAULTS = {"value": "1.0", "base": "1.0", "amplitude": "0.5"}
 
 
 class ConfigError(ValueError):
@@ -107,32 +107,20 @@ def _build_sigma(section) -> SigmaSpec:
     if kind is None:
         raise ConfigError("[sigma] section needs a 'kind' key")
     kind = kind.strip()
+    if kind not in SIGMA_PARAMS:
+        raise ConfigError(f"unknown sigma kind {kind!r}")
+    names = SIGMA_PARAMS[kind]
+    for key in section:
+        if key != "kind" and key not in names:
+            raise ConfigError(f"key '{key}' does not apply to sigma kind '{kind}'")
     try:
-        if kind == "constant":
-            return SigmaSpec.constant(float(section.get("value", "1.0")))
-        if kind == "linear":
-            return SigmaSpec.linear()
-        if kind == "affine_sine":
-            return SigmaSpec.affine_sine(
-                float(section.get("base", "1.0")), float(section.get("amplitude", "0.5"))
-            )
-        if kind == "tabulated":
-            knots = _parse_floats(section.get("knots", ""), "sigma.knots")
-            values = _parse_floats(section.get("values", ""), "sigma.values")
-            return SigmaSpec.tabulated(knots, values)
+        return SigmaSpec(kind, tuple(
+            float(section.get(name, _SIGMA_DEFAULTS[name])) if name in _SIGMA_DEFAULTS
+            else _parse_floats(section.get(name, ""), f"sigma.{name}") for name in names))
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid sigma parameters: {exc}") from exc
-    raise ConfigError(f"unknown sigma kind {kind!r}")
-
-
-_SIGMA_ALLOWED = {
-    "constant": {"kind", "value"},
-    "linear": {"kind"},
-    "affine_sine": {"kind", "base", "amplitude"},
-    "tabulated": {"kind", "knots", "values"},
-}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -143,27 +131,23 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config syntax: {exc}") from exc
 
-    known = {"experiment": _EXPERIMENT_KEYS, "sigma": _SIGMA_KEYS, "output": _OUTPUT_KEYS}
+    # the keys of [sigma] depend on its kind: _build_sigma checks them
+    known = {"experiment": {f.name for f in _PLAN_FIELDS}, "sigma": None, "output": _OUTPUT_KEYS}
     for sec in cp.sections():
         if sec not in known:
             raise ConfigError(f"unknown config section [{sec}]")
         for key in cp[sec]:
-            if key not in known[sec]:
+            if known[sec] is not None and key not in known[sec]:
                 raise ConfigError(f"unknown key '{key}' in section [{sec}]")
     if "experiment" not in cp or "sigma" not in cp:
         raise ConfigError("config needs [experiment] and [sigma] sections")
 
     exp = cp["experiment"]
-    for req in ("hurst", "h", "times", "radii", "replicas", "seed"):
-        if req not in exp:
-            raise ConfigError(f"[experiment] is missing required key '{req}'")
+    for f in _PLAN_FIELDS:
+        if f.default is MISSING and f.name not in exp:
+            raise ConfigError(f"[experiment] is missing required key '{f.name}'")
 
     sig = _build_sigma(cp["sigma"])
-    allowed = _SIGMA_ALLOWED[sig.kind]
-    for key in cp["sigma"]:
-        if key not in allowed:
-            raise ConfigError(f"key '{key}' does not apply to sigma kind '{sig.kind}'")
-
     try:
         xhw = exp.get("x_half_width", "").strip()
         plan = ExperimentPlan(
@@ -199,44 +183,6 @@ def parse_config(text: str) -> RunConfig:
         raw_path=str(out.get("raw", "")).strip(),
         threads=threads,
     )
-
-
-def serialize_config(rc: RunConfig) -> str:
-    """Canonical text form; parse(serialize(parse(s))) == parse(s)."""
-    plan = rc.plan
-    lines = [
-        "[experiment]",
-        f"hurst = {plan.hurst!r}",
-        f"h = {plan.h!r}",
-        "times = " + ", ".join(repr(t) for t in plan.times),
-        "radii = " + ", ".join(repr(r) for r in plan.radii),
-        f"replicas = {plan.replicas}",
-        f"seed = {plan.seed}",
-        f"normalization = {plan.normalization}",
-        f"chaos = {'true' if plan.chaos else 'false'}",
-        f"x_half_width = {plan.x_half_width!r}",
-        "",
-        "[sigma]",
-        f"kind = {plan.sigma.kind}",
-    ]
-    if plan.sigma.kind == "constant":
-        lines.append(f"value = {plan.sigma.params[0]!r}")
-    elif plan.sigma.kind == "affine_sine":
-        lines.append(f"base = {plan.sigma.params[0]!r}")
-        lines.append(f"amplitude = {plan.sigma.params[1]!r}")
-    elif plan.sigma.kind == "tabulated":
-        knots, values = plan.sigma.params
-        lines.append("knots = " + ", ".join(repr(k) for k in knots))
-        lines.append("values = " + ", ".join(repr(v) for v in values))
-    lines += [
-        "",
-        "[output]",
-        f"summary = {rc.summary_path}",
-        f"raw = {rc.raw_path}",
-        f"threads = {rc.threads}",
-        "",
-    ]
-    return "\n".join(lines)
 
 
 def _load_config(path: str) -> RunConfig:
@@ -413,6 +359,8 @@ def _bootstrap_ks(summary: ExperimentSummary, i_time: int, n_boot: int, radius_i
     g = [np.ascontiguousarray(summary.samples(i_time, ir)) for ir in radius_ids]
     i1 = None if summary.i1_samples is None else [
         np.ascontiguousarray(summary.chaos_samples(i_time, ir)) for ir in radius_ids]
+    paper = summary.plan.normalization == "paper"
+    scales = [summary.stats[(i_time, ir)].scale for ir in radius_ids]
     m = summary.g_samples.shape[0]
     key = np.array([summary.plan.seed, 2**63], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
@@ -422,7 +370,7 @@ def _bootstrap_ks(summary: ExperimentSummary, i_time: int, n_boot: int, radius_i
         for k, col in enumerate(g):
             x = col.take(idx)
             if i1 is None:
-                ks[b, k] = ks_normality(x / x.std(ddof=1))
+                ks[b, k] = ks_normality(x / (scales[k] if paper else x.std(ddof=1)))
             else:
                 ks[b, k] = ks_coupled(x, i1[k].take(idx))
     return ks
@@ -438,10 +386,12 @@ def _bootstrap_slope_ci(
     replicas), seeded from the plan for reproducibility.  With first-chaos
     samples present, each replica's (G, I1) pair is resampled jointly and the
     statistic is ks_coupled, as in _ks_by_radius; otherwise it is the plain
-    self-normalized KS distance.  The radii are split into one task per
-    worker (pool_map); each task draws the whole index stream itself, and the
-    slopes and quantiles are taken here from the reassembled
-    (n_boot, n_radii) table, so the worker count does not change a bit.
+    KS distance of the resample divided, as the summary's KS column is, by
+    its own SD or, under paper normalization, by the pair's oracle scale.
+    The radii are split into one task per worker (pool_map); each task draws
+    the whole index stream itself, and the slopes and quantiles are taken
+    here from the reassembled (n_boot, n_radii) table, so the worker count
+    does not change a bit.
     """
     n_radii = len(summary.plan.radii)
     groups = np.array_split(range(n_radii), min(workers, n_radii))
@@ -459,9 +409,8 @@ def cmd_rate(args) -> int:
         raise ConfigError("rate study needs at least 3 radii in the config")
     if plan.replicas < KS_MIN_N:
         raise ConfigError(f"rate study needs at least {KS_MIN_N} replicas for KS distances")
-    threads = _effective_threads(rc, args.threads)
-    summary = run_experiment(plan, threads=threads)
-    workers = resolve_threads(threads)
+    workers = resolve_threads(_effective_threads(rc, args.threads))
+    summary = run_experiment(plan, threads=workers)
     i_time = len(plan.times) - 1
     ks, se = _ks_by_radius(summary, i_time, workers)
     slope = _ols_slope(np.log(np.asarray(plan.radii)), np.log(ks))
@@ -618,6 +567,10 @@ _COMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "threads", None) is not None and args.threads < 0:
+        parser.error("--threads must be >= 0 (0 = auto)")
+    if getattr(args, "bootstrap", 1) < 1:
+        parser.error("--bootstrap must be >= 1")
     handler = _COMMANDS[args.command]
     try:
         return handler(args)

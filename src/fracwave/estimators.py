@@ -23,7 +23,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,7 +32,7 @@ from scipy.special import ndtr
 from . import analytic
 from .analytic import MomentCurves
 from .noise import STREAM, NoiseSpec, NoiseSheet, sample_sheet
-from .solver import KAPPA, LatticeConfig, SigmaSpec, SolutionField, solve
+from .solver import KAPPA, LatticeConfig, SigmaSpec, SolutionField, _snap_to_grid, solve
 
 __all__ = [
     "ExperimentPlan",
@@ -106,13 +106,9 @@ class ExperimentPlan:
         if not self.radii or any(b <= a for a, b in zip(self.radii, self.radii[1:])):
             raise ValueError("radii must be a nonempty strictly increasing tuple")
         for t in self.times:
-            n = t / self.h
-            if t <= 0 or abs(n - round(n)) > 1e-9:
-                raise ValueError(f"time {t} is not a positive multiple of h={self.h}")
+            _grid_steps(t, self.h, "time")
         for r in self.radii:
-            n = r / self.h
-            if r <= 0 or abs(n - round(n)) > 1e-9:
-                raise ValueError(f"radius {r} is not a positive multiple of h={self.h}")
+            _grid_steps(r, self.h, "radius")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
         if self.seed < 0:
@@ -127,9 +123,7 @@ class ExperimentPlan:
                 f"x_half_width={self.x_half_width} too small: domain of dependence "
                 f"needs at least max radius + max time = {needed}"
             )
-        n = self.x_half_width / self.h
-        if abs(n - round(n)) > 1e-9:
-            raise ValueError(f"x_half_width {self.x_half_width} is not a multiple of h={self.h}")
+        self.lattice()  # checks x_half_width against the grid
 
     def lattice(self) -> LatticeConfig:
         return LatticeConfig(h=self.h, t_max=max(self.times), x_half_width=self.x_half_width)
@@ -149,7 +143,8 @@ class ExperimentPlan:
 def plan_to_dict(plan: ExperimentPlan) -> dict:
     return {
         "hurst": plan.hurst,
-        "sigma": {"kind": plan.sigma.kind, "params": list(_flatten_params(plan.sigma))},
+        "sigma": {"kind": plan.sigma.kind,
+                  "params": [list(p) if isinstance(p, tuple) else p for p in plan.sigma.params]},
         "h": plan.h,
         "times": list(plan.times),
         "radii": list(plan.radii),
@@ -162,23 +157,18 @@ def plan_to_dict(plan: ExperimentPlan) -> dict:
     }
 
 
-def _flatten_params(sigma: SigmaSpec):
-    if sigma.kind == "tabulated":
-        knots, values = sigma.params
-        return [list(knots), list(values)]
-    return list(sigma.params)
-
-
 def plan_hash(plan: ExperimentPlan) -> str:
     blob = json.dumps(plan_to_dict(plan), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _radius_steps(cfg: LatticeConfig, radius: float) -> int:
-    rn = int(round(radius / cfg.h))
-    if abs(radius / cfg.h - rn) > 1e-9 or rn < 1:
-        raise ValueError(f"radius {radius} is not a positive multiple of h={cfg.h}")
-    return rn
+def _grid_steps(value: float, h: float, name: str) -> int:
+    """Lattice steps in a positive time or radius, by the grid rule of
+    solver._snap_to_grid."""
+    n = _snap_to_grid(value, h, name)
+    if n < 1:
+        raise ValueError(f"{name}={value} is not positive")
+    return n
 
 
 def window_averages(fld: SolutionField, times: Sequence[float], radii: Sequence[float]) -> np.ndarray:
@@ -191,7 +181,7 @@ def window_averages(fld: SolutionField, times: Sequence[float], radii: Sequence[
     """
     cfg = fld.config
     j0 = cfg.center_index
-    rns = [_radius_steps(cfg, radius) for radius in radii]
+    rns = [_grid_steps(radius, cfg.h, "radius") for radius in radii]
     out = np.empty(fld.values.shape[:-2] + (len(times), len(radii)))
     for it, t in enumerate(times):
         n = cfg.time_index(t)
@@ -221,7 +211,7 @@ def first_chaos_weights(cfg: LatticeConfig, t: float, radius: float, kappa: floa
     map the scheme applies to the noise when sigma is constant 1.
     """
     n_t = cfg.time_index(t)
-    rn = _radius_steps(cfg, radius)
+    rn = _grid_steps(radius, cfg.h, "radius")
     j0 = cfg.center_index
     left, right = j0 - rn, j0 + rn  # window node-index ends
     if n_t + rn > j0:
@@ -507,7 +497,8 @@ def _ks_jackknife(columns: list[np.ndarray], normalize: bool, n_groups: int = _J
 
 @dataclass
 class PairStats:
-    """Statistics for one (time, radius) pair."""
+    """Statistics for one (time, radius) pair.  Its fields, in order, follow
+    t_index and r_index in the summary JSON's pair rows."""
 
     t: float
     radius: float
@@ -814,29 +805,7 @@ def summary_to_dict(summary: ExperimentSummary, deterministic: bool = False) -> 
     them); with deterministic=True the volatile fields (wall time) are omitted
     so identical plans produce identical bytes.  Statistics undefined at the
     replica count (SEs at M = 1, say) read None."""
-    rows = []
-    for (it, ir), ps in sorted(summary.stats.items()):
-        rows.append(
-            {
-                "t_index": it,
-                "r_index": ir,
-                "t": ps.t,
-                "radius": ps.radius,
-                "n": ps.n,
-                "mean": ps.mean,
-                "mean_se": ps.mean_se,
-                "variance": ps.variance,
-                "variance_se": ps.variance_se,
-                "scale": ps.scale,
-                "ks": ps.ks,
-                "ks_se": ps.ks_se,
-                "chaos_cov": ps.chaos_cov,
-                "chaos_cov_se": ps.chaos_cov_se,
-                "chaos_var": ps.chaos_var,
-                "chaos_ratio": ps.chaos_ratio,
-                "chaos_ratio_se": ps.chaos_ratio_se,
-            }
-        )
+    rows = [{"t_index": it, "r_index": ir, **asdict(ps)} for (it, ir), ps in sorted(summary.stats.items())]
     time_cov = []
     if len(summary.plan.times) >= 2 and summary.plan.replicas >= 2:
         for ir, r in enumerate(summary.plan.radii):

@@ -30,6 +30,7 @@ from .noise import NoiseSheet, fgn_cell_covariance
 
 __all__ = [
     "KAPPA",
+    "SIGMA_PARAMS",
     "SigmaSpec",
     "LatticeConfig",
     "SolutionField",
@@ -45,16 +46,20 @@ _LATTICE_TOL = 1e-9
 # variance kappa^2 * V must be one quarter of the discrete cone-mass variance
 # V, so kappa = 1/2 for every h and H (calibrate_kernel does the count).
 KAPPA = 0.5
+# The sigma kinds and the names of their params, in order; the names are the
+# keys of a config's [sigma] section.
+SIGMA_PARAMS = {"constant": ("value",), "linear": (), "affine_sine": ("base", "amplitude"),
+                "tabulated": ("knots", "values")}
 
 
 @dataclass(frozen=True)
 class SigmaSpec:
-    """Multiplicative coefficient sigma, one of four kinds.
+    """Multiplicative coefficient sigma, one of the kinds of SIGMA_PARAMS.
 
-    constant: sigma(u) = c            params = (c,)
-    linear: sigma(u) = u              params = ()
-    affine_sine: sigma(u) = a+b sin u params = (a, b)
-    tabulated: piecewise linear       params = (knots, values), clamped outside
+    constant: sigma(u) = value
+    linear: sigma(u) = u
+    affine_sine: sigma(u) = base + amplitude * sin(u)
+    tabulated: piecewise linear through (knots, values), clamped outside
 
     lipschitz is the exact Lipschitz constant of the evaluated function,
     sigma_at_one = sigma(1) decides degeneracy: sigma(1) = 0 forces the field
@@ -65,25 +70,17 @@ class SigmaSpec:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.kind == "constant":
-            if len(self.params) != 1:
-                raise ValueError("constant sigma needs params (c,)")
-        elif self.kind == "linear":
-            if self.params != ():
-                raise ValueError("linear sigma takes no params")
-        elif self.kind == "affine_sine":
-            if len(self.params) != 2:
-                raise ValueError("affine_sine sigma needs params (offset, amplitude)")
-        elif self.kind == "tabulated":
-            if len(self.params) != 2:
-                raise ValueError("tabulated sigma needs params (knots, values)")
+        names = SIGMA_PARAMS.get(self.kind)
+        if names is None:
+            raise ValueError(f"unknown sigma kind {self.kind!r}")
+        if len(self.params) != len(names):
+            raise ValueError(f"{self.kind} sigma needs params ({', '.join(names)})")
+        if self.kind == "tabulated":
             knots, values = self.params
             if len(knots) != len(values) or len(knots) < 2:
                 raise ValueError("tabulated sigma needs >= 2 knot/value pairs")
             if not all(b > a for a, b in zip(knots, knots[1:])):
                 raise ValueError("tabulated knots must be strictly increasing")
-        else:
-            raise ValueError(f"unknown sigma kind {self.kind!r}")
 
     @classmethod
     def constant(cls, c: float) -> "SigmaSpec":

@@ -1,5 +1,5 @@
 """End-to-end command tests: every subcommand exercised through main(argv),
-frozen oracle values on the oracle surface, config parsing round trips, and
+frozen oracle values on the oracle surface, config parsing and rejections, and
 the exit-code contract (0 ok, 1 runtime, 2 config/domain)."""
 
 import dataclasses
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fracwave import analytic, cli, estimators, noise
-from fracwave.cli import _bootstrap_slope_ci, _ols_slope, main, parse_config, serialize_config
+from fracwave.cli import _bootstrap_slope_ci, _ols_slope, main, parse_config
 from fracwave.estimators import (
     functional_cov_check,
     ks_coupled,
@@ -135,13 +135,6 @@ def test_oracle_volterra_frozen_value(capsys):
 # ------------------------------------------------------------ config parsing
 
 
-def test_config_round_trip_identity():
-    rc = parse_config(SMALL_CFG)
-    again = parse_config(serialize_config(rc))
-    assert again == rc
-    assert again.plan.x_half_width == 2.0  # canonicalized, survives the trip
-
-
 def test_config_rejections():
     bad = [
         ("unknown config section", SMALL_CFG + "\n[extra]\nkey = 1\n"),
@@ -256,6 +249,17 @@ def test_rate_guards(tmp_path, capsys):
     code, _, err = _run(capsys, ["rate", path])
     assert code == 2
     assert "100 replicas" in err
+    # a bootstrap of no draws and a negative worker count are usage errors
+    text = text.replace("replicas = 60", "replicas = 150")
+    path = _write_cfg(tmp_path, text, "ok.cfg")
+    for argv in (["--bootstrap", "0"], ["--bootstrap", "-3"], ["--threads", "-5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["rate", path, *argv])
+        assert exc.value.code == 2
+        assert argv[0] in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", path, "--threads", "-1"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("chaos", ["true", "false"])
@@ -350,7 +354,10 @@ def _bootstrap_row_gather(summary, i_time, n_boot, level):
         ks = np.empty(len(plan.radii))
         for ir in range(len(plan.radii)):
             x = resampled[:, ir]
-            ks[ir] = ks_normality(x / x.std(ddof=1)) if ref is None else ks_coupled(x, ref[:, ir])
+            # the summary's KS column divides by the pair's scale: its own SD,
+            # or the oracle's under paper normalization
+            scale = summary.stats[(i_time, ir)].scale if plan.normalization == "paper" else x.std(ddof=1)
+            ks[ir] = ks_normality(x / scale) if ref is None else ks_coupled(x, ref[:, ir])
         slopes[b] = _ols_slope(logr, np.log(ks))
     lo, hi = np.quantile(slopes, [(1 - level) / 2, 1 - (1 - level) / 2])
     return float(lo), float(hi)
@@ -361,8 +368,10 @@ def test_bootstrap_column_gather_equals_row_gather():
         "times = 1.0", "times = 0.5, 1.0").replace("replicas = 60", "replicas = 400")
     chaos_on = run_experiment(parse_config(text).plan, threads=1)
     chaos_off = dataclasses.replace(chaos_on, i1_samples=None)
+    paper = run_experiment(parse_config(text.replace(
+        "seed = 3", "seed = 3\nchaos = false\nnormalization = paper")).plan, threads=1)
     # several levels, so that most of the bootstrap slopes reach a quantile
-    for summary in (chaos_on, chaos_off):
+    for summary in (chaos_on, chaos_off, paper):
         for i_time in (0, 1):
             for level in (0.95, 0.6, 0.3, 0.05):
                 assert _bootstrap_slope_ci(summary, i_time, n_boot=30, level=level) == \
