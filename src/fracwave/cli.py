@@ -38,7 +38,7 @@ import configparser
 import io
 import json
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -130,6 +130,10 @@ def parse_config(text: str) -> RunConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax: {exc}") from exc
+    if cp.defaults():
+        # configparser would copy its keys into every section
+        raise ConfigError(f"[{cp.default_section}] section is not supported: "
+                          f"its keys would apply to every section")
 
     # the keys of [sigma] depend on its kind: _build_sigma checks them
     known = {"experiment": {f.name for f in _PLAN_FIELDS}, "sigma": None, "output": _OUTPUT_KEYS}
@@ -410,8 +414,11 @@ def cmd_rate(args) -> int:
     if plan.replicas < KS_MIN_N:
         raise ConfigError(f"rate study needs at least {KS_MIN_N} replicas for KS distances")
     workers = resolve_threads(_effective_threads(rc, args.threads))
+    # the study reads the last time only: the lattice (t_max, x_half_width)
+    # and every replica's sample there stay the same without the others
+    plan = replace(plan, times=plan.times[-1:])
     summary = run_experiment(plan, threads=workers)
-    i_time = len(plan.times) - 1
+    i_time = 0
     ks, se = _ks_by_radius(summary, i_time, workers)
     slope = _ols_slope(np.log(np.asarray(plan.radii)), np.log(ks))
     lo, hi = _bootstrap_slope_ci(summary, i_time, n_boot=args.bootstrap, workers=workers)

@@ -8,9 +8,14 @@ space-time white noise.  Rows are sampled exactly with the minimal circulant
 tests downstream see the true lattice law, not an approximation.  STREAM
 names the version of the mapping from (seed, replica) to sheets.
 
+A sheet is one replica's (n_time, n_space) masses or a stack of replicas'
+sheets along a leading axis, (B, n_time, n_space); sample_sheet draws a
+stack into one buffer, and each of its sheets holds the bytes of that
+replica's sheet drawn alone.
+
 Contents
 --------
-NoiseSpec, NoiseSheet   lattice geometry + sampled cell masses
+NoiseSpec, NoiseSheet   lattice geometry + sampled cell masses (or a stack)
 fgn_cell_covariance     closed-form cell covariance within one row
 sample_sheet            exact sampler (per-replica counter-based streams)
 region_mass             total mass of an index rectangle
@@ -24,7 +29,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -80,26 +85,45 @@ class NoiseSpec:
 
 @dataclass
 class NoiseSheet:
-    """Sampled cell masses, shape (n_time, n_space), row i = time slab i.
+    """Sampled cell masses, shape (n_time, n_space), row i = time slab i, or
+    a stack of such sheets, shape (B, n_time, n_space), sheet b = masses[b].
 
-    replica identifies the generator substream that produced the sheet; it is
-    None for sheets of external origin (read from a dump, hand-built)."""
+    replica identifies the generator substream that produced the sheet (a
+    tuple of one per sheet for a stack); it is None for sheets of external
+    origin (read from a dump, hand-built)."""
 
     spec: NoiseSpec
     masses: np.ndarray = field(repr=False)
-    replica: Optional[int] = None
+    replica: Union[None, int, tuple[int, ...]] = None
 
     def __post_init__(self):
         expected = (self.spec.n_time, self.spec.n_space)
-        if self.masses.shape != expected:
-            raise ValueError(f"masses shape {self.masses.shape} != {expected}")
+        if self.masses.shape[-2:] != expected or self.masses.ndim not in (2, 3):
+            raise ValueError(f"masses shape {self.masses.shape} != {expected} or a stack of it")
+        if self.stacked and self.replica is not None and len(self.replica) != len(self.masses):
+            raise ValueError(f"{len(self.masses)} stacked sheets need as many replica ids")
 
     @property
-    def ref(self) -> str:
-        """Stable provenance tag: generator seed and substream, or 'external'."""
-        if self.replica is None:
-            return "external"
-        return f"{STREAM}:{self.spec.seed}:{self.replica}"
+    def stacked(self) -> bool:
+        return self.masses.ndim == 3
+
+    @property
+    def ref(self) -> Union[str, tuple[str, ...]]:
+        """Stable provenance tag: generator seed and substream, or 'external';
+        a tuple of one tag per sheet for a stack."""
+        if self.stacked:
+            ids = (None,) * len(self.masses) if self.replica is None else self.replica
+            return tuple(_ref(self.spec.seed, r) for r in ids)
+        return _ref(self.spec.seed, self.replica)
+
+
+def _ref(seed: int, replica: Optional[int]) -> str:
+    return "external" if replica is None else f"{STREAM}:{seed}:{replica}"
+
+
+def _single(sheet: NoiseSheet, what: str) -> None:
+    if sheet.stacked:
+        raise ValueError(f"{what} takes one sheet, not a stack of {len(sheet.masses)}")
 
 
 def fgn_cell_covariance(lag, hurst: float, dx: float):
@@ -177,7 +201,7 @@ def _replica_rng(seed: int, replica: int) -> np.random.Generator:
     return _GENERATOR
 
 
-def sample_sheet(spec: NoiseSpec, replica: int = 0) -> NoiseSheet:
+def sample_sheet(spec: NoiseSpec, replica: Union[int, Sequence[int]] = 0) -> NoiseSheet:
     """Draw one sheet of cell masses; bit-reproducible for fixed (spec, replica).
 
     H = 1/2: cells are iid N(0, dt*dx).  H > 1/2: each row is an exact
@@ -186,28 +210,47 @@ def sample_sheet(spec: NoiseSpec, replica: int = 0) -> NoiseSheet:
     sqrt(lambda)*(z1 + i*z2) are two independent rows with that covariance
     (Davies & Harte 1987, Wood & Chan 1994): rows 2k and 2k+1; the spare
     row of an odd n_time is dropped.
-    """
-    rng = _replica_rng(spec.seed, replica)
-    if spec.hurst == 0.5:
-        z = rng.standard_normal((spec.n_time, spec.n_space))
-        masses = z * np.sqrt(spec.dt * spec.dx)
-        return NoiseSheet(spec=spec, masses=masses, replica=replica)
 
-    embed = 2 * spec.n_space
-    pairs = (spec.n_time + 1) // 2
-    lam = _embedding_spectrum(spec.hurst, embed)
-    scale = np.sqrt(spec.dt) * spec.dx**spec.hurst / np.sqrt(embed)
-    xi = rng.standard_normal((pairs, embed, 2)).view(np.complex128)[..., 0]
-    xi *= np.sqrt(lam) * scale
-    synth = np.fft.fft(xi, axis=1)[:, : spec.n_space]
-    masses = np.empty((2 * pairs, spec.n_space))
-    masses[0::2] = synth.real
-    masses[1::2] = synth.imag
-    return NoiseSheet(spec=spec, masses=masses[: spec.n_time], replica=replica)
+    A sequence of replica ids draws a stack, masses of shape (len(ids),
+    n_time, n_space): each replica's normals go from its own stream into
+    its slab of one buffer, then the whole stack is scaled (and, for
+    H > 1/2, transformed) at once.  Every step is elementwise or row by row,
+    so masses[b] equals, bit for bit, the sheet of ids[b] drawn alone.
+    """
+    single = np.ndim(replica) == 0
+    ids = (int(replica),) if single else tuple(int(r) for r in replica)
+    if not ids:
+        raise ValueError("sample_sheet needs at least one replica id")
+
+    def normals(shape):
+        z = np.empty((len(ids),) + shape)
+        for b, rid in enumerate(ids):
+            _replica_rng(spec.seed, rid).standard_normal(shape, out=z[b])
+        return z
+
+    if spec.hurst == 0.5:
+        masses = normals((spec.n_time, spec.n_space))
+        masses *= np.sqrt(spec.dt * spec.dx)
+    else:
+        embed = 2 * spec.n_space
+        pairs = (spec.n_time + 1) // 2
+        lam = _embedding_spectrum(spec.hurst, embed)
+        scale = np.sqrt(spec.dt) * spec.dx**spec.hurst / np.sqrt(embed)
+        xi = normals((pairs, embed, 2)).view(np.complex128)[..., 0]
+        xi *= np.sqrt(lam) * scale
+        synth = np.fft.fft(xi, axis=-1)[..., : spec.n_space]
+        masses = np.empty((len(ids), 2 * pairs, spec.n_space))
+        masses[:, 0::2] = synth.real
+        masses[:, 1::2] = synth.imag
+        masses = masses[:, : spec.n_time]
+    if single:
+        return NoiseSheet(spec=spec, masses=masses[0], replica=ids[0])
+    return NoiseSheet(spec=spec, masses=masses, replica=ids)
 
 
 def region_mass(sheet: NoiseSheet, rows: tuple[int, int], cols: tuple[int, int]) -> float:
     """Total noise mass of the index rectangle [rows) x [cols)."""
+    _single(sheet, "region_mass")
     r0, r1 = rows
     c0, c1 = cols
     if not (0 <= r0 <= r1 <= sheet.spec.n_time and 0 <= c0 <= c1 <= sheet.spec.n_space):
@@ -221,6 +264,7 @@ def write_sheet(sheet: NoiseSheet, path) -> None:
     The header carries the geometry, then the generator seed, the replica
     (-1 for an external sheet) and the stream version, so a dump keeps its
     provenance tag."""
+    _single(sheet, "write_sheet")
     spec = sheet.spec
     header = _HEADER.pack(
         SHEET_MAGIC, SHEET_VERSION, spec.hurst, spec.dt, spec.dx, spec.n_time, spec.n_space

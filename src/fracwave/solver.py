@@ -13,20 +13,20 @@ its rows exactly.  Matching the resulting variance against one quarter of the
 discrete cone-mass variance fixes kappa = 1/2 for every step size and Hurst
 index: that is KAPPA, and calibrate_kernel performs the count.
 
-solve runs one sheet or a stack of sheets (replica axis first) through the
-same update.  Values outside the shrinking interior cone of the spatial
-window are never defined; they are stored as NaN and never read by the
-recursion.
+solve runs one sheet or a stacked sheet (replica axis first) through the
+same update, written level by level in place.  Values outside the shrinking
+interior cone of the spatial window are never defined; they are stored as
+NaN and never read by the recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
-from .noise import NoiseSheet, fgn_cell_covariance
+from .noise import NoiseSheet, _single, fgn_cell_covariance
 
 __all__ = [
     "KAPPA",
@@ -75,6 +75,8 @@ class SigmaSpec:
             raise ValueError(f"unknown sigma kind {self.kind!r}")
         if len(self.params) != len(names):
             raise ValueError(f"{self.kind} sigma needs params ({', '.join(names)})")
+        if not all(np.isfinite(p).all() for p in self.params):
+            raise ValueError(f"{self.kind} sigma params must be finite, got {self.params}")
         if self.kind == "tabulated":
             knots, values = self.params
             if len(knots) != len(values) or len(knots) < 2:
@@ -114,6 +116,23 @@ class SigmaSpec:
             return a + b * np.sin(u)
         knots, values = self.params
         return np.interp(u, knots, values)
+
+    def times(self, u: np.ndarray, mass: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """sigma(u) * mass, elementwise, written to out: the same floats as
+        the expression, with one temporary at most (tabulated)."""
+        if self.kind == "constant":
+            return np.multiply(self.params[0], mass, out=out)
+        if self.kind == "linear":
+            return np.multiply(u, mass, out=out)
+        if self.kind == "affine_sine":
+            a, b = self.params
+            np.sin(u, out=out)
+            out *= b
+            out += a
+        else:
+            out[...] = self(u)
+        out *= mass
+        return out
 
     @property
     def lipschitz(self) -> float:
@@ -268,57 +287,53 @@ def _check_sheet(config: LatticeConfig, sheet: NoiseSheet) -> None:
         )
 
 
-def solve(
-    config: LatticeConfig,
-    sheets: Union[NoiseSheet, Sequence[NoiseSheet]],
-    sigma: SigmaSpec,
-) -> SolutionField:
+def solve(config: LatticeConfig, sheet: NoiseSheet, sigma: SigmaSpec) -> SolutionField:
     """Run the scheme over the whole lattice, for one sheet or a stack.
 
     The noise attached to node j at level n is the mass of the two cells
     [x_j - h, x_j + h) in time row n, scaled by KAPPA.  sigma is evaluated
     on the previous level (the update stays adapted).
 
-    A sequence of sheets is solved as one stack: the replica axis comes
-    first, values has shape (len(sheets), n_steps + 1, n_nodes) and
-    values[b] is the field driven by sheets[b].  Every update is elementwise
-    along the replica axis, so values[b] equals, bit for bit and NaN for
-    NaN, the values of solving sheets[b] alone.  A single NoiseSheet is a
-    stack of one without the replica axis: values has shape
-    (n_steps + 1, n_nodes).
+    A stacked sheet is solved along its replica axis: values has shape
+    (B, n_steps + 1, n_nodes) and values[b] is the field driven by sheet b.
+    Every update is elementwise along the replica axis, so values[b]
+    equals, bit for bit and NaN for NaN, the values of solving sheet b
+    alone; a single sheet gives values of shape (n_steps + 1, n_nodes).
+
+    The work runs level-major: level n of all replicas is one contiguous
+    row, and each step of the update is one ufunc call over it, written in
+    place in the order u[n, j+1] + u[n, j-1] - u[n-1, j] + sigma * mass,
+    gaps between the replicas' cones included.  The pair masses carry
+    KAPPA (a power of two, so sigma * (KAPPA * mass) rounds as
+    (KAPPA * sigma) * mass) and NaN at the two end nodes, which have no dual
+    cell: level 1 is NaN there, and every node outside the cone reads one
+    outside the cone at the level below, so NaN fills exactly those nodes.
     """
-    single = isinstance(sheets, NoiseSheet)
-    stack = [sheets] if single else list(sheets)
-    if not stack:
-        raise ValueError("solve needs at least one sheet")
+    _check_sheet(config, sheet)
     n_steps, n_nodes = config.n_steps, config.n_nodes
-    # pair[..., n, i] = window mass of node i+1 at row n
-    pair = np.empty((len(stack), n_steps, n_nodes - 2))
-    for b, sheet in enumerate(stack):
-        _check_sheet(config, sheet)
-        w = sheet.masses
-        np.add(w[:n_steps, :-1], w[:n_steps, 1:], out=pair[b])
-    if single:
-        pair = pair[0]
-
-    u = np.full(pair.shape[:-2] + (n_steps + 1, n_nodes), np.nan)
-    u[..., 0, :] = 1.0
-
-    lo, hi = 1, n_nodes - 1  # valid slice [lo, hi) at level 1
-    u[..., 1, lo:hi] = (
-        0.5 * (u[..., 0, lo + 1: hi + 1] + u[..., 0, lo - 1: hi - 1])
-        + KAPPA * sigma(u[..., 0, lo:hi]) * pair[..., 0, lo - 1: hi - 1]
-    )
-    for n in range(1, n_steps):
-        lo, hi = n + 1, n_nodes - 1 - n
-        u[..., n + 1, lo:hi] = (
-            u[..., n, lo + 1: hi + 1]
-            + u[..., n, lo - 1: hi - 1]
-            - u[..., n - 1, lo:hi]
-            + KAPPA * sigma(u[..., n, lo:hi]) * pair[..., n, lo - 1: hi - 1]
-        )
-    noise_ref = sheets.ref if single else tuple(sheet.ref for sheet in stack)
-    return SolutionField(config=config, sigma=sigma, values=u, noise_ref=noise_ref)
+    w = sheet.masses
+    lead = w.shape[:-2]  # () for one sheet, (B,) for a stack
+    # pair[n, ..., j] = KAPPA * mass of node j's dual cell in row n
+    pair = np.empty((n_steps,) + lead + (n_nodes,))
+    pair[..., 0] = pair[..., -1] = np.nan
+    np.add(w[..., :n_steps, :-1], w[..., :n_steps, 1:], out=np.moveaxis(pair, 0, -2)[..., 1:-1])
+    pair *= KAPPA
+    u = np.full((n_steps + 1,) + lead + (n_nodes,), np.nan)
+    u[0] = 1.0
+    # one row per level: replica b's node j sits at b * n_nodes + j
+    flat, mass = u.reshape(n_steps + 1, -1), pair.reshape(n_steps, -1)
+    kick = np.empty(flat.shape[1])
+    for n in range(n_steps):
+        # nodes n+1 .. n_nodes-2-n of every replica, and the gaps between
+        lo, hi = n + 1, flat.shape[1] - 1 - n
+        level = flat[n + 1, lo:hi]
+        np.add(flat[n, lo + 1: hi + 1], flat[n, lo - 1: hi - 1], out=level)
+        if n == 0:
+            level *= 0.5  # the half-sum start: zero initial velocity
+        else:
+            level -= flat[n - 1, lo:hi]
+        level += sigma.times(flat[n, lo:hi], mass[n, lo:hi], kick[: hi - lo])
+    return SolutionField(config=config, sigma=sigma, values=np.moveaxis(u, 0, -2), noise_ref=sheet.ref)
 
 
 def picard_reference(
@@ -344,6 +359,7 @@ def picard_reference(
     list of successive sup-norm differences over the validity cone.
     """
     _check_sheet(config, sheet)
+    _single(sheet, "picard_reference")
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
     n_steps, n_nodes = config.n_steps, config.n_nodes

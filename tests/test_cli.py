@@ -143,6 +143,12 @@ def test_config_rejections():
         ("does not apply", SMALL_CFG.replace("kind = linear", "kind = linear\nvalue = 2.0")),
         ("unknown sigma kind", SMALL_CFG.replace("kind = linear", "kind = cubic")),
         ("boolean", SMALL_CFG.replace("seed = 3", "seed = 3\nchaos = maybe")),
+        ("finite", SMALL_CFG.replace("kind = linear", "kind = constant\nvalue = nan")),
+        ("finite", SMALL_CFG.replace("kind = linear", "kind = constant\nvalue = inf")),
+        ("finite", SMALL_CFG.replace("kind = linear", "kind = affine_sine\namplitude = -inf")),
+        ("finite", SMALL_CFG.replace(
+            "kind = linear", "kind = tabulated\nknots = -1, 0, 1\nvalues = 0, nan, 2")),
+        ("DEFAULT", "[DEFAULT]\nseed = 4\n" + SMALL_CFG),
     ]
     from fracwave.cli import ConfigError
     for fragment, text in bad:
@@ -430,7 +436,7 @@ def test_rate_reaches_the_traced_seams(tmp_path, capsys, monkeypatch):
     path = _write_cfg(tmp_path, text)
     code, _, _ = _run(capsys, ["rate", path, "--bootstrap", "5", "--threads", "1"])
     assert code == 0
-    assert calls["fracwave.estimators.ks_normality"] >= 2 * 3  # once per (t, R) pair
+    assert calls["fracwave.estimators.ks_normality"] == 3  # once per radius, at the last time
     assert calls["fracwave.cli.ks_normality"] == 5 * 3  # chaos-off bootstrap
     assert calls["fracwave.cli.run_experiment"] == 1
     assert calls["fracwave.noise._replica_rng"] == 150  # once per replica

@@ -89,10 +89,11 @@ def _same_float(a, b):
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
-@pytest.mark.parametrize("n", [100, 127, 128, 1000, 4096, 8191, 8192, 8193, 12_800, 29_700, 30_000, 40_000])
+@pytest.mark.parametrize("n", [100, 127, 128, 1000, 4095, 4096, 4097, 8191, 8192, 8193, 12_800, 29_700,
+                               30_000, 40_000])
 def test_ks_normality_equals_full_formula(n):
-    # sizes below and above the pruning threshold, multiples of the 64-point
-    # block and not; ties, skew and heavy tails move the sup around
+    # sizes below and above the pruning threshold, multiples of the block
+    # and not; ties, skew and heavy tails move the sup around
     rng = np.random.default_rng(n)
     z = rng.standard_normal(n)
     samples = {
@@ -117,12 +118,20 @@ def test_ks_normality_equals_full_formula(n):
 
 def test_ks_normality_equals_full_formula_randomized():
     rng = np.random.default_rng(12)
-    for _ in range(60):
-        n = int(rng.integers(estimators._KS_PRUNE_MIN, 40_000))
+
+    def check(n):
         x = rng.standard_normal(n) * rng.uniform(0.9, 1.1) + rng.uniform(-0.05, 0.05)
         if rng.random() < 0.5:
             x = np.round(x, int(rng.integers(1, 4)))
-        assert ks_normality(x) == _ks_full(x)
+        assert ks_normality(x) == _ks_full(x), n
+
+    for _ in range(60):
+        check(int(rng.integers(estimators._KS_PRUNE_MIN, 40_000)))
+    # sizes at the block edges: n = 0, 1 and block - 1 mod block
+    block = estimators._KS_BLOCK
+    for k in (estimators._KS_PRUNE_MIN // block + 1, 400, 1250):
+        for r in (0, 1, block - 1):
+            check(k * block + r)
 
 
 def test_ks_critical_value():
@@ -392,10 +401,10 @@ def test_chunk_calls_the_traced_seams(monkeypatch):
     res = run_replica_chunk(plan, range(40))
     assert res.g.tobytes() == expected.g.tobytes()
     assert res.i1.tobytes() == expected.i1.tobytes()
-    assert calls["sample_sheet"] == calls["_replica_rng"] == 40
-    assert calls["solve"] == 1  # 40 of these lattices fit one stack
+    assert calls["_replica_rng"] == 40  # one re-key per replica
+    assert calls["sample_sheet"] == calls["solve"] == 1  # 40 of these lattices fit one stack
     assert calls["first_chaos_weights"] == len(plan.times) * len(plan.radii)
-    assert calls["_embedding_spectrum"] == [2 * plan.lattice().n_cells] * 40
+    assert calls["_embedding_spectrum"] == [2 * plan.lattice().n_cells]  # once per stack
 
     counted(estimators, "merge_chunks", record=len)
     summary = run_experiment(plan, threads=1)

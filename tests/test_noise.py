@@ -156,6 +156,42 @@ def test_interleaved_sheets_equal_fresh_draws(monkeypatch):
         assert masses.tobytes() == sample_sheet(specs[which], replica=replica).masses.tobytes()
 
 
+@pytest.mark.parametrize("hurst", [0.5, 0.75])
+@pytest.mark.parametrize("n_time", [8, 7])
+def test_stacked_sheets_equal_single_draws(hurst, n_time, monkeypatch):
+    # one call draws a stack into one buffer, one re-key per replica; each
+    # sheet of the stack must carry the bytes of that replica drawn alone
+    spec = NoiseSpec(hurst=hurst, dt=0.125, dx=0.125, n_time=n_time, n_space=40, seed=41)
+    ids = [5, 0, 9, 5]
+    keys = []
+    rng = noise._replica_rng
+    monkeypatch.setattr(noise, "_replica_rng", lambda seed, r: keys.append(r) or rng(seed, r))
+    stack = sample_sheet(spec, np.array(ids))
+    assert keys == ids
+    assert stack.stacked and stack.masses.shape == (4, n_time, 40)
+    assert stack.replica == tuple(ids)
+    assert stack.ref == tuple(f"{STREAM}:41:{r}" for r in ids)
+    for b, rid in enumerate(ids):
+        alone = sample_sheet(spec, replica=rid)
+        assert not alone.stacked and alone.replica == rid
+        assert stack.masses[b].tobytes() == alone.masses.tobytes()
+    assert sample_sheet(spec, [9]).masses.shape == (1, n_time, 40)
+    with pytest.raises(ValueError, match="at least one replica"):
+        sample_sheet(spec, [])
+
+
+def test_stacks_are_refused_where_one_sheet_is_meant(tmp_path):
+    spec = NoiseSpec(hurst=0.5, dt=0.1, dx=0.1, n_time=3, n_space=5)
+    stack = sample_sheet(spec, [0, 1])
+    with pytest.raises(ValueError, match="not a stack"):
+        write_sheet(stack, tmp_path / "stack.bin")
+    with pytest.raises(ValueError, match="not a stack"):
+        region_mass(stack, (0, 1), (0, 1))
+    with pytest.raises(ValueError, match="replica ids"):
+        NoiseSheet(spec=spec, masses=stack.masses, replica=(0,))
+    assert NoiseSheet(spec=spec, masses=stack.masses).ref == ("external", "external")
+
+
 def test_white_case_empirical_moments():
     spec = NoiseSpec(hurst=0.5, dt=0.25, dx=0.5, n_time=4000, n_space=16, seed=9)
     sheet = sample_sheet(spec)
@@ -275,3 +311,5 @@ def test_sheet_shape_validation():
     spec = NoiseSpec(hurst=0.6, dt=0.1, dx=0.1, n_time=3, n_space=5)
     with pytest.raises(ValueError, match="shape"):
         NoiseSheet(spec=spec, masses=np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="shape"):
+        NoiseSheet(spec=spec, masses=np.zeros((1, 2, 3, 5)))

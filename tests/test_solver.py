@@ -217,23 +217,31 @@ def test_cone_locality_bit_equality():
     SigmaSpec.tabulated([-1.0, 0.0, 2.0], [0.5, 1.0, 0.2]),
 ], ids=lambda s: s.kind)
 def test_batched_solve_matches_single_sheets_bit_for_bit(sigma):
-    # a stack is solved along a leading replica axis; each slice must carry
-    # the bytes of the single-sheet solve, NaN layout outside the cone included
+    # a stacked sheet is solved along its leading replica axis; each slice
+    # must carry the bytes of the single-sheet solve, NaN layout outside the
+    # cone included
     cfg = LatticeConfig(h=0.125, t_max=1.0, x_half_width=3.0)
-    sheets = [_sheet(cfg, hurst=hurst, seed=31, replica=r)
-              for hurst in (0.5, 0.75) for r in range(3)]
-    stacked = solve(cfg, sheets, sigma)
-    assert stacked.values.shape == (len(sheets), cfg.n_steps + 1, cfg.n_nodes)
-    assert stacked.noise_ref == tuple(sheet.ref for sheet in sheets)
-    for b, sheet in enumerate(sheets):
-        alone = solve(cfg, sheet, sigma)
-        assert alone.values.shape == (cfg.n_steps + 1, cfg.n_nodes)
+    singles, masses = [], []
+    for hurst in (0.5, 0.75):
+        sampled = sample_sheet(_sheet(cfg, hurst=hurst, seed=31).spec, [0, 1, 2])
+        stacked = solve(cfg, sampled, sigma)
+        assert stacked.values.shape == (3, cfg.n_steps + 1, cfg.n_nodes)
+        sheets = [_sheet(cfg, hurst=hurst, seed=31, replica=r) for r in range(3)]
+        assert stacked.noise_ref == tuple(sheet.ref for sheet in sheets)
+        for b, sheet in enumerate(sheets):
+            alone = solve(cfg, sheet, sigma)
+            assert alone.values.shape == (cfg.n_steps + 1, cfg.n_nodes)
+            assert stacked.values[b].tobytes() == alone.values.tobytes()
+            singles.append(alone)
+            masses.append(sheet.masses)
+        one = solve(cfg, sample_sheet(sampled.spec, [0]), sigma)
+        assert one.values.shape == (1, cfg.n_steps + 1, cfg.n_nodes)
+        assert one.values[0].tobytes() == stacked.values[0].tobytes()
+    # a hand-built stack of sheets of both laws: the law plays no part
+    stacked = solve(cfg, NoiseSheet(spec=sampled.spec, masses=np.stack(masses)), sigma)
+    assert stacked.noise_ref == ("external",) * 6
+    for b, alone in enumerate(singles):
         assert stacked.values[b].tobytes() == alone.values.tobytes()
-    one = solve(cfg, sheets[:1], sigma)
-    assert one.values.shape == (1, cfg.n_steps + 1, cfg.n_nodes)
-    assert one.values[0].tobytes() == stacked.values[0].tobytes()
-    with pytest.raises(ValueError, match="at least one sheet"):
-        solve(cfg, [], sigma)
 
 
 def test_first_step_formula():
