@@ -53,9 +53,9 @@ from .estimators import (
     ks_coupled,
     ks_coupled_se,
     ks_normality,
-    pool_map,
     resolve_threads,
     run_experiment,
+    run_tasks,
     strict_json,
     summary_to_dict,
 )
@@ -327,26 +327,9 @@ def cmd_simulate(args) -> int:
 
 
 def _coupled_ks(summary: ExperimentSummary, i_time: int, i_radius: int) -> tuple[float, float]:
+    """Coupled KS distance of one radius (ks_coupled) and its jackknife SE."""
     x, y = summary.samples(i_time, i_radius), summary.chaos_samples(i_time, i_radius)
     return ks_coupled(x, y), ks_coupled_se(x, y)
-
-
-def _ks_by_radius(summary: ExperimentSummary, i_time: int,
-                  workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """KS ladder over the radii with jackknife SEs.
-
-    With first-chaos samples in the summary the ladder uses the coupled
-    estimator (ks_coupled), whose floor lies far below that of the plain
-    statistic, one radius per pool_map task; without them it reads the
-    plain KS column of the summary.
-    """
-    radii = range(len(summary.plan.radii))
-    if summary.i1_samples is not None:
-        ks, se = zip(*pool_map(_coupled_ks, (summary, i_time), radii, workers))
-        return np.array(ks), np.array(se)
-    ks = np.array([summary.stats[(i_time, ir)].ks for ir in radii])
-    se = np.array([summary.stats[(i_time, ir)].ks_se for ir in radii])
-    return ks, se
 
 
 def _ols_slope(logr: np.ndarray, logk: np.ndarray) -> float:
@@ -364,7 +347,8 @@ def _bootstrap_ks(summary: ExperimentSummary, i_time: int, n_boot: int, radius_i
     i1 = None if summary.i1_samples is None else [
         np.ascontiguousarray(summary.chaos_samples(i_time, ir)) for ir in radius_ids]
     paper = summary.plan.normalization == "paper"
-    scales = [summary.stats[(i_time, ir)].scale for ir in radius_ids]
+    # the pair's scale in the summary's KS column, which may not exist yet
+    scales = [summary.oracle_scale(i_time, ir) if paper else None for ir in radius_ids]
     m = summary.g_samples.shape[0]
     key = np.array([summary.plan.seed, 2**63], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
@@ -380,6 +364,23 @@ def _bootstrap_ks(summary: ExperimentSummary, i_time: int, n_boot: int, radius_i
     return ks
 
 
+def _bootstrap_tasks(n_radii: int, i_time: int, n_boot: int, workers: int) -> list:
+    """The bootstrap as run_tasks tasks: the radii split into one group per
+    worker, each task drawing the whole index stream itself."""
+    groups = np.array_split(range(n_radii), min(workers, n_radii))
+    return [(_bootstrap_ks, (i_time, n_boot, group)) for group in groups]
+
+
+def _slope_ci(radii, tables: list, level: float) -> tuple[float, float]:
+    """Percentile CI of the log-log slope, from the bootstrap tasks' tables
+    of KS distances reassembled into one (n_boot, n_radii) table."""
+    ks = np.concatenate(tables, axis=1)
+    logr = np.log(np.asarray(radii))
+    slopes = np.array([_ols_slope(logr, np.log(row)) for row in ks])
+    lo, hi = np.quantile(slopes, [(1 - level) / 2, 1 - (1 - level) / 2])
+    return float(lo), float(hi)
+
+
 def _bootstrap_slope_ci(
     summary: ExperimentSummary, i_time: int, n_boot: int = 200, level: float = 0.95,
     workers: int = 1,
@@ -389,21 +390,15 @@ def _bootstrap_slope_ci(
     Resampling is shared across radii (samples are coupled through common
     replicas), seeded from the plan for reproducibility.  With first-chaos
     samples present, each replica's (G, I1) pair is resampled jointly and the
-    statistic is ks_coupled, as in _ks_by_radius; otherwise it is the plain
+    statistic is ks_coupled, as in the rate ladder; otherwise it is the plain
     KS distance of the resample divided, as the summary's KS column is, by
     its own SD or, under paper normalization, by the pair's oracle scale.
-    The radii are split into one task per worker (pool_map); each task draws
-    the whole index stream itself, and the slopes and quantiles are taken
-    here from the reassembled (n_boot, n_radii) table, so the worker count
-    does not change a bit.
+    The tasks of _bootstrap_tasks run through run_tasks, and the slopes and
+    quantiles are taken here from the reassembled table, so the worker count
+    does not change a bit.  cmd_rate runs the same tasks inside summarize.
     """
-    n_radii = len(summary.plan.radii)
-    groups = np.array_split(range(n_radii), min(workers, n_radii))
-    ks = np.concatenate(pool_map(_bootstrap_ks, (summary, i_time, n_boot), groups, workers), axis=1)
-    logr = np.log(np.asarray(summary.plan.radii))
-    slopes = np.array([_ols_slope(logr, np.log(row)) for row in ks])
-    lo, hi = np.quantile(slopes, [(1 - level) / 2, 1 - (1 - level) / 2])
-    return float(lo), float(hi)
+    tasks = _bootstrap_tasks(len(summary.plan.radii), i_time, n_boot, workers)
+    return _slope_ci(summary.plan.radii, run_tasks(summary, tasks, workers), level)
 
 
 def cmd_rate(args) -> int:
@@ -417,11 +412,22 @@ def cmd_rate(args) -> int:
     # the study reads the last time only: the lattice (t_max, x_half_width)
     # and every replica's sample there stay the same without the others
     plan = replace(plan, times=plan.times[-1:])
-    summary = run_experiment(plan, threads=workers)
     i_time = 0
-    ks, se = _ks_by_radius(summary, i_time, workers)
+    radii = range(len(plan.radii))
+    # the statistics pass: bootstrap groups, then (with first-chaos samples)
+    # the coupled ladder, whose floor lies far below that of the plain KS
+    # column, one radius per task; summarize runs them with its pair tasks
+    boot = _bootstrap_tasks(len(plan.radii), i_time, args.bootstrap, workers)
+    ladder = [(_coupled_ks, (i_time, ir)) for ir in radii] if plan.chaos else []
+    summary = run_experiment(plan, threads=workers, tasks=boot + ladder)
+    tables, coupled = summary.task_results[: len(boot)], summary.task_results[len(boot):]
+    if coupled:
+        ks, se = map(np.array, zip(*coupled))
+    else:
+        ks = np.array([summary.stats[(i_time, ir)].ks for ir in radii])
+        se = np.array([summary.stats[(i_time, ir)].ks_se for ir in radii])
     slope = _ols_slope(np.log(np.asarray(plan.radii)), np.log(ks))
-    lo, hi = _bootstrap_slope_ci(summary, i_time, n_boot=args.bootstrap, workers=workers)
+    lo, hi = _slope_ci(plan.radii, tables, level=0.95)
     lines = ["R,ks,se"]
     for r, k, s in zip(plan.radii, ks, se):
         lines.append(f"{float(r)!r},{float(k)!r},{float(s)!r}")
@@ -430,7 +436,7 @@ def cmd_rate(args) -> int:
     lines.append(f"# slope_ci_high,{hi!r}")
     lines.append(f"# t,{plan.times[i_time]!r}")
     lines.append(f"# bootstrap,{args.bootstrap}")
-    if summary.i1_samples is not None:
+    if coupled:
         lines.append("# estimator,coupled_first_chaos")
     text = "\n".join(lines) + "\n"
     if args.out:

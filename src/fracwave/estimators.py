@@ -7,8 +7,9 @@ merge into the same summary, byte for byte, because all reductions happen in
 canonical replica order after the merge.  The statistics of each (time,
 radius) pair are one task over the merged samples: with more than one worker
 they too run on a process pool, each reducing its columns in canonical order,
-and come back in pair order.  pool_map is the one pool path: chunks, pair
-tasks, and the rate command's coupled ladder and bootstrap.
+and come back in pair order.  A caller's own statistics over the summary (the
+rate command's coupled ladder and bootstrap) join the pair tasks on that one
+pool.  pool_map is the one pool path: chunks and statistics tasks.
 
 The summary carries raw per-replica samples of the centered spatial average
 and its first-chaos projection, per-pair statistics (variance, normality
@@ -18,6 +19,7 @@ and empirical moment curves read off the window center.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -52,6 +54,7 @@ __all__ = [
     "merge_chunks",
     "summarize",
     "pool_map",
+    "run_tasks",
     "run_experiment",
     "functional_cov_check",
     "FunctionalCovReport",
@@ -210,6 +213,11 @@ def first_chaos_weights(cfg: LatticeConfig, t: float, radius: float, kappa: floa
     Shape (time_index(t), n_cells).  Row m holds, for each cell, kappa * h *
     (trapezoid measure of the window nodes the cell reaches), the exact linear
     map the scheme applies to the noise when sigma is constant 1.
+
+    At propagation depth q = time_index(t) - 1 - m, cell c reaches nodes
+    c - q .. c + 1 + q, so its measure is a difference of two prefix sums
+    of the node weights (1 inside the window, 1/2 at its ends).  The sums
+    are of halves, hence exact, and each row is two slices of one array.
     """
     n_t = cfg.time_index(t)
     rn = _grid_steps(radius, cfg.h, "radius")
@@ -217,17 +225,16 @@ def first_chaos_weights(cfg: LatticeConfig, t: float, radius: float, kappa: floa
     left, right = j0 - rn, j0 + rn  # window node-index ends
     if n_t + rn > j0:
         raise ValueError("window plus horizon exceeds the lattice half width")
-    c = np.arange(cfg.n_cells)
-    weights = np.zeros((n_t, cfg.n_cells))
-    for m in range(n_t):
-        q = n_t - 1 - m  # propagation depth from row m to the observation level
-        a = np.maximum(left, c - q)
-        b = np.minimum(right, c + 1 + q)
-        count = np.clip(b - a + 1, 0, None).astype(np.float64)
-        hit_l = ((c - q <= left) & (left <= c + 1 + q)).astype(np.float64)
-        hit_r = ((c - q <= right) & (right <= c + 1 + q)).astype(np.float64)
-        g = np.where(count > 0, count - 0.5 * (hit_l + hit_r), 0.0)
-        weights[m] = kappa * cfg.h * g
+    # cum[k + n_t] = weight of the nodes below k, for k = -n_t .. n_nodes + n_t
+    w = np.zeros(cfg.n_nodes + 2 * n_t)
+    w[n_t + left: n_t + right + 1] = 1.0
+    w[[n_t + left, n_t + right]] = 0.5
+    cum = np.concatenate([[0.0], np.cumsum(w)])
+    rows = np.lib.stride_tricks.sliding_window_view(cum, cfg.n_cells)  # rows[s] = cum[s:]
+    q = np.arange(n_t - 1, -1, -1)
+    weights = rows[n_t + 2 + q]
+    weights -= rows[n_t - q]
+    weights *= kappa * cfg.h
     return weights
 
 
@@ -374,14 +381,23 @@ class ChunkResult:
     sigma_center: np.ndarray  # (n_ids, n_steps + 1): sigma(u) at the window center
 
 
-def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int]) -> ChunkResult:
+def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int],
+                      buffers: Optional[dict] = None) -> ChunkResult:
     """Solve and reduce the given replicas.  Pure in (plan, ids).
 
     The replicas run in stacks whose solution field fits _BATCH_BYTES: one
     sample_sheet call draws a stack's sheets into one buffer and one solve
     runs them all.  A lattice larger than half of it runs as a stack of one,
     sampled and solved as a single sheet, so that its reductions work on
-    scalars, not length-1 arrays.
+    scalars, not length-1 arrays.  Every stack reuses one set of work
+    buffers (see noise.sample_sheet), allocated for the first (largest)
+    stack; the last, shorter one uses a prefix of them.  A caller that
+    passes its own buffers dict keeps them for its next chunk too: freed
+    between chunks, the memory would go back to the system and fault in
+    again.
+
+    An exception keeps its type and gains the plan digest and the chunk's
+    replica-id range in its message, pooled or not.
     """
     ids = np.asarray(list(replica_ids), dtype=np.int64)
     cfg = plan.lattice()
@@ -392,17 +408,26 @@ def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int]) -> Chunk
     g = np.empty((ids.size, len(plan.times), len(plan.radii)))
     i1 = np.empty_like(g) if plan.chaos else None
     sig_c = np.empty((ids.size, cfg.n_steps + 1))
-    for start in range(0, ids.size, batch):
-        part = ids[start: start + batch]
-        sheet = sample_sheet(spec, int(part[0]) if part.size == 1 else part)
-        fld = solve(cfg, sheet, plan.sigma)
-        rows = slice(start, start + part.size)
-        g[rows] = window_averages(fld, plan.times, plan.radii)
-        sig_c[rows] = plan.sigma(fld.values[..., cfg.center_index])
-        if stacks is not None:
-            masses = sheet.masses.reshape((-1,) + sheet.masses.shape[-2:])
-            for k, sheet_masses in enumerate(masses):
-                i1[start + k] = _chaos_samples(stacks, sheet_masses)
+    buffers = {} if buffers is None else buffers
+    try:
+        for start in range(0, ids.size, batch):
+            part = ids[start: start + batch]
+            sheet = sample_sheet(spec, int(part[0]) if part.size == 1 else part, buffers=buffers)
+            fld = solve(cfg, sheet, plan.sigma, buffers=buffers)
+            rows = slice(start, start + part.size)
+            g[rows] = window_averages(fld, plan.times, plan.radii)
+            sig_c[rows] = plan.sigma(fld.values[..., cfg.center_index])
+            if stacks is not None:
+                masses = sheet.masses.reshape((-1,) + sheet.masses.shape[-2:])
+                for k, sheet_masses in enumerate(masses):
+                    i1[start + k] = _chaos_samples(stacks, sheet_masses)
+    except Exception as exc:
+        where = f"plan {plan_hash(plan)[:12]}, replicas {ids.min()}..{ids.max()}"
+        try:
+            named = type(exc)(f"{exc} [{where}]")
+        except TypeError:  # a type built from more than a message: as it was
+            raise exc from None
+        raise named from exc
     return ChunkResult(replica_ids=ids, g=g, i1=i1, sigma_center=sig_c)
 
 
@@ -534,6 +559,8 @@ class ExperimentSummary:
     curve_mean_se: np.ndarray = field(repr=False, default=None)
     curve_sq_se: np.ndarray = field(repr=False, default=None)
     stats: dict = field(default_factory=dict)  # (i_time, i_radius) -> PairStats
+    # results of the tasks given to summarize, in their order
+    task_results: list = field(repr=False, default_factory=list)
 
     def samples(self, i_time: int, i_radius: int) -> np.ndarray:
         return self.g_samples[:, i_time, i_radius]
@@ -607,13 +634,18 @@ def _pair_stats(summary: ExperimentSummary, pair: tuple[int, int]) -> PairStats:
 
 
 def summarize(plan: ExperimentPlan, merged: ChunkResult, wall_seconds: float,
-              workers: int = 1) -> ExperimentSummary:
+              workers: int = 1, tasks: Sequence = ()) -> ExperimentSummary:
     """Build the summary from merged chunks.  All reductions run in canonical
     (sorted replica id) order, so the result is chunking-independent.  The
     pair statistics run as one task per (time, radius) pair through
-    pool_map on `workers` processes; each task reads its columns of the
+    run_tasks on `workers` processes; each task reads its columns of the
     (M, n_times, n_radii) sample block with the strides they have here, so
-    the worker count does not change a bit."""
+    the worker count does not change a bit.
+
+    tasks are further (fn, args) statistics of the summary, fn(summary,
+    *args), that need no pair statistics.  They run on the same pool, ahead
+    of the pair tasks, so a caller lists them longest first; their results
+    are summary.task_results, in order."""
     order = np.argsort(merged.replica_ids, kind="stable")
     ids = merged.replica_ids[order]
     if ids.size != plan.replicas or not np.array_equal(ids, np.arange(plan.replicas)):
@@ -643,12 +675,16 @@ def summarize(plan: ExperimentPlan, merged: ChunkResult, wall_seconds: float,
         curve_sq_se=curve_sq_se,
     )
     pairs = [(it, ir) for it in range(len(plan.times)) for ir in range(len(plan.radii))]
-    summary.stats = dict(zip(pairs, pool_map(_pair_stats, (summary,), pairs, workers)))
+    tasks = list(tasks)
+    results = run_tasks(summary, tasks + [(_pair_stats, (pair,)) for pair in pairs], workers)
+    summary.task_results = results[: len(tasks)]
+    summary.stats = dict(zip(pairs, results[len(tasks):]))
     return summary
 
 
 def resolve_threads(threads: Optional[int] = None) -> int:
-    """Explicit argument, else FRACWAVE_THREADS, else one per CPU."""
+    """Explicit argument, else FRACWAVE_THREADS, else one per CPU.  0 means
+    auto; a FRACWAVE_THREADS that is no integer >= 0 raises ValueError."""
     if threads is not None and threads > 0:
         return threads
     env = os.environ.get("FRACWAVE_THREADS", "").strip()
@@ -657,6 +693,8 @@ def resolve_threads(threads: Optional[int] = None) -> int:
             val = int(env)
         except ValueError as exc:
             raise ValueError(f"FRACWAVE_THREADS must be an integer, got {env!r}") from exc
+        if val < 0:
+            raise ValueError(f"FRACWAVE_THREADS must be >= 0 (0 = auto), got {env!r}")
         if val > 0:
             return val
     return os.cpu_count() or 1
@@ -696,20 +734,34 @@ def pool_map(fn, shared: tuple, tasks: Sequence, workers: int) -> list:
         return list(pool.map(_run_task, tasks))
 
 
-def run_experiment(plan: ExperimentPlan, threads: Optional[int] = None) -> ExperimentSummary:
+def _call(summary: ExperimentSummary, task):
+    fn, args = task
+    return fn(summary, *args)
+
+
+def run_tasks(summary: ExperimentSummary, tasks: Sequence, workers: int) -> list:
+    """[fn(summary, *args) for fn, args in tasks], in task order, on one
+    pool_map call: tasks of several kinds share one pool.  Each fn must be a
+    module-level function, since it crosses the pipe by name."""
+    return pool_map(_call, (summary,), tasks, workers)
+
+
+def run_experiment(plan: ExperimentPlan, threads: Optional[int] = None,
+                   tasks: Sequence = ()) -> ExperimentSummary:
     """Run all replicas (chunked, optionally in parallel) and summarize.
 
     Chunks get the plan once per worker and only their id ranges per task.
     The summary is a pure function of the plan: worker count and chunk
-    boundaries do not change a single byte of it.
+    boundaries do not change a single byte of it.  tasks go to summarize.
     """
     start = time.perf_counter()
     workers = resolve_threads(threads)
     ids = [range(i, min(i + _CHUNK, plan.replicas)) for i in range(0, plan.replicas, _CHUNK)]
-    results = pool_map(run_replica_chunk, (plan,), ids, workers)
+    # one buffers dict per process: each worker inherits its own copy
+    results = pool_map(functools.partial(run_replica_chunk, buffers={}), (plan,), ids, workers)
     # a plan of one chunk is too small to pay for a pool for its statistics
     return summarize(plan, merge_chunks(*results), time.perf_counter() - start,
-                     workers if len(ids) > 1 else 1)
+                     workers if len(ids) > 1 else 1, tasks)
 
 
 @dataclass

@@ -11,7 +11,9 @@ names the version of the mapping from (seed, replica) to sheets.
 A sheet is one replica's (n_time, n_space) masses or a stack of replicas'
 sheets along a leading axis, (B, n_time, n_space); sample_sheet draws a
 stack into one buffer, and each of its sheets holds the bytes of that
-replica's sheet drawn alone.
+replica's sheet drawn alone.  Given a dict of work buffers, sample_sheet
+(and solver.solve) carve their arrays from it instead of allocating, so a
+loop over stacks reuses the same memory.
 
 Contents
 --------
@@ -24,6 +26,7 @@ write_sheet, read_sheet binary dump of a sampled sheet
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -121,6 +124,19 @@ def _ref(seed: int, replica: Optional[int]) -> str:
     return "external" if replica is None else f"{STREAM}:{seed}:{replica}"
 
 
+def _buffer(buffers: Optional[dict], name: str, shape: tuple) -> np.ndarray:
+    """Uninitialized float64 array of the given shape.  Without buffers it is
+    fresh; else it is a prefix view of buffers[name], allocated (or grown)
+    to fit, which a later call given the same buffers overwrites."""
+    if buffers is None:
+        return np.empty(shape)
+    size = math.prod(shape)
+    buf = buffers.get(name)
+    if buf is None or buf.size < size:
+        buf = buffers[name] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
 def _single(sheet: NoiseSheet, what: str) -> None:
     if sheet.stacked:
         raise ValueError(f"{what} takes one sheet, not a stack of {len(sheet.masses)}")
@@ -201,7 +217,8 @@ def _replica_rng(seed: int, replica: int) -> np.random.Generator:
     return _GENERATOR
 
 
-def sample_sheet(spec: NoiseSpec, replica: Union[int, Sequence[int]] = 0) -> NoiseSheet:
+def sample_sheet(spec: NoiseSpec, replica: Union[int, Sequence[int]] = 0, *,
+                 buffers: Optional[dict] = None) -> NoiseSheet:
     """Draw one sheet of cell masses; bit-reproducible for fixed (spec, replica).
 
     H = 1/2: cells are iid N(0, dt*dx).  H > 1/2: each row is an exact
@@ -216,6 +233,10 @@ def sample_sheet(spec: NoiseSpec, replica: Union[int, Sequence[int]] = 0) -> Noi
     its slab of one buffer, then the whole stack is scaled (and, for
     H > 1/2, transformed) at once.  Every step is elementwise or row by row,
     so masses[b] equals, bit for bit, the sheet of ids[b] drawn alone.
+
+    buffers, a dict, holds the normals and the masses between calls: the
+    sheet's masses are then a view into it, valid until the next call given
+    the same dict.  Without it every call allocates afresh.
     """
     single = np.ndim(replica) == 0
     ids = (int(replica),) if single else tuple(int(r) for r in replica)
@@ -223,7 +244,7 @@ def sample_sheet(spec: NoiseSpec, replica: Union[int, Sequence[int]] = 0) -> Noi
         raise ValueError("sample_sheet needs at least one replica id")
 
     def normals(shape):
-        z = np.empty((len(ids),) + shape)
+        z = _buffer(buffers, "normals", (len(ids),) + shape)
         for b, rid in enumerate(ids):
             _replica_rng(spec.seed, rid).standard_normal(shape, out=z[b])
         return z
@@ -239,7 +260,7 @@ def sample_sheet(spec: NoiseSpec, replica: Union[int, Sequence[int]] = 0) -> Noi
         xi = normals((pairs, embed, 2)).view(np.complex128)[..., 0]
         xi *= np.sqrt(lam) * scale
         synth = np.fft.fft(xi, axis=-1)[..., : spec.n_space]
-        masses = np.empty((len(ids), 2 * pairs, spec.n_space))
+        masses = _buffer(buffers, "masses", (len(ids), 2 * pairs, spec.n_space))
         masses[:, 0::2] = synth.real
         masses[:, 1::2] = synth.imag
         masses = masses[:, : spec.n_time]

@@ -22,11 +22,11 @@ NaN and never read by the recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .noise import NoiseSheet, _single, fgn_cell_covariance
+from .noise import NoiseSheet, _buffer, _single, fgn_cell_covariance
 
 __all__ = [
     "KAPPA",
@@ -223,12 +223,18 @@ class SolutionField:
     A field solved from a stack of sheets has a leading replica axis
     (values[b] is replica b) and one noise_ref tag per sheet.  NaN marks
     nodes outside the interior validity cone (the window shrinks by one node
-    per side per step)."""
+    per side per step).  sheet is the driving noise, None if unknown."""
 
     config: LatticeConfig
     sigma: SigmaSpec
     values: np.ndarray = field(repr=False)
-    noise_ref: Union[str, tuple[str, ...]] = "external"
+    sheet: Optional[NoiseSheet] = field(default=None, repr=False)
+
+    @property
+    def noise_ref(self) -> Union[str, tuple[str, ...]]:
+        """Provenance tag of the driving noise (NoiseSheet.ref), built when
+        read: 'external' without a sheet."""
+        return "external" if self.sheet is None else self.sheet.ref
 
     def valid_bounds(self, level: int) -> tuple[int, int]:
         """Inclusive node-index range valid at a time level."""
@@ -287,7 +293,8 @@ def _check_sheet(config: LatticeConfig, sheet: NoiseSheet) -> None:
         )
 
 
-def solve(config: LatticeConfig, sheet: NoiseSheet, sigma: SigmaSpec) -> SolutionField:
+def solve(config: LatticeConfig, sheet: NoiseSheet, sigma: SigmaSpec, *,
+          buffers: Optional[dict] = None) -> SolutionField:
     """Run the scheme over the whole lattice, for one sheet or a stack.
 
     The noise attached to node j at level n is the mass of the two cells
@@ -307,25 +314,33 @@ def solve(config: LatticeConfig, sheet: NoiseSheet, sigma: SigmaSpec) -> Solutio
     KAPPA (a power of two, so sigma * (KAPPA * mass) rounds as
     (KAPPA * sigma) * mass) and NaN at the two end nodes, which have no dual
     cell: level 1 is NaN there, and every node outside the cone reads one
-    outside the cone at the level below, so NaN fills exactly those nodes.
+    outside the cone at the level below, so NaN fills exactly those nodes;
+    the nodes of a level row beyond its first and last update (the outer
+    edges of the stack) are set to NaN directly.
+
+    buffers, a dict, holds the pair masses and the values between calls
+    (see noise.sample_sheet): the field's values are then a view into it,
+    valid until the next call given the same dict.  Without it every call
+    allocates afresh.
     """
     _check_sheet(config, sheet)
     n_steps, n_nodes = config.n_steps, config.n_nodes
     w = sheet.masses
     lead = w.shape[:-2]  # () for one sheet, (B,) for a stack
     # pair[n, ..., j] = KAPPA * mass of node j's dual cell in row n
-    pair = np.empty((n_steps,) + lead + (n_nodes,))
+    pair = _buffer(buffers, "pair", (n_steps,) + lead + (n_nodes,))
     pair[..., 0] = pair[..., -1] = np.nan
     np.add(w[..., :n_steps, :-1], w[..., :n_steps, 1:], out=np.moveaxis(pair, 0, -2)[..., 1:-1])
     pair *= KAPPA
-    u = np.full((n_steps + 1,) + lead + (n_nodes,), np.nan)
+    u = _buffer(buffers, "values", (n_steps + 1,) + lead + (n_nodes,))
     u[0] = 1.0
     # one row per level: replica b's node j sits at b * n_nodes + j
     flat, mass = u.reshape(n_steps + 1, -1), pair.reshape(n_steps, -1)
-    kick = np.empty(flat.shape[1])
+    kick = _buffer(buffers, "kick", (flat.shape[1],))
     for n in range(n_steps):
         # nodes n+1 .. n_nodes-2-n of every replica, and the gaps between
         lo, hi = n + 1, flat.shape[1] - 1 - n
+        flat[n + 1, :lo] = flat[n + 1, hi:] = np.nan
         level = flat[n + 1, lo:hi]
         np.add(flat[n, lo + 1: hi + 1], flat[n, lo - 1: hi - 1], out=level)
         if n == 0:
@@ -333,7 +348,7 @@ def solve(config: LatticeConfig, sheet: NoiseSheet, sigma: SigmaSpec) -> Solutio
         else:
             level -= flat[n - 1, lo:hi]
         level += sigma.times(flat[n, lo:hi], mass[n, lo:hi], kick[: hi - lo])
-    return SolutionField(config=config, sigma=sigma, values=np.moveaxis(u, 0, -2), noise_ref=sheet.ref)
+    return SolutionField(config=config, sigma=sigma, values=np.moveaxis(u, 0, -2), sheet=sheet)
 
 
 def picard_reference(
@@ -390,7 +405,7 @@ def picard_reference(
         diffs.append(float(np.nanmax(np.abs(nxt - u))))
         u = nxt
 
-    fld = SolutionField(config=config, sigma=sigma, values=u, noise_ref=sheet.ref)
+    fld = SolutionField(config=config, sigma=sigma, values=u, sheet=sheet)
     if return_diffs:
         return fld, diffs
     return fld

@@ -402,6 +402,29 @@ def test_rate_threads_do_not_change_a_byte(tmp_path, capsys, chaos):
     assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
+@pytest.mark.parametrize("chaos", ["false", "true"])
+def test_rate_starts_two_pools(tmp_path, capsys, monkeypatch, chaos):
+    # one pool for the chunks, one for the statistics pass: pair
+    # statistics, coupled ladder and bootstrap groups share it
+    import concurrent.futures
+
+    started = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    text = SMALL_CFG.replace("radii = 1.0", "radii = 1.0, 2.0, 4.0").replace(
+        "replicas = 60", f"replicas = 600\nchaos = {chaos}")
+    path = _write_cfg(tmp_path, text)
+    code, out, err = _run(capsys, ["rate", path, "--bootstrap", "10", "--threads", "2"])
+    assert code == 0, err
+    assert started == [2, 2]
+    code, serial, _ = _run(capsys, ["rate", path, "--bootstrap", "10", "--threads", "1"])
+    assert code == 0 and serial == out and len(started) == 2
+
+
 def test_bootstrap_split_over_workers_is_exact():
     text = SMALL_CFG.replace("radii = 1.0", "radii = 1.0, 2.0, 4.0").replace(
         "replicas = 60", "replicas = 300")
@@ -440,6 +463,30 @@ def test_rate_reaches_the_traced_seams(tmp_path, capsys, monkeypatch):
     assert calls["fracwave.cli.ks_normality"] == 5 * 3  # chaos-off bootstrap
     assert calls["fracwave.cli.run_experiment"] == 1
     assert calls["fracwave.noise._replica_rng"] == 150  # once per replica
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_worker_failure_names_plan_and_replicas(tmp_path, capsys, monkeypatch, threads):
+    # an exception inside a chunk keeps its type and names the plan digest
+    # and the chunk's replica ids, whether the chunk ran here or on the pool
+    solve = estimators.solve
+    failure = [ValueError("solver failed")]
+
+    def failing(config, sheet, sigma, **kwargs):
+        if 300 in np.atleast_1d(sheet.replica):
+            raise failure[0]
+        return solve(config, sheet, sigma, **kwargs)
+    monkeypatch.setattr(estimators, "solve", failing)
+    text = SMALL_CFG.replace("replicas = 60", "replicas = 600")
+    plan = parse_config(text).plan
+    where = f"[plan {estimators.plan_hash(plan)[:12]}, replicas 256..511]"
+    code, _, err = _run(capsys, ["simulate", _write_cfg(tmp_path, text), "--threads", str(threads)])
+    assert code == 1
+    assert f"error: solver failed {where}" in err
+    failure[0] = noise.EmbeddingError("negative spectral mass")
+    with pytest.raises(noise.EmbeddingError) as exc:
+        run_experiment(plan, threads=threads)
+    assert str(exc.value) == f"negative spectral mass {where}"
 
 
 # ------------------------------------------------------------ funcclt

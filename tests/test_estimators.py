@@ -4,6 +4,7 @@ statistics against the analytic module on small ensembles."""
 
 import json
 import math
+import os
 import warnings
 from dataclasses import replace
 
@@ -374,6 +375,66 @@ def test_chunk_reductions_equal_per_replica_reductions(ids):
         assert res.g[k].tobytes() == window_averages(fld, plan.times, plan.radii).tobytes()
 
 
+@pytest.mark.parametrize("lattice", ["rate", "wide"])
+def test_chunk_stacks_share_one_buffer(lattice, monkeypatch):
+    # a chunk's stacks differ in size (100, 100, 56 on the 9 x 145-node rate
+    # lattice; stacks of one on 33 x 2113 nodes) yet go through one set of
+    # buffers; every row must keep the bytes of a fresh per-sheet solve
+    if lattice == "rate":
+        plan = ExperimentPlan(hurst=0.5, sigma=SigmaSpec.affine_sine(1.0, 0.5), h=0.125,
+                              times=(0.5, 1.0), radii=(1.0, 2.0, 4.0, 8.0), replicas=256, seed=5)
+        ids, sizes = range(256), [100, 100, 56]
+    else:
+        plan = ExperimentPlan(hurst=0.75, sigma=SigmaSpec.linear(), h=1 / 32, times=(0.5, 1.0),
+                              radii=(8.0, 16.0, 32.0), replicas=3, seed=5)
+        ids, sizes = range(3), [1, 1, 1]
+    cfg = plan.lattice()
+    assert (cfg.n_steps + 1, cfg.n_nodes) == ((9, 145) if lattice == "rate" else (33, 2113))
+    seen = []
+    solve_ = estimators.solve
+
+    def recorded(config, sheet, sigma, **kwargs):
+        fld = solve_(config, sheet, sigma, **kwargs)
+        seen.append((sheet.masses.reshape((-1,) + sheet.masses.shape[-2:]).shape[0],
+                     sheet.masses.__array_interface__["data"][0],
+                     fld.values.__array_interface__["data"][0]))
+        return fld
+    monkeypatch.setattr(estimators, "solve", recorded)
+    res = run_replica_chunk(plan, ids)
+    assert [size for size, _, _ in seen] == sizes
+    assert len({addr for _, addr, _ in seen}) == len({addr for _, _, addr in seen}) == 1
+    stacks = estimators._chaos_stacks(cfg, plan.times, plan.radii)
+    for k in ids:
+        sheet = sample_sheet(plan.noise_spec(), replica=k)
+        fld = solve_(cfg, sheet, plan.sigma)
+        assert res.g[k].tobytes() == window_averages(fld, plan.times, plan.radii).tobytes()
+        assert res.sigma_center[k].tobytes() == plan.sigma(fld.values[:, cfg.center_index]).tobytes()
+        assert res.i1[k].tobytes() == estimators._chaos_samples(stacks, sheet.masses).tobytes()
+    # a buffers dict the caller keeps serves its next chunk, bytes unchanged
+    buffers = {}
+    again = [run_replica_chunk(plan, ids, buffers=buffers) for _ in range(2)]
+    for other in again:
+        assert other.g.tobytes() == res.g.tobytes() and other.i1.tobytes() == res.i1.tobytes()
+        assert other.sigma_center.tobytes() == res.sigma_center.tobytes()
+
+
+def test_run_experiment_keeps_one_buffer_across_chunks(monkeypatch):
+    # the chunks of a run share one buffers dict per process, so the
+    # memory of one chunk's stacks serves the next instead of faulting in
+    plan = _rate_plan(replicas=2 * estimators._CHUNK + 1)
+    addresses = []
+    solve_ = estimators.solve
+
+    def recorded(*args, **kwargs):
+        fld = solve_(*args, **kwargs)
+        addresses.append(fld.values.__array_interface__["data"][0])
+        return fld
+    monkeypatch.setattr(estimators, "solve", recorded)
+    summary = run_experiment(plan, threads=1)
+    assert len(addresses) == 3 and len(set(addresses)) == 1
+    assert summary.g_samples.tobytes() == run_replica_chunk(plan, range(plan.replicas)).g.tobytes()
+
+
 def test_chunk_calls_the_traced_seams(monkeypatch):
     # the benchmark trace wraps these module attributes; a chunk that stops
     # calling them through the module would leave its spans empty
@@ -423,6 +484,44 @@ def test_first_chaos_weights_shape_and_plateau():
     assert w[3].max() == pytest.approx(2.0 * 0.5 * 0.25)
     # deeper rows reach wider cell spans
     assert np.count_nonzero(w[0]) > np.count_nonzero(w[3])
+
+
+def _chaos_weights_by_row(cfg, t, radius, kappa):
+    # first_chaos_weights as a loop over rows, one propagation depth each
+    n_t = cfg.time_index(t)
+    rn = int(round(radius / cfg.h))
+    left, right = cfg.center_index - rn, cfg.center_index + rn
+    c = np.arange(cfg.n_cells)
+    weights = np.zeros((n_t, cfg.n_cells))
+    for m in range(n_t):
+        q = n_t - 1 - m
+        a = np.maximum(left, c - q)
+        b = np.minimum(right, c + 1 + q)
+        count = np.clip(b - a + 1, 0, None).astype(np.float64)
+        hit_l = ((c - q <= left) & (left <= c + 1 + q)).astype(np.float64)
+        hit_r = ((c - q <= right) & (right <= c + 1 + q)).astype(np.float64)
+        g = np.where(count > 0, count - 0.5 * (hit_l + hit_r), 0.0)
+        weights[m] = kappa * cfg.h * g
+    return weights
+
+
+@pytest.mark.parametrize("h, times, radii, x_half_width", [
+    # by default the last time's largest window reaches the lattice ends
+    (0.25, (0.25, 1.0), (1.0, 2.0), None),
+    (0.125, (0.5, 1.0), (1.0, 2.0, 4.0, 8.0), None),
+    (1 / 32, (0.5, 1.0), (8.0, 16.0, 32.0), None),
+    (0.1, (0.3, 0.7), (0.2, 1.1), 1.8),  # window plus horizon is the half width
+    (0.5, (0.5, 2.0), (0.5, 1.0), 5.0),  # every window stays clear of the ends
+])
+def test_first_chaos_weights_equal_row_loop(h, times, radii, x_half_width):
+    plan = ExperimentPlan(hurst=0.5, sigma=SigmaSpec.linear(), h=h, times=times, radii=radii,
+                          replicas=1, seed=0, x_half_width=x_half_width)
+    cfg = plan.lattice()
+    for t in times:
+        for r in radii:
+            want = _chaos_weights_by_row(cfg, t, r, 0.5)
+            got = first_chaos_weights(cfg, t, r, 0.5)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_chaos_variance_matches_analytic(white_linear_summary):
@@ -744,6 +843,13 @@ def test_resolve_threads_env(monkeypatch):
     monkeypatch.setenv("FRACWAVE_THREADS", "bogus")
     with pytest.raises(ValueError):
         resolve_threads(None)
+    monkeypatch.setenv("FRACWAVE_THREADS", "0")  # auto
+    assert resolve_threads(None) == (os.cpu_count() or 1)
+    for negative in ("-1", "-3"):
+        monkeypatch.setenv("FRACWAVE_THREADS", negative)
+        with pytest.raises(ValueError, match="FRACWAVE_THREADS must be >= 0"):
+            resolve_threads(None)
+    assert resolve_threads(2) == 2  # an explicit count does not read it
     monkeypatch.delenv("FRACWAVE_THREADS")
     assert resolve_threads(None) >= 1
 

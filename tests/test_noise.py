@@ -180,6 +180,39 @@ def test_stacked_sheets_equal_single_draws(hurst, n_time, monkeypatch):
         sample_sheet(spec, [])
 
 
+@pytest.mark.parametrize("hurst", [0.5, 0.75])
+@pytest.mark.parametrize("n_time", [8, 7])
+def test_buffered_stacks_equal_fresh_draws(hurst, n_time):
+    # stacks of several sizes drawn through one buffers dict: each sheet
+    # keeps the bytes of its replica drawn alone, and the dict is filled
+    # once, by the first (largest) stack, until a larger stack grows it
+    spec = NoiseSpec(hurst=hurst, dt=0.125, dx=0.125, n_time=n_time, n_space=40, seed=41)
+    buffers = {}
+    first = None
+    for ids in ([3, 1, 4], [1, 5, 9], [2, 6], [5], [8, 0, 2, 7]):
+        stack = sample_sheet(spec, ids if len(ids) > 1 else ids[0], buffers=buffers)
+        if first is None:
+            first = {name: buf for name, buf in buffers.items()}
+        grown = [name for name, buf in first.items() if buffers[name] is not buf]
+        assert grown == ([] if len(ids) <= 3 else list(first))
+        masses = stack.masses.reshape((-1, n_time, 40))
+        assert any(np.shares_memory(stack.masses, buf) for buf in buffers.values())
+        for b, rid in enumerate(ids):
+            assert masses[b].tobytes() == sample_sheet(spec, replica=rid).masses.tobytes()
+    assert set(first) == ({"normals"} if hurst == 0.5 else {"normals", "masses"})
+
+
+def test_unbuffered_draws_never_alias():
+    for hurst in (0.5, 0.75):
+        spec = NoiseSpec(hurst=hurst, dt=0.125, dx=0.125, n_time=7, n_space=40, seed=41)
+        buffered = sample_sheet(spec, [0, 1], buffers={})
+        drawn = [buffered, sample_sheet(spec, [0, 1]), sample_sheet(spec, [0, 1]),
+                 sample_sheet(spec, 0), sample_sheet(spec, 0)]
+        for i, a in enumerate(drawn):
+            for b in drawn[i + 1:]:
+                assert not np.shares_memory(a.masses, b.masses)
+
+
 def test_stacks_are_refused_where_one_sheet_is_meant(tmp_path):
     spec = NoiseSpec(hurst=0.5, dt=0.1, dx=0.1, n_time=3, n_space=5)
     stack = sample_sheet(spec, [0, 1])

@@ -244,6 +244,42 @@ def test_batched_solve_matches_single_sheets_bit_for_bit(sigma):
         assert stacked.values[b].tobytes() == alone.values.tobytes()
 
 
+@pytest.mark.parametrize("sigma", [
+    SigmaSpec.constant(1.3),
+    SigmaSpec.linear(),
+    SigmaSpec.affine_sine(1.0, 0.5),
+    SigmaSpec.tabulated([-1.0, 0.0, 2.0], [0.5, 1.0, 0.2]),
+], ids=lambda s: s.kind)
+def test_buffered_solves_equal_fresh_solves(sigma):
+    # stacks of decreasing size, single sheets and a larger stack through
+    # one buffers dict: every field keeps the bytes of its fresh solve, NaN
+    # layout included, although the buffers hold the previous stack's values
+    cfg = LatticeConfig(h=0.125, t_max=1.0, x_half_width=3.0)
+    spec = _sheet(cfg, hurst=0.75, seed=31).spec
+    buffers = {}
+    for ids in ([0, 1, 2], [3, 4], [5], 6, 7, [8, 9, 10, 11]):
+        sheet = sample_sheet(spec, ids)
+        fld = solve(cfg, sheet, sigma, buffers=buffers)
+        assert any(np.shares_memory(fld.values, buf) for buf in buffers.values())
+        fresh = solve(cfg, sheet, sigma)
+        assert fld.values.shape == fresh.values.shape
+        assert fld.values.tobytes() == fresh.values.tobytes()
+        assert fld.noise_ref == fresh.noise_ref == sheet.ref
+    assert set(buffers) == {"pair", "values", "kick"}
+
+
+def test_unbuffered_solves_never_alias():
+    cfg = LatticeConfig(h=0.125, t_max=1.0, x_half_width=3.0)
+    sheet = sample_sheet(_sheet(cfg, seed=31).spec, [0, 1])
+    sigma = SigmaSpec.linear()
+    fields = [solve(cfg, sheet, sigma, buffers={}), solve(cfg, sheet, sigma),
+              solve(cfg, sheet, sigma), solve(cfg, _sheet(cfg), sigma), solve(cfg, _sheet(cfg), sigma)]
+    for i, a in enumerate(fields):
+        assert not np.shares_memory(a.values, sheet.masses)
+        for b in fields[i + 1:]:
+            assert not np.shares_memory(a.values, b.values)
+
+
 def test_first_step_formula():
     cfg = LatticeConfig(h=0.5, t_max=0.5, x_half_width=2.0)
     sheet = _sheet(cfg, seed=2)
