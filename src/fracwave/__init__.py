@@ -40,7 +40,6 @@ from .analytic import (
     linear_white_second_moment_volterra,
     prelimit_cross_white,
     prelimit_variance_white,
-    prelimit_variance_white_lower,
 )
 from .solver import (
     KAPPA,

@@ -8,6 +8,10 @@ linear-coefficient white-noise case.  Estimator output is judged against these
 values, so each formula either is elementary or carries a quadrature companion
 used by the tests.
 
+Variances and covariances use a Gauss-Legendre rule exact for every curve built
+here (_moment_integral); only first_chaos_variance at H > 1/2 integrates
+adaptively, and imports scipy.integrate when it does.
+
 Conventions: the field starts at 1 with zero initial velocity, the averaging
 window is [-radius, radius], and curves bundle s -> E[sigma(u(s,0))] and
 s -> E[sigma(u(s,0))^2].
@@ -19,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "fractional_kernel_coefficient",
@@ -32,7 +35,6 @@ __all__ = [
     "linear_white_second_moment_volterra",
     "asymptotic_variance",
     "prelimit_variance_white",
-    "prelimit_variance_white_lower",
     "prelimit_cross_white",
     "cross_covariance",
     "first_chaos_variance",
@@ -118,7 +120,8 @@ class MomentCurves:
 
     mean_sigma_sq may be None when unavailable (only the fractional-noise
     limit formulas, which consume the mean curve alone, work then).
-    Empirical instances carry knots and standard errors.
+    Empirical instances carry knots and standard errors.  Curves are called
+    on arrays of times and must be smooth between their knots.
     """
 
     mean_sigma: Callable[[float], float]
@@ -231,7 +234,37 @@ def _require_second_moment(curves: MomentCurves) -> Callable[[float], float]:
     return curves.mean_sigma_sq
 
 
-_QUAD_OPTS = dict(epsabs=1e-11, epsrel=1e-10, limit=200)
+# 8-point Gauss-Legendre rule on [-1, 1], exact for polynomials of degree <= 15
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def _moment_integral(integrand, upper: float, knots) -> float:
+    """int_0^upper integrand(s) ds, the integrand evaluated on a node array.
+
+    Gauss-Legendre on panels split at the curve knots (if any) and at unit
+    width.  Exact to rounding for every MomentCurves integrand here: a
+    polynomial kernel of degree <= 3 times a curve that is linear between its
+    knots (degree <= 4 per panel) or smooth on a unit panel (the constants and
+    cosh(s / sqrt 2)).
+    """
+    cuts = np.arange(1.0, upper)
+    if knots is not None:
+        cuts = np.concatenate((cuts, knots[(knots > 0.0) & (knots < upper)]))
+    edges = np.unique(np.concatenate(([0.0, upper], cuts)))
+    half = 0.5 * np.diff(edges)[:, None]
+    s = (edges[:-1, None] + half) + half * _GL_NODES
+    return float(np.sum(half * _GL_WEIGHTS * integrand(s)))
+
+
+def _limit_integral(kernel, upper: float, hurst: float, curves: MomentCurves) -> float:
+    """2 int_0^upper kernel E[sigma^2] at H = 1/2, 2^{2H} int_0^upper kernel E[sigma]^2 above."""
+    if hurst == 0.5:
+        sq = _require_second_moment(curves)
+        return 2.0 * _moment_integral(lambda s: kernel(s) * sq(s), upper, curves.knots)
+    mean = curves.mean_sigma
+    return 2.0 ** (2.0 * hurst) * _moment_integral(
+        lambda s: kernel(s) * mean(s) ** 2, upper, curves.knots
+    )
 
 
 def asymptotic_variance(t: float, hurst: float, curves: MomentCurves) -> float:
@@ -247,13 +280,7 @@ def asymptotic_variance(t: float, hurst: float, curves: MomentCurves) -> float:
         raise ValueError(f"hurst must lie in [1/2, 1), got {hurst}")
     if t == 0:
         return 0.0
-    if hurst == 0.5:
-        sq = _require_second_moment(curves)
-        val, _ = integrate.quad(lambda s: (t - s) ** 2 * sq(s), 0.0, t, **_QUAD_OPTS)
-        return 2.0 * val
-    mean = curves.mean_sigma
-    val, _ = integrate.quad(lambda s: (t - s) ** 2 * mean(s) ** 2, 0.0, t, **_QUAD_OPTS)
-    return 2.0 ** (2.0 * hurst) * val
+    return _limit_integral(lambda s: (t - s) ** 2, t, hurst, curves)
 
 
 def prelimit_variance_white(t: float, radius: float, curves: MomentCurves) -> float:
@@ -264,22 +291,9 @@ def prelimit_variance_white(t: float, radius: float, curves: MomentCurves) -> fl
     if radius < 2.0 * t:
         raise ValueError(f"exact white-noise variance requires radius >= 2t, got R={radius}, t={t}")
     sq = _require_second_moment(curves)
-    val, _ = integrate.quad(
-        lambda s: sq(s) * (2.0 * radius * (t - s) ** 2 - (2.0 / 3.0) * (t - s) ** 3),
-        0.0,
-        t,
-        **_QUAD_OPTS,
+    return _moment_integral(
+        lambda s: sq(s) * (2.0 * radius * (t - s) ** 2 - (2.0 / 3.0) * (t - s) ** 3), t, curves.knots
     )
-    return val
-
-
-def prelimit_variance_white_lower(t: float, radius: float, curves: MomentCurves) -> float:
-    """Lower bound (5/3) radius int_0^t (t-s)^2 E[sigma^2](s) ds, radius >= 2t."""
-    if radius < 2.0 * t:
-        raise ValueError(f"bound requires radius >= 2t, got R={radius}, t={t}")
-    sq = _require_second_moment(curves)
-    val, _ = integrate.quad(lambda s: (t - s) ** 2 * sq(s), 0.0, t, **_QUAD_OPTS)
-    return (5.0 / 3.0) * radius * val
 
 
 def prelimit_cross_white(ti: float, tj: float, radius: float, curves: MomentCurves) -> float:
@@ -295,8 +309,7 @@ def prelimit_cross_white(ti: float, tj: float, radius: float, curves: MomentCurv
         b = hi - s
         return sq(s) * (2.0 * radius * a * b - (0.5 * a * b**2 + a**3 / 6.0))
 
-    val, _ = integrate.quad(integrand, 0.0, lo, **_QUAD_OPTS)
-    return val
+    return _moment_integral(integrand, lo, curves.knots)
 
 
 def cross_covariance(ti: float, tj: float, hurst: float, curves: MomentCurves) -> float:
@@ -312,13 +325,7 @@ def cross_covariance(ti: float, tj: float, hurst: float, curves: MomentCurves) -
     lo = min(ti, tj)
     if lo == 0:
         return 0.0
-    if hurst == 0.5:
-        sq = _require_second_moment(curves)
-        val, _ = integrate.quad(lambda s: (ti - s) * (tj - s) * sq(s), 0.0, lo, **_QUAD_OPTS)
-        return 2.0 * val
-    mean = curves.mean_sigma
-    val, _ = integrate.quad(lambda s: (ti - s) * (tj - s) * mean(s) ** 2, 0.0, lo, **_QUAD_OPTS)
-    return 2.0 ** (2.0 * hurst) * val
+    return _limit_integral(lambda s: (ti - s) * (tj - s), lo, hurst, curves)
 
 
 def first_chaos_variance(t: float, radius: float, hurst: float) -> float:
@@ -345,6 +352,8 @@ def first_chaos_variance(t: float, radius: float, hurst: float) -> float:
         if radius < 2.0 * t:
             raise ValueError(f"closed form requires radius >= 2t, got R={radius}, t={t}")
         return (2.0 / 3.0) * radius * t**3 - t**4 / 6.0
+
+    from scipy import integrate  # the one QUADPACK use: a kinked nested integrand
 
     two_h = 2.0 * hurst
     scale = radius**two_h

@@ -239,14 +239,14 @@ def cmd_oracle(args) -> int:
             curves = _oracle_curves(args)
             value = analytic.asymptotic_variance(args.t, args.hurst, curves)
             inputs = {"t": args.t, "hurst": args.hurst, "sigma": args.sigma, "value": args.value}
-            method = "adaptive quadrature of the limit integrand"
+            method = "panelled Gauss-Legendre rule, exact for the limit integrand"
             tol = 1e-9
         elif name == "cov":
             curves = _oracle_curves(args)
             value = analytic.cross_covariance(args.ti, args.tj, args.hurst, curves)
             inputs = {"ti": args.ti, "tj": args.tj, "hurst": args.hurst,
                       "sigma": args.sigma, "value": args.value}
-            method = "adaptive quadrature of the limit cross integrand"
+            method = "panelled Gauss-Legendre rule, exact for the limit cross integrand"
             tol = 1e-9
         elif name == "chaos1":
             value = analytic.first_chaos_variance(args.t, args.R, args.hurst)

@@ -22,7 +22,6 @@ from fracwave.analytic import (
     linear_white_second_moment_volterra,
     prelimit_cross_white,
     prelimit_variance_white,
-    prelimit_variance_white_lower,
 )
 
 
@@ -288,8 +287,6 @@ def test_prelimit_variance_bounds_and_limit():
     prev_gap = None
     for radius in (2.0, 4.0, 8.0, 16.0, 32.0, 64.0):
         exact = prelimit_variance_white(t, radius, curves)
-        lower = prelimit_variance_white_lower(t, radius, curves)
-        assert lower <= exact + 1e-12
         gap = abs(exact / radius - limit)
         if prev_gap is not None:
             assert gap < prev_gap  # approach is monotone in R
@@ -297,8 +294,95 @@ def test_prelimit_variance_bounds_and_limit():
     assert gap < 0.005  # at R=64 the gap is O(1/R)
     with pytest.raises(ValueError, match="2t"):
         prelimit_variance_white(1.0, 1.5, curves)
-    with pytest.raises(ValueError):
-        prelimit_variance_white_lower(1.0, 1.0, curves)
+
+
+# ------------------------------------------------- moment quadrature rule
+
+
+def _knot_quad(f, upper, knots=None):
+    """Adaptive companion of the Gauss-Legendre rule, told the curve's kinks."""
+    pts = None if knots is None else knots[(knots > 0.0) & (knots < upper)]
+    val, _ = integrate.quad(
+        f, 0.0, upper, points=pts if pts is not None and pts.size else None,
+        epsabs=0.0, epsrel=1e-13, limit=400,
+    )
+    return val
+
+
+def test_moment_oracles_match_adaptive_quadrature():
+    # every curve family the program builds, at times on and off the knots
+    knots = np.linspace(0.0, 10.0, 41)
+    mean = 1.0 + 0.3 * np.sin(knots)
+    sampled = MomentCurves.from_samples(knots, mean, mean**2 + 0.2 + 0.05 * knots)
+    cases = [
+        (MomentCurves.constant(1.7), 0.5), (MomentCurves.constant(1.7), 0.75),
+        (MomentCurves.linear_white(), 0.5), (MomentCurves.linear_mean_only(), 0.75),
+        (sampled, 0.5), (sampled, 0.75),
+    ]
+    for curves, hurst in cases:
+        coef = 2.0 ** (2.0 * hurst)
+
+        def moment(s, c=curves, white=hurst == 0.5):
+            return float(c.mean_sigma_sq(s)) if white else float(c.mean_sigma(s)) ** 2
+
+        for t in (0.25, 0.6, 1.0, 3.3, 7.5, 10.0):
+            tj = 1.2 * t + 0.1
+            pairs = [
+                (asymptotic_variance(t, hurst, curves),
+                 coef * _knot_quad(lambda s: (t - s) ** 2 * moment(s), t, curves.knots)),
+                (cross_covariance(tj, t, hurst, curves),
+                 coef * _knot_quad(lambda s: (t - s) * (tj - s) * moment(s), t, curves.knots)),
+            ]
+            if hurst == 0.5:
+                radius = 2.0 * tj + 1.0
+
+                def cross(s):
+                    a, b = t - s, tj - s
+                    return moment(s) * (2.0 * radius * a * b - (0.5 * a * b**2 + a**3 / 6.0))
+
+                pairs += [
+                    (prelimit_variance_white(t, radius, curves), _knot_quad(
+                        lambda s: moment(s) * (2.0 * radius * (t - s) ** 2 - (2.0 / 3.0) * (t - s) ** 3),
+                        t, curves.knots)),
+                    (prelimit_cross_white(t, tj, radius, curves), _knot_quad(cross, t, curves.knots)),
+                ]
+            for got, want in pairs:
+                assert got == pytest.approx(want, rel=1e-11), (curves.provenance, hurst, t)
+
+
+def _beta_moment(m, coeffs, t):
+    """int_0^t (t-s)^m p(s) ds for p(s) = sum_k coeffs[k] s^k, term by term:
+    int_0^t (t-s)^m s^k ds = t^{m+k+1} m! k! / (m+k+1)!."""
+    from math import factorial
+
+    return sum(
+        c * t ** (m + k + 1) * factorial(m) * factorial(k) / factorial(m + k + 1)
+        for k, c in enumerate(coeffs)
+    )
+
+
+def test_moment_oracles_exact_for_polynomial_curves():
+    # E[sigma] = 1 + s/2 and E[sigma^2] = 1 + s + s^2: degree 5 integrands,
+    # which an 8-point rule integrates exactly on any panel
+    curves = MomentCurves(mean_sigma=lambda s: 1.0 + 0.5 * s, mean_sigma_sq=lambda s: 1.0 + s + s * s)
+    sq, mean_sq = (1.0, 1.0, 1.0), (1.0, 1.0, 0.25)
+    for t in (0.5, 1.0, 2.5, 7.3, 10.0):
+        assert asymptotic_variance(t, 0.5, curves) == pytest.approx(
+            2.0 * _beta_moment(2, sq, t), rel=1e-14)
+        assert asymptotic_variance(t, 0.75, curves) == pytest.approx(
+            2.0**1.5 * _beta_moment(2, mean_sq, t), rel=1e-14)
+        radius = 2.0 * t + 1.0
+        assert prelimit_variance_white(t, radius, curves) == pytest.approx(
+            2.0 * radius * _beta_moment(2, sq, t) - (2.0 / 3.0) * _beta_moment(3, sq, t), rel=1e-14)
+        # (t+d-s) = (t-s) + d splits the cross kernels into (t-s)^m terms
+        d = 0.75
+        m1, m2, m3 = (_beta_moment(m, sq, t) for m in (1, 2, 3))
+        assert cross_covariance(t, t + d, 0.5, curves) == pytest.approx(
+            2.0 * (m2 + d * m1), rel=1e-14)
+        radius = 2.0 * (t + d)
+        assert prelimit_cross_white(t, t + d, radius, curves) == pytest.approx(
+            2.0 * radius * (m2 + d * m1) - (0.5 * (m3 + 2.0 * d * m2 + d * d * m1) + m3 / 6.0),
+            rel=1e-14)
 
 
 # ------------------------------------------------- cross covariances

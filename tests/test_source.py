@@ -1,8 +1,14 @@
 """Source hygiene that no linter in the toolchain checks: every name a
-fracwave module imports is used in that module.  Names listed in a module's
-__all__ are exempt, and so is __init__.py, whose imports are re-exports."""
+fracwave module imports is used in that module (names listed in a module's
+__all__ are exempt, and so is __init__.py, whose imports are re-exports), and
+the commands import only what they run."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fracwave"
@@ -30,3 +36,69 @@ def test_no_unused_imports():
     assert len(modules) >= 5
     unused = {p.name: _unused_imports(p) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+# Plans of the import-budget test: the simulate table calls
+# prelimit_variance_white (linear sigma, R >= 2t); the paper-normalized rate
+# scales by the empirical curves, at R < 2t and R >= 2t.
+_BUDGET_PLANS = {
+    "sim.cfg": "hurst = 0.5\nh = 0.25\ntimes = 1.0\nradii = 2.0\nreplicas = 60\nseed = 3\n"
+               "\n[sigma]\nkind = linear\n",
+    "rate.cfg": "hurst = 0.5\nh = 0.25\ntimes = 0.5, 1.0\nradii = 1.0, 2.0, 4.0\nreplicas = 100\n"
+                "seed = 4\nnormalization = paper\nchaos = false\n"
+                "\n[sigma]\nkind = affine_sine\nbase = 1.0\namplitude = 0.5\n",
+    "func.cfg": "hurst = 0.75\nh = 0.25\ntimes = 0.5, 1.0\nradii = 1.0\nreplicas = 20\nseed = 5\n"
+                "\n[sigma]\nkind = linear\n",
+}
+
+# Runs the commands given as JSON in one fresh interpreter, then
+# `oracle chaos1 --hurst 0.75`, and reports what each stage left imported.
+_IMPORT_BUDGET_SCRIPT = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from fracwave import analytic, cli
+
+    codes = []
+    for argv in json.loads(sys.argv[1]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(cli.main(argv))
+    before = "scipy.integrate" in sys.modules
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        codes.append(cli.main(["oracle", "chaos1", "--t", "0.5", "--R", "1", "--hurst", "0.75"]))
+    print(json.dumps({
+        "codes": codes,
+        "before": before,
+        "after": "scipy.integrate" in sys.modules,
+        "chaos1": json.loads(out.getvalue())["value"],
+        "direct": analytic.first_chaos_variance(0.5, 1.0, 0.75),
+    }))
+""")
+
+
+def test_commands_leave_scipy_integrate_unimported(tmp_path):
+    """Only the fractional first-chaos oracle integrates adaptively; every
+    other command, the simulate table's prelimit oracle and the paper-scaled
+    rate included, runs without loading scipy.integrate."""
+    for name, body in _BUDGET_PLANS.items():
+        (tmp_path / name).write_text("[experiment]\n" + body)
+    commands = [
+        ["simulate", str(tmp_path / "sim.cfg"), "--threads", "1"],
+        ["rate", str(tmp_path / "rate.cfg"), "--threads", "1", "--bootstrap", "5"],
+        ["funcclt", str(tmp_path / "func.cfg"), "--threads", "1"],
+        ["oracle", "variance", "--t", "1", "--hurst", "0.5"],
+        ["oracle", "cov", "--ti", "0.5", "--tj", "1", "--hurst", "0.75"],
+        ["noise-dump", "--hurst", "0.75", "--dt", "0.25", "--dx", "0.25", "--n-time", "4",
+         "--n-space", "8", "--out", str(tmp_path / "sheet.bin")],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_BUDGET_SCRIPT, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0] * 7
+    assert report["before"] is False
+    assert report["after"] is True
+    assert report["chaos1"] == report["direct"]
