@@ -25,7 +25,6 @@ from .noise import (
     write_sheet,
 )
 from .analytic import (
-    AsymptoticConstants,
     MomentCurves,
     asymptotic_constants,
     asymptotic_variance,
@@ -35,7 +34,6 @@ from .analytic import (
     cone_window_overlap_integral,
     cross_covariance,
     first_chaos_variance,
-    fractional_kernel_coefficient,
     linear_white_second_moment,
     linear_white_second_moment_volterra,
     prelimit_cross_white,
@@ -56,7 +54,6 @@ from .estimators import (
     ExperimentSummary,
     FunctionalCovReport,
     PairStats,
-    chaos_projection,
     first_chaos_weights,
     functional_cov_check,
     ks_coupled,
@@ -67,7 +64,6 @@ from .estimators import (
     plan_hash,
     run_experiment,
     run_replica_chunk,
-    spatial_average,
     summarize,
     summary_to_dict,
     tightness_moment,

@@ -25,7 +25,6 @@ from typing import Callable, Optional
 import numpy as np
 
 __all__ = [
-    "fractional_kernel_coefficient",
     "cone_inner_product",
     "cone_overlap_white",
     "cone_window_overlap",
@@ -38,16 +37,8 @@ __all__ = [
     "prelimit_cross_white",
     "cross_covariance",
     "first_chaos_variance",
-    "AsymptoticConstants",
     "asymptotic_constants",
 ]
-
-
-def fractional_kernel_coefficient(hurst: float) -> float:
-    """Coefficient H(2H-1) multiplying |y-z|^{2H-2} in the spatial covariance."""
-    if not (0.5 <= hurst < 1.0):
-        raise ValueError(f"hurst must lie in [1/2, 1), got {hurst}")
-    return hurst * (2.0 * hurst - 1.0)
 
 
 def cone_inner_product(x: float, xi: float, t: float, s: float, hurst: float) -> float:
@@ -120,52 +111,28 @@ class MomentCurves:
 
     mean_sigma_sq may be None when unavailable (only the fractional-noise
     limit formulas, which consume the mean curve alone, work then).
-    Empirical instances carry knots and standard errors.  Curves are called
-    on arrays of times and must be smooth between their knots.
+    Empirical instances carry their knots.  Curves are called on arrays of
+    times and must be smooth between their knots.
     """
 
     mean_sigma: Callable[[float], float]
     mean_sigma_sq: Optional[Callable[[float], float]]
-    provenance: str = "analytic"
     knots: Optional[np.ndarray] = None
-    mean_sigma_se: Optional[np.ndarray] = None
-    mean_sigma_sq_se: Optional[np.ndarray] = None
-
-    def validate(self, t_max: float, n_checks: int = 33) -> None:
-        """Cauchy-Schwarz check: second moment dominates squared mean."""
-        if self.mean_sigma_sq is None:
-            return
-        for s in np.linspace(0.0, t_max, n_checks):
-            m1 = self.mean_sigma(s)
-            m2 = self.mean_sigma_sq(s)
-            if m2 < m1 * m1 - 1e-9 * max(1.0, abs(m2)):
-                raise ValueError(
-                    f"moment curves violate Cauchy-Schwarz at s={s}: "
-                    f"mean^2={m1*m1:.6g} > second moment={m2:.6g}"
-                )
 
     @classmethod
     def constant(cls, value: float) -> "MomentCurves":
-        return cls(
-            mean_sigma=lambda s, v=value: v,
-            mean_sigma_sq=lambda s, v=value: v * v,
-            provenance="analytic",
-        )
+        return cls(mean_sigma=lambda s, v=value: v, mean_sigma_sq=lambda s, v=value: v * v)
 
     @classmethod
     def linear_white(cls) -> "MomentCurves":
         """sigma(u) = u under white noise: mean 1, second moment cosh(s/sqrt 2)."""
-        return cls(
-            mean_sigma=lambda s: 1.0,
-            mean_sigma_sq=linear_white_second_moment,
-            provenance="analytic",
-        )
+        return cls(mean_sigma=lambda s: 1.0, mean_sigma_sq=linear_white_second_moment)
 
     @classmethod
     def linear_mean_only(cls) -> "MomentCurves":
         """sigma(u) = u for fractional noise: mean is 1 for every H; the second
         moment has no elementary form there and is left out."""
-        return cls(mean_sigma=lambda s: 1.0, mean_sigma_sq=None, provenance="analytic")
+        return cls(mean_sigma=lambda s: 1.0, mean_sigma_sq=None)
 
     @classmethod
     def closed_form(cls, sigma, hurst: float) -> Optional["MomentCurves"]:
@@ -179,7 +146,7 @@ class MomentCurves:
         return None
 
     @classmethod
-    def from_samples(cls, knots, mean_values, sq_values, mean_se=None, sq_se=None) -> "MomentCurves":
+    def from_samples(cls, knots, mean_values, sq_values) -> "MomentCurves":
         """Piecewise-linear empirical curves on the given time knots."""
         knots = np.asarray(knots, dtype=np.float64)
         mv = np.asarray(mean_values, dtype=np.float64)
@@ -189,10 +156,7 @@ class MomentCurves:
         return cls(
             mean_sigma=lambda s: np.interp(s, knots, mv),
             mean_sigma_sq=lambda s: np.interp(s, knots, sv),
-            provenance="empirical",
             knots=knots,
-            mean_sigma_se=None if mean_se is None else np.asarray(mean_se, dtype=np.float64),
-            mean_sigma_sq_se=None if sq_se is None else np.asarray(sq_se, dtype=np.float64),
         )
 
 
@@ -212,8 +176,8 @@ def linear_white_second_moment(t: float) -> float:
 def linear_white_second_moment_volterra(t: float, step: float = 1e-3) -> float:
     """Independent route to linear_white_second_moment: trapezoidal marching
     of the integral equation m(t) = 1 + (1/2) int_0^t (t-s) m(s) ds."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if t < 0 or step <= 0:
+        raise ValueError("t must be nonnegative and step positive")
     if t == 0:
         return 1.0
     n = max(1, int(np.ceil(t / step)))
@@ -382,21 +346,8 @@ def first_chaos_variance(t: float, radius: float, hurst: float) -> float:
     return val
 
 
-@dataclass
-class AsymptoticConstants:
-    """Limit covariance structure of the scaled averages on a time grid."""
-
-    hurst: float
-    kernel_coefficient: float
-    times: np.ndarray
-    covariance: np.ndarray
-
-    def variance(self, i: int) -> float:
-        return float(self.covariance[i, i])
-
-
-def asymptotic_constants(hurst: float, times, curves: MomentCurves) -> AsymptoticConstants:
-    """Build the limit covariance matrix on a time grid and check it is
+def asymptotic_constants(hurst: float, times, curves: MomentCurves) -> np.ndarray:
+    """Limit covariance matrix of the scaled averages on a time grid, checked
     symmetric positive semidefinite (eigenvalues >= -1e-10 of the largest)."""
     times = np.asarray(times, dtype=np.float64)
     n = times.size
@@ -408,7 +359,4 @@ def asymptotic_constants(hurst: float, times, curves: MomentCurves) -> Asymptoti
     floor = -1e-10 * max(1.0, float(eig.max(initial=0.0)))
     if eig.min(initial=0.0) < floor:
         raise ValueError(f"limit covariance matrix is not PSD: min eigenvalue {eig.min():.3e}")
-    kernel = 0.0 if hurst == 0.5 else fractional_kernel_coefficient(hurst)
-    return AsymptoticConstants(
-        hurst=hurst, kernel_coefficient=kernel, times=times, covariance=cov
-    )
+    return cov

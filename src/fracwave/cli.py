@@ -37,6 +37,7 @@ import argparse
 import configparser
 import io
 import json
+import math
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional
@@ -218,6 +219,17 @@ def _oracle_curves(args) -> MomentCurves:
     return MomentCurves.closed_form(sigma, args.hurst)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the oracle's numbers: a float that is finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def cmd_oracle(args) -> int:
     name = args.quantity
     try:
@@ -240,14 +252,14 @@ def cmd_oracle(args) -> int:
             value = analytic.asymptotic_variance(args.t, args.hurst, curves)
             inputs = {"t": args.t, "hurst": args.hurst, "sigma": args.sigma, "value": args.value}
             method = "panelled Gauss-Legendre rule, exact for the limit integrand"
-            tol = 1e-9
+            tol = 0.0
         elif name == "cov":
             curves = _oracle_curves(args)
             value = analytic.cross_covariance(args.ti, args.tj, args.hurst, curves)
             inputs = {"ti": args.ti, "tj": args.tj, "hurst": args.hurst,
                       "sigma": args.sigma, "value": args.value}
             method = "panelled Gauss-Legendre rule, exact for the limit cross integrand"
-            tol = 1e-9
+            tol = 0.0
         elif name == "chaos1":
             value = analytic.first_chaos_variance(args.t, args.R, args.hurst)
             inputs = {"t": args.t, "R": args.R, "hurst": args.hurst}
@@ -507,35 +519,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cone = so.add_parser("cone", help="inner product of two cone indicators")
     for name in ("x", "xi", "t", "s"):
-        p_cone.add_argument(f"--{name}", type=float, required=True)
-    p_cone.add_argument("--hurst", type=float, required=True)
+        p_cone.add_argument(f"--{name}", type=_finite_float, required=True)
+    p_cone.add_argument("--hurst", type=_finite_float, required=True)
 
     p_ov = so.add_parser("overlap", help="window-cone overlap integral")
-    p_ov.add_argument("--a", type=float, required=True)
-    p_ov.add_argument("--b", type=float, required=True)
-    p_ov.add_argument("--R", type=float, required=True)
+    p_ov.add_argument("--a", type=_finite_float, required=True)
+    p_ov.add_argument("--b", type=_finite_float, required=True)
+    p_ov.add_argument("--R", type=_finite_float, required=True)
 
     p_var = so.add_parser("variance", help="asymptotic variance coefficient")
-    p_var.add_argument("--t", type=float, required=True)
-    p_var.add_argument("--hurst", type=float, required=True)
+    p_var.add_argument("--t", type=_finite_float, required=True)
+    p_var.add_argument("--hurst", type=_finite_float, required=True)
     p_var.add_argument("--sigma", choices=("constant", "linear"), default="linear")
-    p_var.add_argument("--value", type=float, default=1.0, help="constant sigma level")
+    p_var.add_argument("--value", type=_finite_float, default=1.0, help="constant sigma level")
 
     p_cov = so.add_parser("cov", help="asymptotic cross-covariance coefficient")
-    p_cov.add_argument("--ti", type=float, required=True)
-    p_cov.add_argument("--tj", type=float, required=True)
-    p_cov.add_argument("--hurst", type=float, required=True)
+    p_cov.add_argument("--ti", type=_finite_float, required=True)
+    p_cov.add_argument("--tj", type=_finite_float, required=True)
+    p_cov.add_argument("--hurst", type=_finite_float, required=True)
     p_cov.add_argument("--sigma", choices=("constant", "linear"), default="linear")
-    p_cov.add_argument("--value", type=float, default=1.0)
+    p_cov.add_argument("--value", type=_finite_float, default=1.0)
 
     p_c1 = so.add_parser("chaos1", help="variance of the first-chaos component")
-    p_c1.add_argument("--t", type=float, required=True)
-    p_c1.add_argument("--R", type=float, required=True)
-    p_c1.add_argument("--hurst", type=float, required=True)
+    p_c1.add_argument("--t", type=_finite_float, required=True)
+    p_c1.add_argument("--R", type=_finite_float, required=True)
+    p_c1.add_argument("--hurst", type=_finite_float, required=True)
 
     p_vol = so.add_parser("volterra", help="second moment of the linear-coefficient field")
-    p_vol.add_argument("--t", type=float, required=True)
-    p_vol.add_argument("--step", type=float, default=1e-3)
+    p_vol.add_argument("--t", type=_finite_float, required=True)
+    p_vol.add_argument("--step", type=_finite_float, default=1e-3)
 
     p_sim = sub.add_parser("simulate", help="run the experiment described by a config file")
     p_sim.add_argument("config")

@@ -33,7 +33,7 @@ from scipy.special import ndtr
 
 from . import analytic
 from .analytic import MomentCurves
-from .noise import STREAM, NoiseSpec, NoiseSheet, sample_sheet
+from .noise import STREAM, NoiseSpec, sample_sheet
 from .solver import KAPPA, LatticeConfig, SigmaSpec, SolutionField, _snap_to_grid, solve
 
 __all__ = [
@@ -41,9 +41,7 @@ __all__ = [
     "ChunkResult",
     "ExperimentSummary",
     "PairStats",
-    "spatial_average",
     "window_averages",
-    "chaos_projection",
     "first_chaos_weights",
     "ks_normality",
     "ks_coupled",
@@ -103,8 +101,8 @@ class ExperimentPlan:
     def __post_init__(self):
         if not (0.5 <= self.hurst < 1.0):
             raise ValueError(f"hurst must lie in [1/2, 1), got {self.hurst}")
-        if self.h <= 0:
-            raise ValueError("h must be positive")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"h must be finite and positive, got {self.h}")
         if not self.times or any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("times must be a nonempty strictly increasing tuple")
         if not self.radii or any(b <= a for a, b in zip(self.radii, self.radii[1:])):
@@ -201,12 +199,6 @@ def window_averages(fld: SolutionField, times: Sequence[float], radii: Sequence[
     return out
 
 
-def spatial_average(fld: SolutionField, t: float, radius: float) -> float:
-    """Trapezoid integral of u(t, .) - 1 over [-radius, radius] (see
-    window_averages) for a single field."""
-    return float(window_averages(fld, (t,), (radius,))[0, 0])
-
-
 def first_chaos_weights(cfg: LatticeConfig, t: float, radius: float, kappa: float) -> np.ndarray:
     """Cell weights of the first-chaos projection of the scheme's spatial average.
 
@@ -251,17 +243,6 @@ def _chaos_samples(stacks: list[np.ndarray], masses: np.ndarray) -> np.ndarray:
     for it, w in enumerate(stacks):
         out[it] = w @ masses[: w.shape[1] // masses.shape[1]].ravel()
     return out
-
-
-def chaos_projection(fld: SolutionField, sheet: NoiseSheet, t: float, radius: float) -> float:
-    """Sample of the first-chaos component: sum of weights times cell masses.
-
-    For constant sigma = 1 this reproduces the spatial average of u - 1 up to
-    float roundoff; for linear sigma its covariance with the spatial average
-    equals its own variance.
-    """
-    stacks = _chaos_stacks(fld.config, (t,), (radius,))
-    return float(_chaos_samples(stacks, sheet.masses)[0, 0])
 
 
 def _check_ks_size(n: int) -> None:
@@ -571,13 +552,7 @@ class ExperimentSummary:
         return self.i1_samples[:, i_time, i_radius]
 
     def empirical_curves(self) -> MomentCurves:
-        return MomentCurves.from_samples(
-            self.curve_times,
-            self.curve_mean,
-            self.curve_sq,
-            mean_se=self.curve_mean_se,
-            sq_se=self.curve_sq_se,
-        )
+        return MomentCurves.from_samples(self.curve_times, self.curve_mean, self.curve_sq)
 
     def oracle_curves(self) -> MomentCurves:
         """Analytic curves when the coefficient admits them, else empirical."""
@@ -803,9 +778,7 @@ def functional_cov_check(summary: ExperimentSummary, i_radius: Optional[int] = N
     for i in range(n_t):
         for j in range(i, n_t):
             se[i, j] = se[j, i] = _jackknife_se(_cov_replicates(scaled[:, i], scaled[:, j]))
-    oracle = analytic.asymptotic_constants(
-        plan.hurst, np.asarray(plan.times), summary.oracle_curves()
-    ).covariance
+    oracle = analytic.asymptotic_constants(plan.hurst, np.asarray(plan.times), summary.oracle_curves())
     return FunctionalCovReport(
         times=np.asarray(plan.times), radius=r, empirical=emp, oracle=oracle, se=se
     )

@@ -78,8 +78,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not (0.5 <= self.hurst < 1.0):
             raise ValueError(f"hurst must lie in [1/2, 1), got {self.hurst}")
-        if self.dt <= 0 or self.dx <= 0:
-            raise ValueError("dt and dx must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.dt, self.dx)):
+            raise ValueError(f"dt and dx must be finite and positive, got {self.dt}, {self.dx}")
         if self.n_time < 1 or self.n_space < 1:
             raise ValueError("n_time and n_space must be at least 1")
         if self.seed < 0:
@@ -298,11 +298,10 @@ def write_sheet(sheet: NoiseSheet, path) -> None:
 
 
 def read_sheet(path) -> NoiseSheet:
-    """Read a dumped sheet, version 1 or 2.
+    """Read a dumped sheet (version 2, as write_sheet writes it).
 
-    A version-2 sheet keeps its seed and replica, but reads back as external
-    if another stream version wrote it.  Version 1 stores no provenance: the
-    sheet reads back external with seed 0."""
+    The sheet keeps its seed and replica, but reads back as external if
+    another stream version wrote it."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
@@ -310,16 +309,13 @@ def read_sheet(path) -> NoiseSheet:
         magic, version, hurst, dt, dx, n_time, n_space = _HEADER.unpack(raw)
         if magic != SHEET_MAGIC:
             raise ValueError(f"not a noise sheet dump: bad magic {magic!r}")
-        seed, replica = 0, None
-        if version == SHEET_VERSION:
-            raw = fh.read(_HEADER_V2.size)
-            if len(raw) != _HEADER_V2.size:
-                raise ValueError(f"truncated sheet header in {path}")
-            seed, stored, stream = _HEADER_V2.unpack(raw)
-            if stored >= 0 and stream.rstrip(b"\0") == STREAM.encode():
-                replica = stored
-        elif version != 1:
+        if version != SHEET_VERSION:
             raise ValueError(f"unsupported sheet version {version}")
+        raw = fh.read(_HEADER_V2.size)
+        if len(raw) != _HEADER_V2.size:
+            raise ValueError(f"truncated sheet header in {path}")
+        seed, stored, stream = _HEADER_V2.unpack(raw)
+        replica = stored if stored >= 0 and stream.rstrip(b"\0") == STREAM.encode() else None
         body = np.frombuffer(fh.read(), dtype="<f8")
     expected = n_time * n_space
     if body.size != expected:

@@ -61,9 +61,8 @@ class SigmaSpec:
     affine_sine: sigma(u) = base + amplitude * sin(u)
     tabulated: piecewise linear through (knots, values), clamped outside
 
-    lipschitz is the exact Lipschitz constant of the evaluated function,
-    sigma_at_one = sigma(1) decides degeneracy: sigma(1) = 0 forces the field
-    to stay at its initial state exactly.
+    is_degenerate: sigma(1) = 0, which keeps the field at its initial state
+    exactly.
     """
 
     kind: str
@@ -135,31 +134,14 @@ class SigmaSpec:
         return out
 
     @property
-    def lipschitz(self) -> float:
-        if self.kind == "constant":
-            return 0.0
-        if self.kind == "linear":
-            return 1.0
-        if self.kind == "affine_sine":
-            return abs(self.params[1])
-        knots, values = self.params
-        slopes = [
-            abs((v1 - v0) / (k1 - k0))
-            for (k0, k1, v0, v1) in zip(knots, knots[1:], values, values[1:])
-        ]
-        return max(slopes)
-
-    @property
-    def sigma_at_one(self) -> float:
-        return float(self(1.0))
-
-    @property
     def is_degenerate(self) -> bool:
-        return self.sigma_at_one == 0.0
+        return float(self(1.0)) == 0.0
 
 
 def _snap_to_grid(value: float, h: float, name: str) -> int:
     ratio = value / h
+    if not np.isfinite(ratio):
+        raise ValueError(f"{name}={value} is not a finite multiple of the lattice step h={h}")
     n = int(round(ratio))
     if abs(ratio - n) > _LATTICE_TOL:
         raise ValueError(f"{name}={value} is not a multiple of the lattice step h={h}")
@@ -176,8 +158,8 @@ class LatticeConfig:
     x_half_width: float
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("h must be positive")
+        if not 0 < self.h < np.inf:
+            raise ValueError(f"h must be finite and positive, got {self.h}")
         if self.t_max <= 0:
             raise ValueError("t_max must be positive")
         _snap_to_grid(self.t_max, self.h, "t_max")
@@ -209,12 +191,6 @@ class LatticeConfig:
             raise ValueError(f"t={t} outside [0, {self.t_max}]")
         return n
 
-    def node_index(self, x: float) -> int:
-        j = self.center_index + _snap_to_grid(x, self.h, "x")
-        if not (0 <= j < self.n_nodes):
-            raise ValueError(f"x={x} outside the window")
-        return j
-
 
 @dataclass
 class SolutionField:
@@ -241,14 +217,6 @@ class SolutionField:
         if not (0 <= level <= self.config.n_steps):
             raise ValueError(f"level {level} outside [0, {self.config.n_steps}]")
         return level, self.config.n_nodes - 1 - level
-
-    def value(self, t: float, x: float) -> float:
-        n = self.config.time_index(t)
-        j = self.config.node_index(x)
-        lo, hi = self.valid_bounds(n)
-        if not (lo <= j <= hi):
-            raise ValueError(f"(t={t}, x={x}) is outside the validity cone")
-        return float(self.values[n, j])
 
 
 def calibrate_kernel(h: float, hurst: float, reference_steps: int = 8) -> float:

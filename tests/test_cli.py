@@ -107,6 +107,20 @@ def test_oracle_variance_frozen_values(capsys):
     assert json.loads(out)["value"] == pytest.approx(0.683533130180856, abs=1e-8)
 
 
+@pytest.mark.parametrize("t", [1.0, 3.0, 10.0])
+def test_oracle_variance_linear_white_closed_form(capsys, t):
+    # 2 int_0^t (t-s)^2 cosh(s/sqrt 2) ds = 8 sqrt 2 (sinh(t/sqrt 2) - t/sqrt 2),
+    # which the exact rule meets to rounding: the reported tolerance is 0
+    code, out, _ = _run(capsys, [
+        "oracle", "variance", "--t", repr(t), "--hurst", "0.5", "--sigma", "linear",
+    ])
+    assert code == 0
+    payload = json.loads(out)
+    a = t / math.sqrt(2.0)
+    assert payload["value"] == pytest.approx(8.0 * math.sqrt(2.0) * (math.sinh(a) - a), rel=1e-13)
+    assert payload["tolerance"] == 0.0
+
+
 def test_oracle_cov_frozen_value(capsys):
     code, out, _ = _run(capsys, [
         "oracle", "cov", "--ti", "0.5", "--tj", "1.0", "--hurst", "0.5",
@@ -114,6 +128,7 @@ def test_oracle_cov_frozen_value(capsys):
     ])
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(5.0 / 24.0, abs=1e-9)
+    assert json.loads(out)["tolerance"] == 0.0
 
 
 def test_oracle_chaos1_frozen_value(capsys):
@@ -126,10 +141,26 @@ def test_oracle_chaos1_frozen_value(capsys):
     assert payload["tolerance"] == 0.0
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "x"])
+def test_oracle_rejects_non_finite_numbers(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "chaos1", "--t", "1", f"--R={text}", "--hurst", "0.5"])
+    assert exc.value.code == 2
+    assert "finite number" in capsys.readouterr().err
+
+
 def test_oracle_volterra_frozen_value(capsys):
     code, out, _ = _run(capsys, ["oracle", "volterra", "--t", "1"])
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(math.cosh(1 / math.sqrt(2)), abs=1e-4)
+
+
+@pytest.mark.parametrize("step", ["0", "-0.5"])
+def test_oracle_volterra_rejects_a_step_that_is_not_positive(capsys, step):
+    code, out, err = _run(capsys, ["oracle", "volterra", "--t", "1", f"--step={step}"])
+    assert code == 2
+    assert out == ""
+    assert "step positive" in err
 
 
 # ------------------------------------------------------------ config parsing
@@ -164,6 +195,20 @@ def test_config_error_exit_codes(tmp_path, capsys):
     code, _, err = _run(capsys, ["simulate", str(tmp_path / "missing.cfg")])
     assert code == 2
     assert "cannot read config" in err
+
+
+@pytest.mark.parametrize("key,value,named", [
+    ("x_half_width", "inf", "x_half_width=inf"), ("x_half_width", "nan", "x_half_width=nan"),
+    ("times", "nan", "time=nan"), ("radii", "inf", "radius=inf"), ("h", "nan", "h must be finite"),
+])
+def test_non_finite_plan_numbers_are_named(tmp_path, capsys, key, value, named):
+    text = SMALL_CFG.replace("seed = 3", "seed = 3\nx_half_width = 2.0")
+    text = "\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line
+                     for line in text.splitlines())
+    code, out, err = _run(capsys, ["simulate", _write_cfg(tmp_path, text)])
+    assert code == 1
+    assert out == ""
+    assert named in err and "finite" in err
 
 
 def test_window_violation_is_runtime_error(tmp_path, capsys):
@@ -549,6 +594,16 @@ def test_noise_dump_round_trip(tmp_path, capsys):
     fresh = sample_sheet(spec, replica=2)
     assert sheet.masses.tobytes() == fresh.masses.tobytes()
     assert sheet.ref == fresh.ref == "philox2:11:2"
+
+
+@pytest.mark.parametrize("flag,text", [("--dt", "nan"), ("--dx", "inf"), ("--dt", "-inf")])
+def test_noise_dump_rejects_non_finite_steps(tmp_path, capsys, flag, text):
+    steps = {"--dt": "0.5", "--dx": "0.5", flag: text}
+    code, _, err = _run(capsys, ["noise-dump", "--hurst", "0.75", *(f"{k}={v}" for k, v in steps.items()),
+                                 "--n-time", "2", "--n-space", "2", "--out", str(tmp_path / "x.bin")])
+    assert code == 2
+    assert "finite" in err
+    assert not (tmp_path / "x.bin").exists()
 
 
 def test_noise_dump_bad_hurst(tmp_path, capsys):

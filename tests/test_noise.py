@@ -91,6 +91,9 @@ def test_kernel_validation():
         NoiseSpec(hurst=1.0, dt=0.1, dx=0.1, n_time=1, n_space=1)
     with pytest.raises(ValueError):
         NoiseSpec(hurst=0.75, dt=0.0, dx=0.1, n_time=1, n_space=1)
+    for dt, dx in ((np.nan, 0.1), (0.1, np.inf), (-np.inf, 0.1)):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseSpec(hurst=0.75, dt=dt, dx=dx, n_time=1, n_space=1)
     with pytest.raises(ValueError):
         NoiseSpec(hurst=0.75, dt=0.1, dx=0.1, n_time=0, n_space=1)
 
@@ -310,13 +313,11 @@ def test_sheet_round_trip(tmp_path):
     back = read_sheet(path)
     assert (back.spec.seed, back.replica, back.ref) == (5, None, "external")
 
-    # version-1 bytes (40-byte header, no provenance) still read
+    # version-1 bytes (40-byte header, no provenance) are refused
     header = struct.pack("<4sIdddII", b"FWNS", 1, 0.75, 0.125, 0.25, 7, 33)
     path.write_bytes(header + sheet.masses.astype("<f8").tobytes())
-    back = read_sheet(path)
-    assert back.spec == NoiseSpec(hurst=0.75, dt=0.125, dx=0.25, n_time=7, n_space=33)
-    assert back.ref == "external"
-    assert np.array_equal(back.masses, sheet.masses)
+    with pytest.raises(ValueError, match="unsupported sheet version 1"):
+        read_sheet(path)
 
 
 def test_sheet_read_rejects_garbage(tmp_path):

@@ -1,7 +1,8 @@
 """Source hygiene that no linter in the toolchain checks: every name a
 fracwave module imports is used in that module (names listed in a module's
-__all__ are exempt, and so is __init__.py, whose imports are re-exports), and
-the commands import only what they run."""
+__all__ are exempt, and so is __init__.py, whose imports are re-exports),
+every name a module exports is used by code that runs, and the commands
+import only what they run."""
 
 import ast
 import json
@@ -11,11 +12,22 @@ import sys
 import textwrap
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fracwave"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fracwave"
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    return {name for node in tree.body if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)}
 
 
 def _unused_imports(path: Path) -> list[str]:
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tree = _parse(path)
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -24,10 +36,7 @@ def _unused_imports(path: Path) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            used |= set(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
@@ -36,6 +45,33 @@ def test_no_unused_imports():
     assert len(modules) >= 5
     unused = {p.name: _unused_imports(p) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    """Names the code reads: bare names, attributes and from-imports (the
+    strings of __all__ and the names a def or class binds are not reads)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_every_export_is_used_by_code_that_runs():
+    """A name in a module's __all__ must be read by fracwave's own modules
+    (its own included; __init__.py only re-exports), the demos, the
+    benchmark or the acceptance suite.  A name that only unit tests reach
+    is API that no run uses: delete it, or use it."""
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    runners = [*modules, *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+               ROOT / "tests" / "test_acceptance.py"]
+    read = set().union(*(_referenced(_parse(p)) for p in runners))
+    unread = {p.stem: sorted(_exported(_parse(p)) - read) for p in modules}
+    assert {name: names for name, names in unread.items() if names} == {}
 
 
 # Plans of the import-budget test: the simulate table calls
