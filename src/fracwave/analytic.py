@@ -200,6 +200,10 @@ def _require_second_moment(curves: MomentCurves) -> Callable[[float], float]:
 
 # 8-point Gauss-Legendre rule on [-1, 1], exact for polynomials of degree <= 15
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# Most unit-width panels _moment_integral cuts: its node arrays grow with the
+# upper limit (about 0.2 MB per 1000), and no plan's lattice reaches a time
+# near this.
+_MAX_UNIT_PANELS = 10_000
 
 
 def _moment_integral(integrand, upper: float, knots) -> float:
@@ -209,8 +213,11 @@ def _moment_integral(integrand, upper: float, knots) -> float:
     width.  Exact to rounding for every MomentCurves integrand here: a
     polynomial kernel of degree <= 3 times a curve that is linear between its
     knots (degree <= 4 per panel) or smooth on a unit panel (the constants and
-    cosh(s / sqrt 2)).
+    cosh(s / sqrt 2)).  Refuses an upper limit past _MAX_UNIT_PANELS.
     """
+    if not upper <= _MAX_UNIT_PANELS:
+        raise ValueError(f"t={upper!r} is too long for the moment rule, which cuts a panel "
+                         f"per unit of time: at most t={_MAX_UNIT_PANELS}")
     cuts = np.arange(1.0, upper)
     if knots is not None:
         cuts = np.concatenate((cuts, knots[(knots > 0.0) & (knots < upper)]))

@@ -270,9 +270,11 @@ def cmd_oracle(args) -> int:
             value = analytic.linear_white_second_moment_volterra(args.t, step=args.step)
             inputs = {"t": args.t, "step": args.step}
             method = "trapezoid marching of the second-moment integral equation"
-            tol = 2.0 * args.step**2
+            tol = 2.0 * args.step * args.step  # inf, not OverflowError, for a huge step
         else:  # pragma: no cover - argparse restricts choices
             raise ValueError(f"unknown oracle quantity {name}")
+        if not (math.isfinite(value) and math.isfinite(tol)):
+            raise ValueError(f"the inputs overflow the float range: value {value}, tolerance {tol}")
     except ValueError as exc:
         print(f"oracle {name}: {exc}", file=sys.stderr)
         return 2

@@ -15,6 +15,10 @@ The summary carries raw per-replica samples of the centered spatial average
 and its first-chaos projection, per-pair statistics (variance, normality
 distance, chaos decomposition) with delete-group jackknife standard errors,
 and empirical moment curves read off the window center.
+
+The normality distance needs Phi.  An interpolated table finds the few ranks
+where the sup can be, and a port of Cephes ndtr (the float scipy.special.ndtr
+returns) evaluates them exactly, so this module imports no scipy.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import analytic
 from .analytic import MomentCurves
@@ -74,13 +77,25 @@ _BATCH_BYTES = 1 << 20
 _JACK_GROUPS = 100
 # fewest samples a KS distance is computed from
 KS_MIN_N = 100
-# ks_normality evaluates Phi at the ends of blocks of this many sorted points
-# and in full only in blocks that can still hold the sup (see _ks_sorted).
-# On 3*10^4-point columns of a rate study 20-50 of 1250 blocks of 24 stay
-# hot (118-167 of 469 at 64), and 24 was the fastest of 8..64 points; the
-# pruned form beats the full formula from about 4500 points (2-CPU VM).
+# ks_normality bounds each block of this many sorted points from its two
+# ends and evaluates the blocks that can still hold the sup (see _ks_sorted).
+# On the bootstrap columns of a 3*10^4-replica rate study 24 was the fastest
+# of 8..64 points: about 100 us a column, 110 at 16, 115 at 32, 130 at 8 and
+# 150 at 64; the pruned form beats the full one from 2000-4500 points (2-CPU
+# VM).
 _KS_BLOCK = 24
 _KS_PRUNE_MIN = 4096
+# Phi tabulated on [-_PHI_SPAN, _PHI_SPAN] at step _PHI_STEP for the
+# interpolant of _ks_sorted.  Linear interpolation errs by at most
+# step^2 max|Phi''| / 8, and |Phi''(x)| = |x| phi(x) <= phi(1) < 0.2420;
+# 1e-12 covers the rounding of the table and of the interpolation.
+_PHI_SPAN = 9.0
+_PHI_STEP = 2.0**-10
+_PHI_ERR = 0.0303 * _PHI_STEP**2 + 1e-12
+# Terms within this of the largest approximate term may hold the sup: two
+# interpolation errors, and 1e-9 for the exact Phi, which need not be
+# monotone in its last bits.
+_KS_MARGIN = 2.0 * _PHI_ERR + 1e-9
 
 
 @dataclass(frozen=True)
@@ -232,7 +247,13 @@ def first_chaos_weights(cfg: LatticeConfig, t: float, radius: float, kappa: floa
 
 def _chaos_stacks(cfg: LatticeConfig, times, radii) -> list[np.ndarray]:
     """Per time, the flattened first-chaos weights of every radius, one row each."""
-    return [np.stack([first_chaos_weights(cfg, t, r, KAPPA).ravel() for r in radii]) for t in times]
+    stacks = []
+    for t in times:
+        w = np.empty((len(radii), cfg.time_index(t) * cfg.n_cells))
+        for k, r in enumerate(radii):
+            w[k] = first_chaos_weights(cfg, t, r, KAPPA).ravel()
+        stacks.append(w)
+    return stacks
 
 
 def _chaos_samples(stacks: list[np.ndarray], masses: np.ndarray) -> np.ndarray:
@@ -250,38 +271,146 @@ def _check_ks_size(n: int) -> None:
         raise ValueError(f"KS distance needs at least {KS_MIN_N} samples, got {n}")
 
 
+# Cephes ndtr/erf/erfc coefficients, in the Horner order of polevl/p1evl
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_MAXLOG = 7.09782712893383996843e2
+_SQRTH = 7.07106781186547524401e-1
+
+
+def _polevl(x: float, coef: tuple, leading_one: bool = False) -> float:
+    ans = x + coef[0] if leading_one else coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    if x < 0.0:
+        return -_erf(-x)
+    if x > 1.0:
+        return 1.0 - _erfc(x)
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U, True)
+
+
+def _erfc(a: float) -> float:
+    x = abs(a)
+    if x < 1.0:
+        return 1.0 - _erf(a)
+    z = -a * a
+    if z < -_MAXLOG:  # underflow
+        return 2.0 if a < 0 else 0.0
+    if x < 8.0:
+        y = (math.exp(z) * _polevl(x, _ERFC_P)) / _polevl(x, _ERFC_Q, True)
+    else:
+        y = (math.exp(z) * _polevl(x, _ERFC_R)) / _polevl(x, _ERFC_S, True)
+    return 2.0 - y if a < 0 else y
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF, the float scipy.special.ndtr gives: Cephes ndtr
+    with its erf and erfc, term for term, and libm exp (math.exp)."""
+    if a != a:
+        return a
+    x = a * _SQRTH
+    z = abs(x)
+    if z < _SQRTH:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
+@functools.cache
+def _phi_table() -> tuple[np.ndarray, np.ndarray]:
+    """Phi at -_PHI_SPAN + k _PHI_STEP, k = 0 .. 2 _PHI_SPAN / _PHI_STEP, and
+    the rise from each point to the next."""
+    k = int(_PHI_SPAN / _PHI_STEP)
+    phi = np.array([0.5 * math.erfc(-j * _PHI_STEP * _SQRTH) for j in range(-k, k + 2)])
+    rise = np.diff(phi)
+    phi = phi[:-1]
+    phi.flags.writeable = rise.flags.writeable = False
+    return phi, rise
+
+
+def _phi_approx(x: np.ndarray) -> np.ndarray:
+    """Phi within _PHI_ERR: the table interpolated linearly, its end values
+    beyond it (Phi(-9) < 1.2e-19).  The grid is uniform, so a point's cell
+    is its scaled offset truncated, with no search."""
+    phi, rise = _phi_table()
+    u = np.clip(x, -_PHI_SPAN, _PHI_SPAN)
+    u += _PHI_SPAN
+    u *= 1.0 / _PHI_STEP
+    cell = u.astype(np.intp)
+    u -= cell
+    u *= rise.take(cell)
+    u += phi.take(cell)
+    return u
+
+
 def _ks_terms(cdf: np.ndarray, rank: np.ndarray, n: int) -> np.ndarray:
     """max(i/n - Phi(x_(i)), Phi(x_(i)) - (i-1)/n) at float ranks i, given Phi(x_(i))."""
     return np.maximum(rank / n - cdf, cdf - (rank - 1.0) / n)
 
 
-def _ks_sorted(x: np.ndarray) -> float:
-    """ks_normality of a sorted sample, evaluated only where the sup can be.
+@functools.lru_cache(maxsize=4)
+def _ks_blocks(n: int) -> tuple[np.ndarray, ...]:
+    """Block layout of an n-point sample for _ks_sorted: the 0-based first
+    rank of every block and n - 1, then at those ranks i the fractions
+    (i + 1)/n and i/n, and per block the first rank of the next one (n for
+    the last) over n.  A jackknife or bootstrap asks for one or two n."""
+    edges = np.append(np.arange(0, n, _KS_BLOCK), n - 1)
+    layout = (edges, (edges + 1.0) / n, edges / n, np.minimum(edges[:-1] + _KS_BLOCK, n) / n)
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
-    The terms at the two ends of every _KS_BLOCK-point block give an exact
-    lower bound `best`.  Phi is monotone, so within a block of ranks
-    first..last every term is at most max(last/n - Phi(x_first),
-    Phi(x_last) - (first-1)/n); only blocks whose bound reaches best (less
-    1e-9, far above rounding) are evaluated in full.  The result is the max
-    of the same floats over a subset that holds the argmax, so it equals the
-    full formula bit for bit.  Below _KS_PRUNE_MIN points most blocks reach
-    best and the full formula is cheaper.  A NaN sorts last and makes best
-    NaN; then every term is evaluated and the NaN propagates.
+
+def _ks_sorted(x: np.ndarray) -> float:
+    """ks_normality of a sorted sample, with the exact Phi only where the sup can be.
+
+    Every term is first taken with _phi_approx, which moves it by at most
+    _PHI_ERR.  From _KS_PRUNE_MIN points on, the sample is cut into blocks
+    of _KS_BLOCK ranks, and the terms at the first rank of each block and at
+    the last rank give a lower bound `best` on the sup.  Phi is monotone, so
+    every term of a block of ranks first..last is at most max(last/n -
+    Phi(x_(first)), Phi(x_(last+1)) - (first-1)/n), x_(n+1) read as x_(n);
+    only blocks whose bound reaches best less _KS_MARGIN are kept.  Of the ranks kept (all of them below _KS_PRUNE_MIN), those whose
+    approximate term reaches the largest less _KS_MARGIN get the exact
+    term, from _ndtr.  The exact argmax passes both filters, so the result
+    is the max of the full formula's floats over a subset that holds it:
+    the same float.  A NaN sorts last and makes the result NaN.
     """
     n = x.size
+    if math.isnan(x[-1]):
+        return math.nan
     if n >= _KS_PRUNE_MIN:
-        first = np.arange(0, n, _KS_BLOCK)
-        last = np.minimum(first + (_KS_BLOCK - 1), n - 1)
-        ends = np.concatenate([first, last])
-        cdf = ndtr(x[ends])
-        best = _ks_terms(cdf, ends + 1.0, n).max()
-        if np.isfinite(best):
-            k = first.size
-            bound = np.maximum((last + 1.0) / n - cdf[:k], cdf[k:] - first / n)
-            hot = first[bound >= best - 1e-9]
-            idx = np.minimum(hot[:, None] + np.arange(_KS_BLOCK), n - 1).ravel()
-            return float(max(best, _ks_terms(ndtr(x[idx]), idx + 1.0, n).max()))
-    return float(_ks_terms(ndtr(x), np.arange(1, n + 1, dtype=np.float64), n).max())
+        edges, upper, lower, next_upper = _ks_blocks(n)
+        cdf = _phi_approx(x[edges])
+        best = np.maximum(upper - cdf, cdf - lower).max()
+        bound = np.maximum(next_upper - cdf[:-1], cdf[1:] - lower[:-1])
+        hot = edges[:-1][bound >= best - _KS_MARGIN]
+        ranks = np.minimum(hot[:, None] + np.arange(_KS_BLOCK), n - 1).ravel()
+    else:
+        ranks = np.arange(n)
+    terms = _ks_terms(_phi_approx(x[ranks]), ranks + 1.0, n)
+    best = -math.inf
+    for i in ranks[terms >= terms.max() - _KS_MARGIN].tolist():
+        cdf = _ndtr(float(x[i]))
+        best = max(best, (i + 1.0) / n - cdf, cdf - float(i) / n)
+    return best
 
 
 def ks_normality(samples: Sequence[float]) -> float:

@@ -2,10 +2,14 @@
 quadrature route computed here, plus frozen literal values where a formula has
 a memorable exact evaluation."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from scipy import integrate
 
+from fracwave import analytic
 from fracwave.analytic import (
     MomentCurves,
     asymptotic_constants,
@@ -235,6 +239,21 @@ def test_asymptotic_variance_validation():
         asymptotic_variance(-1.0, 0.75, MomentCurves.constant(1.0))
     with pytest.raises(ValueError):
         asymptotic_variance(1.0, 0.4, MomentCurves.constant(1.0))
+
+
+def test_moment_rule_refuses_a_time_past_the_panel_cap():
+    curves = MomentCurves.constant(1.0)
+    cap = analytic._MAX_UNIT_PANELS
+    # at the cap the rule still runs, and stays exact: 2 int_0^t (t-s)^2 ds
+    assert asymptotic_variance(float(cap), 0.5, curves) == pytest.approx(2.0 * cap**3 / 3.0, rel=1e-12)
+    for t in (cap + 0.5, 1e5, 1e300, math.inf):
+        named = re.escape(f"t={t!r}")
+        with pytest.raises(ValueError, match=named):
+            asymptotic_variance(t, 0.5, curves)
+        with pytest.raises(ValueError, match=named):
+            cross_covariance(t, 2.0 * t, 0.75, curves)
+        with pytest.raises(ValueError, match=named):
+            prelimit_variance_white(t, 2.0 * t, curves)
 
 
 def test_prelimit_variance_white_exact_polynomial():

@@ -149,6 +149,33 @@ def test_oracle_rejects_non_finite_numbers(capsys, text):
     assert "finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["variance", "--t", "1e300", "--hurst", "0.5"],
+    ["variance", "--t", "1e5", "--hurst", "0.75", "--sigma", "constant"],
+    ["cov", "--ti", "1e300", "--tj", "1e301", "--hurst", "0.5"],
+])
+def test_oracle_refuses_a_time_past_the_panel_cap(capsys, argv):
+    # the moment rule cuts a panel per unit of time; past its cap the
+    # command names t and exits 2 instead of allocating the node arrays
+    code, out, err = _run(capsys, ["oracle", *argv])
+    assert code == 2
+    assert out == ""
+    assert "t=1" in err and "at most t=" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cone", "--x", "0", "--xi", "0", "--t", "1e308", "--s", "1e308", "--hurst", "0.75"],
+    ["volterra", "--t", "1", "--step", "1e200"],
+])
+def test_oracle_names_an_overflow(capsys, argv):
+    # finite inputs whose value or tolerance overflows exit 2, not with a
+    # JSON encoder's traceback or an OverflowError
+    code, out, err = _run(capsys, ["oracle", *argv])
+    assert code == 2
+    assert out == ""
+    assert "overflow the float range" in err
+
+
 def test_oracle_volterra_frozen_value(capsys):
     code, out, _ = _run(capsys, ["oracle", "volterra", "--t", "1"])
     assert code == 0

@@ -5,6 +5,7 @@ statistics against the analytic module on small ensembles."""
 import json
 import math
 import os
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -34,7 +35,7 @@ from fracwave.estimators import (
     window_averages,
 )
 from fracwave.noise import sample_sheet
-from fracwave.solver import KAPPA, SigmaSpec, solve
+from fracwave.solver import KAPPA, LatticeConfig, SigmaSpec, solve
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +132,69 @@ def test_ks_normality_equals_full_formula_randomized():
     for k in (estimators._KS_PRUNE_MIN // block + 1, 400, 1250):
         for r in (0, 1, block - 1):
             check(k * block + r)
+
+
+def test_ndtr_equals_scipy_bit_for_bit():
+    # the scalar Cephes port against scipy.special.ndtr on a dense grid over
+    # [-40, 40], random points, and both sides of every branch edge: a = +-1
+    # (|x| = 1/sqrt 2), +-sqrt 2 (erfc's |x| = 1), +-8 sqrt 2 (x = 8) and
+    # +-37.7 (exp(-x^2) underflows past MAXLOG), with +-0 and +-inf
+    rng = np.random.default_rng(13)
+    edges = [0.0, 1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 37.7,
+             math.sqrt(2.0 * estimators._MAXLOG), math.inf]
+    near = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+    a = np.concatenate([
+        np.linspace(-40.0, 40.0, 800_001),
+        rng.uniform(-40.0, 40.0, 100_000),
+        3.0 * rng.standard_normal(100_000),
+        edges, near, [-0.0],
+    ])
+    a = np.concatenate([a, -a])
+    got = np.array([estimators._ndtr(v) for v in a.tolist()])
+    want = ndtr(a)
+    bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert bad.size == 0, (a[bad][:5], got[bad][:5], want[bad][:5])
+    assert math.isnan(estimators._ndtr(math.nan))
+
+
+def test_phi_approx_within_its_bound():
+    # the interpolant of the pruning stage, against the exact CDF, on a sweep
+    # 64 times denser than the table and past both of its ends
+    x = np.concatenate([np.linspace(-12.0, 12.0, 24 * 1024 * 64 + 1), [-np.inf, np.inf]])
+    err = np.abs(estimators._phi_approx(x) - ndtr(x)).max()
+    assert err <= estimators._PHI_ERR
+    # the bound is tight: the step's squared term is the error seen
+    assert err > 0.9 * (estimators._PHI_ERR - 1e-12)
+
+
+@pytest.mark.parametrize("n", [100, 4095, 30_000])
+def test_ks_sorted_takes_the_exact_phi_only_near_the_sup(n, monkeypatch):
+    # the interpolant narrows the sup to a rank or two; only those get _ndtr
+    calls = []
+    exact = estimators._ndtr
+    monkeypatch.setattr(estimators, "_ndtr", lambda v: calls.append(v) or exact(v))
+    rng = np.random.default_rng(n)
+    for x in (rng.standard_normal(n), 1.05 * rng.standard_normal(n), rng.standard_t(5, size=n)):
+        calls.clear()
+        assert ks_normality(x) == _ks_full(x)
+        assert 1 <= len(calls) <= 4
+
+
+def test_chaos_stacks_fill_one_array_per_time():
+    # each radius's weights go straight into their row: same bytes as
+    # stacking the ravelled weights, at well under the two full copies a
+    # stack of a list takes at its peak
+    cfg = LatticeConfig(h=1 / 32, t_max=1.0, x_half_width=33.0)
+    times, radii = (0.5, 1.0), tuple(4.0 * k for k in range(1, 9))
+    want = [np.stack([first_chaos_weights(cfg, t, r, KAPPA).ravel() for r in radii]) for t in times]
+    tracemalloc.start()
+    try:
+        got = estimators._chaos_stacks(cfg, times, radii)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [w.tobytes() for w in got] == [w.tobytes() for w in want]
+    assert peak < 1.5 * sum(w.nbytes for w in want)
 
 
 def test_ks_critical_value():
