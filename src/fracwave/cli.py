@@ -230,6 +230,8 @@ def _finite_float(text: str) -> float:
     return value
 
 
+# The finiteness check below names an overflow; numpy's warnings would precede it.
+@np.errstate(over="ignore")
 def cmd_oracle(args) -> int:
     name = args.quantity
     try:

@@ -484,12 +484,15 @@ def ks_critical(n: int, alpha: float = 0.01) -> float:
 
 @dataclass
 class ChunkResult:
-    """Raw per-replica output for a set of replica ids (any order)."""
+    """Raw per-replica output for a set of replica ids (any order), in
+    blocks: a chunk is one, a merge keeps its chunks'.  replica_ids, g and
+    i1 run block after block; sigma_blocks holds each block's sigma(u) at
+    the window center apart, so that summarize never stacks them."""
 
     replica_ids: np.ndarray
     g: np.ndarray  # (n_ids, n_times, n_radii)
     i1: Optional[np.ndarray]  # same shape, or None when chaos is off
-    sigma_center: np.ndarray  # (n_ids, n_steps + 1): sigma(u) at the window center
+    sigma_blocks: tuple  # of (n_block_ids, n_steps + 1) arrays
 
 
 def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int],
@@ -539,22 +542,35 @@ def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int],
         except TypeError:  # a type built from more than a message: as it was
             raise exc from None
         raise named from exc
-    return ChunkResult(replica_ids=ids, g=g, i1=i1, sigma_center=sig_c)
+    return ChunkResult(replica_ids=ids, g=g, i1=i1, sigma_blocks=(sig_c,))
+
+
+def _block_ids(chunk: ChunkResult) -> list[np.ndarray]:
+    return np.split(chunk.replica_ids, np.cumsum([len(b) for b in chunk.sigma_blocks])[:-1])
 
 
 def merge_chunks(*chunks: ChunkResult) -> ChunkResult:
     """Associative, commutative merge of any number of chunks, in one
-    concatenation; summarize() re-sorts to canonical order."""
+    concatenation of the ids, g and i1 rows; the sigma blocks are kept, not
+    copied.  A ValueError names the ids that would be duplicated, or two
+    blocks whose id ranges interleave: summarize folds the blocks one after
+    the other in id order, which such blocks have not."""
     ids = np.concatenate([c.replica_ids for c in chunks])
-    if np.unique(ids).size != ids.size:
-        raise ValueError("merge would duplicate replica ids")
+    srt = np.sort(ids)
+    dup = srt[1:][srt[1:] == srt[:-1]]
+    if dup.size:
+        raise ValueError(f"merge would duplicate replica ids {sorted(set(dup[:5].tolist()))}")
     if len({c.i1 is None for c in chunks}) > 1:
         raise ValueError("cannot merge chunks with and without chaos samples")
+    spans = sorted((b.min(), b.max()) for c in chunks for b in _block_ids(c) if b.size)
+    for (lo, hi), (lo2, hi2) in zip(spans, spans[1:]):
+        if hi > lo2:
+            raise ValueError(f"chunks of replicas {lo}..{hi} and {lo2}..{hi2} interleave")
     return ChunkResult(
         replica_ids=ids,
         g=np.concatenate([c.g for c in chunks]),
         i1=None if chunks[0].i1 is None else np.concatenate([c.i1 for c in chunks]),
-        sigma_center=np.concatenate([c.sigma_center for c in chunks]),
+        sigma_blocks=tuple(b for c in chunks for b in c.sigma_blocks if len(b)),
     )
 
 
@@ -738,37 +754,68 @@ def _pair_stats(summary: ExperimentSummary, pair: tuple[int, int]) -> PairStats:
     return ps
 
 
+def _fold_rows(blocks) -> np.ndarray:
+    """np.sum(axis=0) of the stacked blocks, to the bit, one block at a time:
+    numpy adds the rows of a C-contiguous (n, k >= 2) array in turn."""
+    acc = None
+    for block in blocks:
+        acc = np.add.reduce(block if acc is None else np.concatenate((acc[None], block)), axis=0)
+    return acc
+
+
+def _curve_moments(merged: ChunkResult, m: int) -> tuple[np.ndarray, ...]:
+    """mean(axis=0) of sigma and sigma^2 over the replicas in canonical
+    order, then std(axis=0, ddof=1) / sqrt(m) of each, to the bit; besides
+    the blocks it holds a few blocks' worth at a time."""
+    def rows(square: bool):
+        for ids, block in sorted(zip(_block_ids(merged), merged.sigma_blocks), key=lambda p: p[0][0]):
+            block = block if np.all(ids[1:] > ids[:-1]) else block[np.argsort(ids)]
+            yield block**2 if square else block
+
+    mean, sq = (_fold_rows(rows(square)) / m for square in (False, True))
+    if m < 2:
+        return mean, sq, np.zeros_like(mean), np.zeros_like(sq)
+    mean_se, sq_se = (np.sqrt(_fold_rows((b - mu) ** 2 for b in rows(square)) / (m - 1)) / np.sqrt(m)
+                      for mu, square in ((mean, False), (sq, True)))
+    return mean, sq, mean_se, sq_se
+
+
 def summarize(plan: ExperimentPlan, merged: ChunkResult, wall_seconds: float,
               workers: int = 1, tasks: Sequence = ()) -> ExperimentSummary:
     """Build the summary from merged chunks.  All reductions run in canonical
-    (sorted replica id) order, so the result is chunking-independent.  The
-    pair statistics run as one task per (time, radius) pair through
-    run_tasks on `workers` processes; each task reads its columns of the
-    (M, n_times, n_radii) sample block with the strides they have here, so
-    the worker count does not change a bit.
+    (sorted replica id) order, so the result is chunking-independent; g
+    and i1 are reordered only when their ids are not canonical.  The pair
+    statistics run as one task per (time, radius) pair through run_tasks on
+    `workers` processes; each task reads its columns of the (M, n_times,
+    n_radii) sample block with the strides they have here, so the worker
+    count does not change a bit.
 
     tasks are further (fn, args) statistics of the summary, fn(summary,
     *args), that need no pair statistics.  They run on the same pool, ahead
     of the pair tasks, so a caller lists them longest first; their results
-    are summary.task_results, in order."""
-    order = np.argsort(merged.replica_ids, kind="stable")
-    ids = merged.replica_ids[order]
-    if ids.size != plan.replicas or not np.array_equal(ids, np.arange(plan.replicas)):
-        raise ValueError("merged chunks do not cover replicas 0..M-1 exactly once")
-    g = np.ascontiguousarray(merged.g[order])
-    i1 = None if merged.i1 is None else np.ascontiguousarray(merged.i1[order])
-    sig_c = merged.sigma_center[order]
+    are summary.task_results, in order.
 
-    m = ids.size
-    curve_mean = sig_c.mean(axis=0)
-    curve_sq = (sig_c**2).mean(axis=0)
-    curve_mean_se = sig_c.std(axis=0, ddof=1) / np.sqrt(m) if m > 1 else np.zeros_like(curve_mean)
-    curve_sq_se = (sig_c**2).std(axis=0, ddof=1) / np.sqrt(m) if m > 1 else np.zeros_like(curve_sq)
+    A ValueError names the plan digest and the first missing or extra id
+    when the merged ids are not 0..M-1 exactly once."""
+    digest = plan_hash(plan)
+    m = plan.replicas
+    ids, g, i1 = merged.replica_ids, merged.g, merged.i1
+    canonical = np.arange(m)
+    if not np.array_equal(ids, canonical):
+        order = np.argsort(ids, kind="stable")
+        ids, g, i1 = ids[order], g[order], None if i1 is None else i1[order]
+        if not np.array_equal(ids, canonical):
+            k = int(np.argmax(np.append(ids[:m] != canonical[: ids.size], True)))  # first misfit
+            what = f"replica {ids[k]} is extra" if k < ids.size and (k == m or ids[k] < k) \
+                else f"replica {k} is missing"
+            raise ValueError(f"merged chunks do not cover replicas 0..{m - 1} exactly once: "
+                             f"{what} [plan {digest[:12]}]")
+    curve_mean, curve_sq, curve_mean_se, curve_sq_se = _curve_moments(merged, m)
 
     cfg = plan.lattice()
     summary = ExperimentSummary(
         plan=plan,
-        plan_digest=plan_hash(plan),
+        plan_digest=digest,
         wall_seconds=wall_seconds,
         replica_ids=ids,
         g_samples=g,
@@ -864,9 +911,10 @@ def run_experiment(plan: ExperimentPlan, threads: Optional[int] = None,
     ids = [range(i, min(i + _CHUNK, plan.replicas)) for i in range(0, plan.replicas, _CHUNK)]
     # one buffers dict per process: each worker inherits its own copy
     results = pool_map(functools.partial(run_replica_chunk, buffers={}), (plan,), ids, workers)
+    merged = merge_chunks(*results)
+    del results  # the merge keeps the sigma blocks; the chunks' g and i1 rows go
     # a plan of one chunk is too small to pay for a pool for its statistics
-    return summarize(plan, merge_chunks(*results), time.perf_counter() - start,
-                     workers if len(ids) > 1 else 1, tasks)
+    return summarize(plan, merged, time.perf_counter() - start, workers if len(ids) > 1 else 1, tasks)
 
 
 @dataclass

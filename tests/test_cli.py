@@ -5,6 +5,10 @@ the exit-code contract (0 ok, 1 runtime, 2 config/domain)."""
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,6 +178,24 @@ def test_oracle_names_an_overflow(capsys, argv):
     assert code == 2
     assert out == ""
     assert "overflow the float range" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["variance", "--t", "1e4", "--hurst", "0.5"],
+    ["cov", "--ti", "1e4", "--tj", "1e4", "--hurst", "0.5"],
+])
+def test_oracle_overflow_is_one_line_of_stderr(argv):
+    # cosh(t / sqrt 2) overflows inside the moment rule; the command's own
+    # message is all that reaches stderr, with no numpy warning before it
+    env = dict(os.environ, PYTHONWARNINGS="default")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "fracwave.cli", "oracle", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"oracle {argv[0]}: the inputs overflow the float range: "
+                           "value inf, tolerance 0.0\n")
 
 
 def test_oracle_volterra_frozen_value(capsys):

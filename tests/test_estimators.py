@@ -421,7 +421,7 @@ def test_chunk_reductions_equal_per_replica_reductions(ids):
     for k, rid in enumerate(chosen):
         sheet = sample_sheet(plan.noise_spec(), replica=rid)
         fld = solve(cfg, sheet, plan.sigma)
-        assert res.sigma_center[k].tobytes() == plan.sigma(fld.values[:, cfg.center_index]).tobytes()
+        assert res.sigma_blocks[0][k].tobytes() == plan.sigma(fld.values[:, cfg.center_index]).tobytes()
         for it, t in enumerate(plan.times):
             for ir, r in enumerate(plan.radii):
                 w = first_chaos_weights(cfg, t, r, KAPPA)
@@ -465,14 +465,14 @@ def test_chunk_stacks_share_one_buffer(lattice, monkeypatch):
         sheet = sample_sheet(plan.noise_spec(), replica=k)
         fld = solve_(cfg, sheet, plan.sigma)
         assert res.g[k].tobytes() == window_averages(fld, plan.times, plan.radii).tobytes()
-        assert res.sigma_center[k].tobytes() == plan.sigma(fld.values[:, cfg.center_index]).tobytes()
+        assert res.sigma_blocks[0][k].tobytes() == plan.sigma(fld.values[:, cfg.center_index]).tobytes()
         assert res.i1[k].tobytes() == estimators._chaos_samples(stacks, sheet.masses).tobytes()
     # a buffers dict the caller keeps serves its next chunk, bytes unchanged
     buffers = {}
     again = [run_replica_chunk(plan, ids, buffers=buffers) for _ in range(2)]
     for other in again:
         assert other.g.tobytes() == res.g.tobytes() and other.i1.tobytes() == res.i1.tobytes()
-        assert other.sigma_center.tobytes() == res.sigma_center.tobytes()
+        assert other.sigma_blocks[0].tobytes() == res.sigma_blocks[0].tobytes()
 
 
 def test_run_experiment_keeps_one_buffer_across_chunks(monkeypatch):
@@ -693,7 +693,7 @@ def test_summary_ks_se_equals_delete_group_reference(normalization, m):
     g = z + 0.2 * (z**2 - 1.0)
     g[:, 0, 1] = np.round(g[:, 0, 1], 1)  # ties
     chunk = estimators.ChunkResult(replica_ids=np.arange(m), g=g, i1=None,
-                                   sigma_center=np.ones((m, plan.lattice().n_steps + 1)))
+                                   sigma_blocks=(np.ones((m, plan.lattice().n_steps + 1)),))
     s = summarize(plan, chunk, 0.0)
     for (it, ir), ps in s.stats.items():
         x = np.ascontiguousarray(g[:, it, ir])
@@ -720,7 +720,7 @@ def test_summary_moment_ses_equal_delete_group_reference(m):
     # summarize and functional_cov_check read each (time, radius) column of
     # these (m, 2, 2) arrays as a strided view
     chunk = estimators.ChunkResult(replica_ids=np.arange(m), g=g, i1=i1,
-                                   sigma_center=np.ones((m, plan.lattice().n_steps + 1)))
+                                   sigma_blocks=(np.ones((m, plan.lattice().n_steps + 1)),))
     s = summarize(plan, chunk, 0.0)
 
     def var(v):
@@ -798,19 +798,98 @@ def test_merge_rejects_duplicates_and_gaps():
         hurst=0.5, sigma=SigmaSpec.linear(), h=0.25,
         times=(1.0,), radii=(1.0,), replicas=8, seed=1,
     )
+    where = rf"\[plan {plan_hash(plan)[:12]}\]"
     a = run_replica_chunk(plan, range(0, 5))
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match=r"duplicate replica ids \[4\]"):
         merge_chunks(a, run_replica_chunk(plan, range(4, 8)))
     partial = merge_chunks(a, run_replica_chunk(plan, range(6, 8)))  # gap at 5
-    with pytest.raises(ValueError, match="exactly once"):
+    with pytest.raises(ValueError, match=r"exactly once: replica 5 is missing " + where):
         summarize(plan, partial, 0.0)
+    with pytest.raises(ValueError, match=r"exactly once: replica 7 is missing " + where):
+        summarize(plan, merge_chunks(a, run_replica_chunk(plan, [5, 6])), 0.0)
+    with pytest.raises(ValueError, match=r"exactly once: replica 8 is extra " + where):
+        summarize(plan, merge_chunks(a, run_replica_chunk(plan, range(5, 9))), 0.0)
     # the many-chunk merge checks all ids at once
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match=r"duplicate replica ids \[0\]"):
         merge_chunks(a, run_replica_chunk(plan, range(5, 8)), run_replica_chunk(plan, range(0, 1)))
+    with pytest.raises(ValueError, match=r"duplicate replica ids \[1, 3\]"):
+        merge_chunks(a, run_replica_chunk(plan, [3, 1]))
+    # no order of blocks whose id ranges interleave is canonical
+    with pytest.raises(ValueError, match=r"replicas 0\.\.4 and 1\.\.3 interleave"):
+        merge_chunks(run_replica_chunk(plan, [0, 2, 4]), run_replica_chunk(plan, [3, 1]))
+    with pytest.raises(ValueError, match=r"replicas 5\.\.7 and 6\.\.6 interleave"):
+        merge_chunks(a, run_replica_chunk(plan, [5, 7]), run_replica_chunk(plan, [6]))
     whole = merge_chunks(run_replica_chunk(plan, range(6, 8)), a, run_replica_chunk(plan, [5]))
     assert whole.g.tobytes() == merge_chunks(merge_chunks(run_replica_chunk(plan, range(6, 8)), a),
                                              run_replica_chunk(plan, [5])).g.tobytes()
+    # the merge keeps each chunk's sigma rows as they are
+    assert [len(b) for b in whole.sigma_blocks] == [2, 5, 1]
+    assert whole.sigma_blocks[1] is a.sigma_blocks[0]
     summarize(plan, whole, 0.0)
+
+
+def _stacked_curves(rows: np.ndarray) -> list[bytes]:
+    m = rows.shape[0]
+    sq = rows**2
+    return [rows.mean(axis=0).tobytes(), sq.mean(axis=0).tobytes(),
+            (rows.std(axis=0, ddof=1) / np.sqrt(m)).tobytes(),
+            (sq.std(axis=0, ddof=1) / np.sqrt(m)).tobytes()]
+
+
+def _curves(summary) -> list[bytes]:
+    return [summary.curve_mean.tobytes(), summary.curve_sq.tobytes(),
+            summary.curve_mean_se.tobytes(), summary.curve_sq_se.tobytes()]
+
+
+def test_curve_moments_equal_numpy_on_the_stacked_rows():
+    # summarize folds the sigma blocks one at a time; its four curves must be
+    # the floats np.mean and np.std(ddof=1) give on all rows stacked in
+    # canonical order, whatever the chunking and the order within a chunk
+    plan = ExperimentPlan(hurst=0.5, sigma=SigmaSpec.affine_sine(1.0, 0.5), h=1.0 / 16.0,
+                          times=(1.0,), radii=(1.0, 2.0), replicas=301, seed=29, chaos=False)
+    low, mid, high = (run_replica_chunk(plan, range(0, 100)), run_replica_chunk(plan, range(199, 99, -1)),
+                      run_replica_chunk(plan, range(200, 301)))
+    s = summarize(plan, merge_chunks(high, merge_chunks(low, mid)), 0.0)
+    rows = np.concatenate([low.sigma_blocks[0], mid.sigma_blocks[0][::-1], high.sigma_blocks[0]])
+    assert rows.shape == (301, 17)
+    assert _curves(s) == _stacked_curves(rows)
+    assert s.g_samples.tobytes() == np.concatenate([low.g, mid.g[::-1], high.g]).tobytes()
+    assert s.replica_ids.tolist() == list(range(301))
+    # many blocks of random sizes, rows that are not sigma values of a solve
+    rng = np.random.default_rng(5)
+    for h, m in ((1.0 / 8.0, 20000), (1.0 / 64.0, 3001)):
+        plan = ExperimentPlan(hurst=0.5, sigma=SigmaSpec.linear(), h=h, times=(1.0,), radii=(1.0,),
+                              replicas=m, seed=1, chaos=False)
+        rows = 1.0 + 0.5 * np.sin(3.0 * rng.standard_normal((m, plan.lattice().n_steps + 1)))
+        cuts = np.cumsum(rng.integers(1, 700, size=m))
+        cuts = np.concatenate(([0], cuts[cuts < m], [m]))
+        g = rng.standard_normal((m, 1, 1))
+        chunks = [estimators.ChunkResult(replica_ids=np.arange(lo, hi)[::-1], g=g[lo:hi][::-1], i1=None,
+                                         sigma_blocks=(rows[lo:hi][::-1],))
+                  for lo, hi in zip(cuts[:-1], cuts[1:])]
+        s = summarize(plan, merge_chunks(*chunks[::-1]), 0.0)
+        assert _curves(s) == _stacked_curves(rows)
+        assert s.g_samples.tobytes() == g.tobytes()
+
+
+def test_summary_holds_no_second_copy_of_the_sigma_rows():
+    # 65 levels and one (t, R) pair: the sigma rows are most of what the
+    # merge and the summary hold.  Folded block by block they cost less
+    # than one more copy of themselves; stacking them alone would be one.
+    plan = ExperimentPlan(hurst=0.5, sigma=SigmaSpec.affine_sine(1.0, 0.5), h=1.0 / 64.0,
+                          times=(1.0,), radii=(1.0,), replicas=1024, seed=31, chaos=False)
+    chunks = [run_replica_chunk(plan, range(lo, lo + 128)) for lo in range(0, plan.replicas, 128)]
+    rows = sum(c.sigma_blocks[0].nbytes for c in chunks)
+    assert rows == 1024 * 65 * 8
+    summarize(plan, merge_chunks(*chunks), 0.0, workers=1)  # builds the KS table, once per process
+    tracemalloc.start()
+    try:
+        summary = summarize(plan, merge_chunks(*chunks), 0.0, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rows
+    assert _curves(summary) == _stacked_curves(np.concatenate([c.sigma_blocks[0] for c in chunks]))
 
 
 def test_run_experiment_deterministic_across_calls():

@@ -2,7 +2,8 @@
 fracwave module imports is used in that module (names listed in a module's
 __all__ are exempt, and so is __init__.py, whose imports are re-exports),
 every name a module exports is used by code that runs, and the commands
-import only what they run: scipy only inside the one oracle that needs it."""
+import only what they run: scipy only inside the one oracle that needs it,
+numpy.ma only in rate."""
 
 import ast
 import json
@@ -139,6 +140,38 @@ def test_commands_leave_scipy_integrate_unimported(tmp_path):
     assert report["before"] == []
     assert report["after"] is True
     assert report["chaos1"] == report["direct"]
+
+
+def test_commands_other_than_rate_leave_numpy_ma_unimported(tmp_path):
+    """numpy 2's np.unique imports numpy.ma (about 16 ms) on its first call,
+    to check for a masked array; fracwave dedupes by sorting instead.  Only
+    rate's percentile bootstrap CI (np.quantile) still loads it."""
+    for name, body in _BUDGET_PLANS.items():
+        (tmp_path / name).write_text("[experiment]\n" + body)
+    commands = [
+        ["simulate", str(tmp_path / "sim.cfg"), "--threads", "1"],
+        ["funcclt", str(tmp_path / "func.cfg"), "--threads", "1"],
+        ["oracle", "variance", "--t", "1", "--hurst", "0.5"],
+        ["oracle", "cov", "--ti", "0.5", "--tj", "1", "--hurst", "0.75"],
+        ["noise-dump", "--hurst", "0.75", "--dt", "0.25", "--dx", "0.25", "--n-time", "4",
+         "--n-space", "8", "--out", str(tmp_path / "sheet.bin")],
+    ]
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from fracwave import cli
+
+        loaded = []
+        for argv in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                loaded.append([cli.main(argv), "numpy.ma" in sys.modules])
+        print(json.dumps(loaded))
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, False]] * len(commands)
 
 
 def _module_level_imports(node: ast.AST):
