@@ -24,6 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .noise import _check_hurst
+
 __all__ = [
     "cone_inner_product",
     "cone_overlap_white",
@@ -240,19 +242,14 @@ def _limit_integral(kernel, upper: float, hurst: float, curves: MomentCurves) ->
 
 
 def asymptotic_variance(t: float, hurst: float, curves: MomentCurves) -> float:
-    """Limit of Var(spatial average) over the window, per unit scale.
+    """Limit of Var(spatial average) over the window, per unit scale: the
+    diagonal of cross_covariance.
 
     H = 1/2:  2 int_0^t (t-s)^2 * E[sigma(u(s,0))^2] ds   (variance / radius)
     H > 1/2:  2^{2H} int_0^t (t-s)^2 * E[sigma(u(s,0))]^2 ds
               (variance / radius^{2H})
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if not (0.5 <= hurst < 1.0):
-        raise ValueError(f"hurst must lie in [1/2, 1), got {hurst}")
-    if t == 0:
-        return 0.0
-    return _limit_integral(lambda s: (t - s) ** 2, t, hurst, curves)
+    return cross_covariance(t, t, hurst, curves)
 
 
 def prelimit_variance_white(t: float, radius: float, curves: MomentCurves) -> float:
@@ -292,8 +289,7 @@ def cross_covariance(ti: float, tj: float, hurst: float, curves: MomentCurves) -
     """
     if ti < 0 or tj < 0:
         raise ValueError("times must be nonnegative")
-    if not (0.5 <= hurst < 1.0):
-        raise ValueError(f"hurst must lie in [1/2, 1), got {hurst}")
+    _check_hurst(hurst)
     lo = min(ti, tj)
     if lo == 0:
         return 0.0
@@ -318,8 +314,7 @@ def first_chaos_variance(t: float, radius: float, hurst: float) -> float:
         raise ValueError("t must be nonnegative")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if not (0.5 <= hurst < 1.0):
-        raise ValueError(f"hurst must lie in [1/2, 1), got {hurst}")
+    _check_hurst(hurst)
     if hurst == 0.5:
         if radius < 2.0 * t:
             raise ValueError(f"closed form requires radius >= 2t, got R={radius}, t={t}")

@@ -12,7 +12,7 @@ Config files are INI-style with three sections, unknown keys rejected:
     times = 0.5, 1.0         # strictly increasing, multiples of h
     radii = 8, 16, 32        # strictly increasing, multiples of h
     replicas = 10000
-    seed = 1
+    seed = 1                 # in [0, 2**64)
     normalization = self     # self | paper
     chaos = true             # also compute first-chaos projections
     x_half_width = 33.0      # optional; default max(radii) + max(times)
@@ -199,12 +199,9 @@ def _load_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def _effective_threads(rc: RunConfig, cli_threads: Optional[int]) -> Optional[int]:
-    if cli_threads is not None:
-        return cli_threads
-    if rc.threads > 0:
-        return rc.threads
-    return None  # run_experiment falls back to FRACWAVE_THREADS, then CPUs
+def _effective_threads(rc: RunConfig, args) -> int:
+    # 0 (auto) falls back to FRACWAVE_THREADS, then CPUs, in resolve_threads
+    return rc.threads if args.threads is None else args.threads
 
 
 def _json_print(obj, stream=None) -> None:
@@ -242,35 +239,28 @@ def cmd_oracle(args) -> int:
             else:
                 value = analytic.cone_inner_product(args.x, args.xi, args.t, args.s, args.hurst)
                 method = "closed-form four-term power combination"
-            inputs = {"x": args.x, "xi": args.xi, "t": args.t, "s": args.s, "hurst": args.hurst}
             tol = 0.0
         elif name == "overlap":
             value = analytic.cone_window_overlap_integral(args.a, args.b, args.R)
-            inputs = {"a": args.a, "b": args.b, "R": args.R}
             method = "closed-form window-cone overlap integral"
             tol = 0.0
         elif name == "variance":
             curves = _oracle_curves(args)
             value = analytic.asymptotic_variance(args.t, args.hurst, curves)
-            inputs = {"t": args.t, "hurst": args.hurst, "sigma": args.sigma, "value": args.value}
             method = "panelled Gauss-Legendre rule, exact for the limit integrand"
             tol = 0.0
         elif name == "cov":
             curves = _oracle_curves(args)
             value = analytic.cross_covariance(args.ti, args.tj, args.hurst, curves)
-            inputs = {"ti": args.ti, "tj": args.tj, "hurst": args.hurst,
-                      "sigma": args.sigma, "value": args.value}
             method = "panelled Gauss-Legendre rule, exact for the limit cross integrand"
             tol = 0.0
         elif name == "chaos1":
             value = analytic.first_chaos_variance(args.t, args.R, args.hurst)
-            inputs = {"t": args.t, "R": args.R, "hurst": args.hurst}
             method = ("closed form" if args.hurst == 0.5
                       else "nested quadrature of the window-kernel reduction")
             tol = 0.0 if args.hurst == 0.5 else 1e-8
         elif name == "volterra":
             value = analytic.linear_white_second_moment_volterra(args.t, step=args.step)
-            inputs = {"t": args.t, "step": args.step}
             method = "trapezoid marching of the second-moment integral equation"
             tol = 2.0 * args.step * args.step  # inf, not OverflowError, for a huge step
         else:  # pragma: no cover - argparse restricts choices
@@ -280,6 +270,8 @@ def cmd_oracle(args) -> int:
     except ValueError as exc:
         print(f"oracle {name}: {exc}", file=sys.stderr)
         return 2
+    # the quantity's own arguments, in the order its parser declares them
+    inputs = {k: v for k, v in vars(args).items() if k not in ("command", "quantity")}
     _json_print({"inputs": inputs, "value": value, "method": method, "tolerance": tol})
     return 0
 
@@ -323,7 +315,7 @@ def _human_table(summary: ExperimentSummary) -> str:
 
 def cmd_simulate(args) -> int:
     rc = _load_config(args.config)
-    summary = run_experiment(rc.plan, threads=_effective_threads(rc, args.threads))
+    summary = run_experiment(rc.plan, threads=_effective_threads(rc, args))
     payload = summary_to_dict(summary, deterministic=args.deterministic)
     out_path = args.out or rc.summary_path
     raw_path = args.raw or rc.raw_path
@@ -420,11 +412,14 @@ def _bootstrap_slope_ci(
 def cmd_rate(args) -> int:
     rc = _load_config(args.config)
     plan = rc.plan
+    if plan.sigma.is_degenerate:
+        raise ConfigError("rate study needs sigma(1) != 0: with sigma(1) = 0 the field stays "
+                          "at its initial state and every average is 0")
     if len(plan.radii) < 3:
         raise ConfigError("rate study needs at least 3 radii in the config")
     if plan.replicas < KS_MIN_N:
         raise ConfigError(f"rate study needs at least {KS_MIN_N} replicas for KS distances")
-    workers = resolve_threads(_effective_threads(rc, args.threads))
+    workers = resolve_threads(_effective_threads(rc, args))
     # the study reads the last time only: the lattice (t_max, x_half_width)
     # and every replica's sample there stay the same without the others
     plan = replace(plan, times=plan.times[-1:])
@@ -472,7 +467,7 @@ def cmd_funcclt(args) -> int:
         raise ConfigError("functional covariance check needs at least 2 times in the config")
     if rc.plan.replicas < 2:
         raise ConfigError("functional covariance check needs at least 2 replicas")
-    summary = run_experiment(rc.plan, threads=_effective_threads(rc, args.threads))
+    summary = run_experiment(rc.plan, threads=_effective_threads(rc, args))
     report = functional_cov_check(summary)
     payload = strict_json({
         "schema": "fracwave.funcclt/1",
@@ -501,11 +496,10 @@ def cmd_noise_dump(args) -> int:
             hurst=args.hurst, dt=args.dt, dx=args.dx,
             n_time=args.n_time, n_space=args.n_space, seed=args.seed,
         )
+        write_sheet(sample_sheet(spec, replica=args.replica), args.out)
     except ValueError as exc:
         print(f"noise-dump: {exc}", file=sys.stderr)
         return 2
-    sheet = sample_sheet(spec, replica=args.replica)
-    write_sheet(sheet, args.out)
     print(f"wrote {args.n_time}x{args.n_space} sheet (H={args.hurst}) to {args.out}")
     return 0
 

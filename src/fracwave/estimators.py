@@ -36,7 +36,7 @@ import numpy as np
 
 from . import analytic
 from .analytic import MomentCurves
-from .noise import STREAM, NoiseSpec, sample_sheet
+from .noise import STREAM, NoiseSpec, _check_hurst, _check_key, sample_sheet
 from .solver import KAPPA, LatticeConfig, SigmaSpec, SolutionField, _snap_to_grid, solve
 
 __all__ = [
@@ -114,8 +114,7 @@ class ExperimentPlan:
     x_half_width: Optional[float] = None
 
     def __post_init__(self):
-        if not (0.5 <= self.hurst < 1.0):
-            raise ValueError(f"hurst must lie in [1/2, 1), got {self.hurst}")
+        _check_hurst(self.hurst)
         if not 0 < self.h < math.inf:
             raise ValueError(f"h must be finite and positive, got {self.h}")
         if not self.times or any(b <= a for a, b in zip(self.times, self.times[1:])):
@@ -128,8 +127,7 @@ class ExperimentPlan:
             _grid_steps(r, self.h, "radius")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        _check_key(self.seed, "seed")
         if self.normalization not in ("self", "paper"):
             raise ValueError(f"normalization must be 'self' or 'paper', got {self.normalization!r}")
         needed = max(self.radii) + max(self.times)
@@ -158,20 +156,10 @@ class ExperimentPlan:
 
 
 def plan_to_dict(plan: ExperimentPlan) -> dict:
-    return {
-        "hurst": plan.hurst,
-        "sigma": {"kind": plan.sigma.kind,
-                  "params": [list(p) if isinstance(p, tuple) else p for p in plan.sigma.params]},
-        "h": plan.h,
-        "times": list(plan.times),
-        "radii": list(plan.radii),
-        "replicas": plan.replicas,
-        "seed": plan.seed,
-        "normalization": plan.normalization,
-        "chaos": plan.chaos,
-        "x_half_width": plan.x_half_width,
-        "stream": STREAM,
-    }
+    """The plan's fields in order, sigma as its kind and params, then the
+    noise stream.  Every float of a plan is finite, so strict_json only
+    turns the tuples into lists."""
+    return strict_json({**asdict(plan), "stream": STREAM})
 
 
 def plan_hash(plan: ExperimentPlan) -> str:
@@ -470,9 +458,9 @@ def ks_coupled(samples: Sequence[float], reference: Sequence[float]) -> float:
     return _ks_coupled_sorted(np.sort(x / x.std(ddof=1)), np.sort(y / y.std(ddof=1)))
 
 
-def ks_coupled_se(samples: Sequence[float], reference: Sequence[float], n_groups: int = _JACK_GROUPS) -> float:
+def ks_coupled_se(samples: Sequence[float], reference: Sequence[float]) -> float:
     """Delete-group jackknife SE of ks_coupled; groups drop whole pairs."""
-    return _ks_jackknife(_paired(samples, reference), normalize=True, n_groups=n_groups)
+    return _ks_jackknife(_paired(samples, reference), normalize=True)
 
 
 def ks_critical(n: int, alpha: float = 0.01) -> float:
@@ -574,8 +562,8 @@ def merge_chunks(*chunks: ChunkResult) -> ChunkResult:
     )
 
 
-def _group_bounds(n: int, n_groups: int) -> np.ndarray:
-    g = min(n_groups, n)
+def _group_bounds(n: int) -> np.ndarray:
+    g = min(_JACK_GROUPS, n)
     return np.linspace(0, n, g + 1).astype(np.int64)
 
 
@@ -591,13 +579,13 @@ def _jackknife_se(values: np.ndarray) -> float:
     return float(np.sqrt((g - 1.0) / g * np.sum((values - values.mean()) ** 2)))
 
 
-def _cov_replicates(x: np.ndarray, y: np.ndarray, n_groups: int = _JACK_GROUPS) -> np.ndarray:
+def _cov_replicates(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Delete-group replicates of the sample covariance of (x, y), from the
     sums of x, y and x*y less each group's; a variance is (x, x).  Empty
     below 2 groups or when a replicate would hold fewer than 2 samples (as
     at M = 2), where _jackknife_se reads 0.0."""
     n = x.size
-    bounds = _group_bounds(n, n_groups)
+    bounds = _group_bounds(n)
     g = bounds.size - 1
     if g < 2 or n - np.diff(bounds).max() < 2:
         return np.empty(0)
@@ -612,7 +600,7 @@ def _cov_replicates(x: np.ndarray, y: np.ndarray, n_groups: int = _JACK_GROUPS) 
     return reps
 
 
-def _ks_jackknife(columns: list[np.ndarray], normalize: bool, n_groups: int = _JACK_GROUPS) -> float:
+def _ks_jackknife(columns: list[np.ndarray], normalize: bool) -> float:
     """Delete-group jackknife SE of the KS distance of one column
     (ks_normality) or of two paired columns (ks_coupled).
 
@@ -626,7 +614,7 @@ def _ks_jackknife(columns: list[np.ndarray], normalize: bool, n_groups: int = _J
     """
     n = columns[0].size
     _check_ks_size(n)
-    bounds = _group_bounds(n, n_groups)
+    bounds = _group_bounds(n)
     g = bounds.size - 1
     ranked = []
     for col in columns:
@@ -996,10 +984,10 @@ def tightness_moment(summary: ExperimentSummary, p: float, s: float, t: float, r
 
 def strict_json(obj):
     """Copy of a JSON-ready value with every non-finite float replaced by
-    None: strict JSON has no NaN or Infinity."""
+    None (strict JSON has no NaN or Infinity) and every tuple by a list."""
     if isinstance(obj, dict):
         return {k: strict_json(v) for k, v in obj.items()}
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         return [strict_json(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
         return None

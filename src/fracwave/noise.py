@@ -60,6 +60,18 @@ class EmbeddingError(RuntimeError):
     """Circulant embedding produced too much negative spectral mass."""
 
 
+def _check_hurst(hurst: float) -> None:
+    """The Hurst domain of every noise, sampler and oracle here."""
+    if not (0.5 <= hurst < 1.0):
+        raise ValueError(f"hurst must lie in [1/2, 1), got {hurst}")
+
+
+def _check_key(value: int, name: str) -> None:
+    """A seed or replica id: one of the two uint64 words of a Philox key."""
+    if not (0 <= value < 2**64):
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Geometry and seed of a noise sheet.
@@ -76,14 +88,12 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.5 <= self.hurst < 1.0):
-            raise ValueError(f"hurst must lie in [1/2, 1), got {self.hurst}")
+        _check_hurst(self.hurst)
         if not all(math.isfinite(v) and v > 0 for v in (self.dt, self.dx)):
             raise ValueError(f"dt and dx must be finite and positive, got {self.dt}, {self.dx}")
         if self.n_time < 1 or self.n_space < 1:
             raise ValueError("n_time and n_space must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        _check_key(self.seed, "seed")
 
 
 @dataclass
@@ -150,8 +160,7 @@ def fgn_cell_covariance(lag, hurst: float, dx: float):
     second difference of the fractional variance function.  Exact for
     H = 1/2 as well, where it collapses to dx at lag 0 and 0 otherwise.
     """
-    if not (0.5 <= hurst < 1.0):
-        raise ValueError(f"hurst must lie in [1/2, 1), got {hurst}")
+    _check_hurst(hurst)
     d = np.abs(np.asarray(lag, dtype=np.float64))
     two_h = 2.0 * hurst
     out = 0.5 * dx**two_h * ((d + 1.0) ** two_h - 2.0 * d**two_h + np.abs(d - 1.0) ** two_h)
@@ -242,6 +251,8 @@ def sample_sheet(spec: NoiseSpec, replica: Union[int, Sequence[int]] = 0, *,
     ids = (int(replica),) if single else tuple(int(r) for r in replica)
     if not ids:
         raise ValueError("sample_sheet needs at least one replica id")
+    _check_key(min(ids), "replica id")
+    _check_key(max(ids), "replica id")
 
     def normals(shape):
         z = _buffer(buffers, "normals", (len(ids),) + shape)
@@ -286,6 +297,8 @@ def write_sheet(sheet: NoiseSheet, path) -> None:
     (-1 for an external sheet) and the stream version, so a dump keeps its
     provenance tag."""
     _single(sheet, "write_sheet")
+    if sheet.replica is not None and sheet.replica >= 2**63:
+        raise ValueError(f"the dump header holds replica ids below 2**63, got {sheet.replica}")
     spec = sheet.spec
     header = _HEADER.pack(
         SHEET_MAGIC, SHEET_VERSION, spec.hurst, spec.dt, spec.dx, spec.n_time, spec.n_space

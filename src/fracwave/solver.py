@@ -26,7 +26,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .noise import NoiseSheet, _buffer, _single, fgn_cell_covariance
+from .noise import NoiseSheet, _buffer, _check_hurst, _single, fgn_cell_covariance
 
 __all__ = [
     "KAPPA",
@@ -219,7 +219,7 @@ class SolutionField:
         return level, self.config.n_nodes - 1 - level
 
 
-def calibrate_kernel(h: float, hurst: float, reference_steps: int = 8) -> float:
+def calibrate_kernel(h: float, hurst: float) -> float:
     """Kernel constant kappa by closed-form counting of lattice weights.
 
     For constant sigma the scheme's value at a node is 1 + kappa * (sum of the
@@ -227,18 +227,15 @@ def calibrate_kernel(h: float, hurst: float, reference_steps: int = 8) -> float:
     and the dual-cell windows of the active nodes tile each row of the cone
     (row at depth p holds one fractional increment of width 2(p+1)h).  The
     target variance is one quarter of the discrete cone-mass variance; both
-    sides are assembled here from fgn_cell_covariance and the ratio returns
-    kappa = 1/2 exactly, for every (h, hurst) and reference horizon: the
-    count behind KAPPA, which solve uses.
+    sides are assembled here, over the cone rows of a horizon of 8 steps,
+    from fgn_cell_covariance and the ratio returns kappa = 1/2 exactly, for
+    every (h, hurst): the count behind KAPPA, which solve uses.
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    if not (0.5 <= hurst < 1.0):
-        raise ValueError(f"hurst must lie in [1/2, 1), got {hurst}")
-    if reference_steps < 1:
-        raise ValueError("reference_steps must be >= 1")
+    _check_hurst(hurst)
     scheme_weight_var = 0.0
-    for depth in range(1, reference_steps + 1):
+    for depth in range(1, 9):
         width = 2 * depth  # cells in the tiled row
         lags = np.arange(width)
         cov = fgn_cell_covariance(np.abs(lags[:, None] - lags[None, :]), hurst, h)

@@ -241,6 +241,26 @@ def test_asymptotic_variance_validation():
         asymptotic_variance(1.0, 0.4, MomentCurves.constant(1.0))
 
 
+def test_asymptotic_variance_keeps_the_bits_of_its_own_integral():
+    # the variance is the diagonal of cross_covariance, whose kernel
+    # (t-s)*(t-s) rounds as the (t-s)**2 it was once integrated with
+    knots = np.linspace(0.0, 12.0, 49)
+    mean = 1.0 + 0.3 * np.sin(knots)
+    kinds = [MomentCurves.constant(0.0), MomentCurves.constant(1.7), MomentCurves.linear_white(),
+             MomentCurves.linear_mean_only(),
+             MomentCurves.from_samples(knots, mean, mean**2 + 0.2 + 0.05 * knots)]
+    grid = [0.0, 1.0 / 64.0, 0.1, 1.0 / 3.0, 1.0, 2.5, 7.75, 10.0, 11.9,
+            *np.random.default_rng(15).uniform(0.0, 12.0, 20)]
+    for curves in kinds:
+        for hurst in (0.5, 0.55, 0.75, 0.9, 0.99):
+            if hurst == 0.5 and curves.mean_sigma_sq is None:
+                continue
+            for t in grid:
+                old = 0.0 if t == 0 else analytic._limit_integral(
+                    lambda s: (t - s) ** 2, t, hurst, curves)
+                assert asymptotic_variance(t, hurst, curves) == old, (t, hurst)
+
+
 def test_moment_rule_refuses_a_time_past_the_panel_cap():
     curves = MomentCurves.constant(1.0)
     cap = analytic._MAX_UNIT_PANELS

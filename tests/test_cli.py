@@ -374,6 +374,27 @@ def test_rate_at_the_replica_minimum(tmp_path, capsys, chaos):
     assert rows.shape == (3, 3) and np.all(np.isfinite(rows))
 
 
+@pytest.mark.parametrize("chaos", ["true", "false"])
+def test_rate_refuses_a_degenerate_sigma(tmp_path, capsys, chaos):
+    # sigma(1) = 0 keeps the field at 1: every average is 0, so there is no
+    # KS distance and no slope to report
+    text = SMALL_CFG.replace("radii = 1.0", "radii = 1.0, 2.0, 4.0").replace(
+        "replicas = 60", f"replicas = 100\nchaos = {chaos}").replace(
+        "kind = linear", "kind = constant\nvalue = 0")
+    code, out, err = _run(capsys, ["rate", _write_cfg(tmp_path, text), "--bootstrap", "5",
+                                   "--threads", "1"])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "sigma(1)" in err
+
+
+def test_simulate_refuses_a_seed_past_the_key_range(tmp_path, capsys):
+    # a plan-level guard, as for a negative seed: one line, before any chunk
+    path = _write_cfg(tmp_path, SMALL_CFG.replace("seed = 3", f"seed = {2**64}"))
+    code, out, err = _run(capsys, ["simulate", path])
+    assert (code, out) == (1, "")
+    assert err == f"error: seed must lie in [0, 2**64), got {2**64}\n"
+
+
 def test_rate_csv_output(tmp_path, capsys):
     text = SMALL_CFG.replace("radii = 1.0", "radii = 1.0, 2.0, 4.0").replace(
         "replicas = 60", "replicas = 120"
@@ -652,6 +673,21 @@ def test_noise_dump_rejects_non_finite_steps(tmp_path, capsys, flag, text):
                                  "--n-time", "2", "--n-space", "2", "--out", str(tmp_path / "x.bin")])
     assert code == 2
     assert "finite" in err
+    assert not (tmp_path / "x.bin").exists()
+
+
+@pytest.mark.parametrize("flag,value,named", [
+    ("--replica", "-1", "replica id must lie in [0, 2**64)"),
+    ("--replica", str(2**63), "below 2**63"),
+    ("--seed", "-1", "seed must lie in [0, 2**64)"),
+    ("--seed", str(2**64), "seed must lie in [0, 2**64)"),
+])
+def test_noise_dump_refuses_keys_out_of_range(tmp_path, capsys, flag, value, named):
+    code, out, err = _run(capsys, ["noise-dump", "--hurst", "0.75", "--dt", "0.5", "--dx", "0.5",
+                                   "--n-time", "2", "--n-space", "2", f"{flag}={value}",
+                                   "--out", str(tmp_path / "x.bin")])
+    assert (code, out) == (2, "")
+    assert err.startswith("noise-dump: ") and named in err and len(err.splitlines()) == 1
     assert not (tmp_path / "x.bin").exists()
 
 

@@ -349,6 +349,38 @@ def test_plan_validation():
     with pytest.raises(ValueError, match="domain of dependence"):
         ExperimentPlan(hurst=0.5, sigma=sig, h=0.25, times=(1.0,), radii=(4.0,),
                        replicas=1, seed=0, x_half_width=2.0)
+    # the seed is one uint64 word of every replica's Philox key
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            ExperimentPlan(hurst=0.5, sigma=sig, h=0.25, times=(1.0,), radii=(1.0,),
+                           replicas=1, seed=seed)
+
+
+# plan_hash of one plan per sigma kind, as first pinned when plan_to_dict
+# listed its keys by hand
+_PLAN_HASHES = {
+    "constant": "ddb941c06614579fd35e285267889167898ceefe1c8c3f4bf0a19b3ea8e63d12",
+    "linear": "400f7a963799ae7e34ad6666623d83e434e8b20504905c0066c63bcdf59f1bab",
+    "affine_sine": "5e939736d14493eccb78c7355d69b77bb2692060f61ade4d79e770f705aa0996",
+    "tabulated": "b0bedd4dbc57670d76fb5b0f8a86ab2dedcc457ea1e64bc71be54a508df10ecb",
+}
+
+
+def test_plan_dict_keys_and_hashes_are_pinned():
+    sigmas = [SigmaSpec.constant(1.5), SigmaSpec.linear(), SigmaSpec.affine_sine(1.0, 0.5),
+              SigmaSpec.tabulated((-1.0, 0.0, 2.0), (0.5, 1.0, 3.0))]
+    for i, sig in enumerate(sigmas):
+        plan = ExperimentPlan(hurst=0.75 if i % 2 else 0.5, sigma=sig, h=0.25, times=(0.5, 1.0),
+                              radii=(1.0, 2.0), replicas=300, seed=7 + i,
+                              normalization="paper" if i > 1 else "self", chaos=i != 2,
+                              x_half_width=None if i < 3 else 4.0)
+        d = plan_to_dict(plan)
+        assert list(d) == ["hurst", "sigma", "h", "times", "radii", "replicas", "seed",
+                           "normalization", "chaos", "x_half_width", "stream"]
+        assert list(d["sigma"]) == ["kind", "params"]
+        assert plan_hash(plan) == _PLAN_HASHES[sig.kind]
+    assert d["sigma"]["params"] == [[-1.0, 0.0, 2.0], [0.5, 1.0, 3.0]]
+    assert d["times"] == [0.5, 1.0] and d["x_half_width"] == 4.0
 
 
 def test_plan_defaults_and_hash():
@@ -758,13 +790,15 @@ def test_ks_se_at_the_sample_minimum(m):
 
 
 @pytest.mark.parametrize("m,n_groups", [(257, 100), (3000, 100), (500, 7)])
-def test_ks_coupled_se_equals_delete_group_reference(m, n_groups):
+def test_ks_coupled_se_equals_delete_group_reference(m, n_groups, monkeypatch):
+    # the group count is the module's; other counts are set on it
+    monkeypatch.setattr(estimators, "_JACK_GROUPS", n_groups)
     rng = np.random.default_rng(m)
     y = rng.standard_normal(m)
     x = np.round(y + 0.1 * (y**2 - 1.0) + 0.05 * rng.standard_normal(m), 2)
     pairs = np.column_stack([x, y])
     want = _jackknife_reference(pairs, lambda p: ks_coupled(p[:, 0], p[:, 1]), n_groups)
-    assert ks_coupled_se(x, y, n_groups=n_groups) == want
+    assert ks_coupled_se(x, y) == want
 
 
 # ------------------------------------------------------------ merge algebra

@@ -22,6 +22,31 @@ from fracwave.noise import (
 )
 
 
+# ------------------------------------------------------------ keys
+
+
+def test_seeds_and_replica_ids_are_the_uint64_words_of_the_key():
+    top = 2**64 - 1
+    spec = NoiseSpec(hurst=0.5, dt=0.5, dx=0.5, n_time=2, n_space=3, seed=top)
+    stack = sample_sheet(spec, [0, top])
+    assert stack.masses[1].tobytes() == sample_sheet(spec, top).masses.tobytes()
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            NoiseSpec(hurst=0.5, dt=0.5, dx=0.5, n_time=2, n_space=3, seed=bad)
+        for ids in (bad, [0, bad], [bad, 0]):
+            with pytest.raises(ValueError, match=r"replica id must lie in \[0, 2\*\*64\)"):
+                sample_sheet(spec, ids)
+
+
+def test_write_sheet_refuses_a_replica_id_its_header_cannot_hold(tmp_path):
+    spec = NoiseSpec(hurst=0.5, dt=0.5, dx=0.5, n_time=2, n_space=3, seed=1)
+    write_sheet(sample_sheet(spec, 2**63 - 1), tmp_path / "last.bin")
+    assert read_sheet(tmp_path / "last.bin").replica == 2**63 - 1
+    with pytest.raises(ValueError, match="below 2\\*\\*63"):
+        write_sheet(sample_sheet(spec, 2**63), tmp_path / "over.bin")
+    assert not (tmp_path / "over.bin").exists()
+
+
 # ------------------------------------------------------------ closed forms
 
 

@@ -1,12 +1,13 @@
 """Source hygiene that no linter in the toolchain checks: every name a
 fracwave module imports is used in that module (names listed in a module's
 __all__ are exempt, and so is __init__.py, whose imports are re-exports),
-every name a module exports is used by code that runs, and the commands
-import only what they run: scipy only inside the one oracle that needs it,
+every name a module exports is used by code that runs, so is every default
+of an exported function, and the commands import only what they run: scipy only inside the one oracle that needs it,
 numpy.ma only in rate."""
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fracwave"
+# fracwave's modules (__init__.py only re-exports), and the code that runs:
+# the modules, the demos, the benchmark and the acceptance suite
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+RUNNERS = [*MODULES, *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+           ROOT / "tests" / "test_acceptance.py"]
 
 
 def _parse(path: Path) -> ast.Module:
@@ -42,9 +48,8 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    assert len(modules) >= 5
-    unused = {p.name: _unused_imports(p) for p in modules}
+    assert len(MODULES) >= 5
+    unused = {p.name: _unused_imports(p) for p in MODULES}
     assert {name: names for name, names in unused.items() if names} == {}
 
 
@@ -63,16 +68,64 @@ def _referenced(tree: ast.Module) -> set[str]:
 
 
 def test_every_export_is_used_by_code_that_runs():
-    """A name in a module's __all__ must be read by fracwave's own modules
-    (its own included; __init__.py only re-exports), the demos, the
-    benchmark or the acceptance suite.  A name that only unit tests reach
-    is API that no run uses: delete it, or use it."""
-    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    runners = [*modules, *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
-               ROOT / "tests" / "test_acceptance.py"]
-    read = set().union(*(_referenced(_parse(p)) for p in runners))
-    unread = {p.stem: sorted(_exported(_parse(p)) - read) for p in modules}
+    """A name in a module's __all__ must be read by the code that runs (its
+    own module included).  A name that only unit tests reach is API that
+    no run uses: delete it, or use it."""
+    read = set().union(*(_referenced(_parse(p)) for p in RUNNERS))
+    unread = {p.stem: sorted(_exported(_parse(p)) - read) for p in MODULES}
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+def _defaulted(tree: ast.Module):
+    """(function, parameter, position or None if keyword-only) of every
+    parameter with a default, over the module's __all__ functions."""
+    exported = _exported(tree)
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in exported:
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield node.name, arg.arg, i
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def _callee(node: ast.AST):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _set_arguments(tree: ast.Module, positions: dict, keywords: set) -> None:
+    """Record what each call sets, by the callee's name: the most positional
+    arguments given (any number past a *args) and the keywords (all of
+    them for a **kwargs).  functools.partial(f, ...) sets f's arguments."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name, args = _callee(node.func), node.args
+        if name == "partial" and args:
+            name, args = _callee(args[0]), args[1:]
+        given = math.inf if any(isinstance(a, ast.Starred) for a in args) else len(args)
+        positions[name] = max(positions.get(name, 0), given)
+        keywords |= {(name, kw.arg) for kw in node.keywords}
+
+
+def test_every_default_is_set_by_code_that_runs():
+    """A defaulted parameter of an __all__ function must be set, by
+    position, keyword or functools.partial, somewhere in the code that
+    runs.  A knob that only unit tests turn is a second code path that no
+    run takes: fix it, or let a run set it."""
+    positions, keywords = {}, set()
+    for p in RUNNERS:
+        _set_arguments(_parse(p), positions, keywords)
+    unset = [
+        f"{p.stem}.{fn}({param})"
+        for p in MODULES
+        for fn, param, pos in _defaulted(_parse(p))
+        if not ({(fn, param), (fn, None)} & keywords
+                or (pos is not None and pos < positions.get(fn, 0)))
+    ]
+    assert unset == []
 
 
 # Plans of the import-budget test: the simulate table calls
