@@ -9,8 +9,8 @@ values, so each formula either is elementary or carries a quadrature companion
 used by the tests.
 
 Variances and covariances use a Gauss-Legendre rule exact for every curve built
-here (_moment_integral); only first_chaos_variance at H > 1/2 integrates
-adaptively, and imports scipy.integrate when it does.
+here (_moment_integral); the first-chaos variance is elementary at every H.
+Nothing here integrates adaptively, and nothing imports scipy.
 
 Conventions: the field starts at 1 with zero initial velocity, the averaging
 window is [-radius, radius], and curves bundle s -> E[sigma(u(s,0))] and
@@ -19,6 +19,7 @@ s -> E[sigma(u(s,0))^2].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -200,8 +201,14 @@ def _require_second_moment(curves: MomentCurves) -> Callable[[float], float]:
     return curves.mean_sigma_sq
 
 
-# 8-point Gauss-Legendre rule on [-1, 1], exact for polynomials of degree <= 15
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# 8-point Gauss-Legendre rule on [-1, 1], exact for polynomials of degree <= 15: the bits
+# of numpy's leggauss(8), which would import numpy.polynomial and run an eigensolver
+_GL_NODES = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                      -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                      0.7966664774136267, 0.9602898564975362])
+_GL_WEIGHTS = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                        0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                        0.22238103445337443, 0.10122853629037706])
 # Most unit-width panels _moment_integral cuts: its node arrays grow with the
 # upper limit (about 0.2 MB per 1000), and no plan's lattice reaches a time
 # near this.
@@ -296,19 +303,31 @@ def cross_covariance(ti: float, tj: float, hurst: float, curves: MomentCurves) -
     return _limit_integral(lambda s: (ti - s) * (tj - s), lo, hurst, curves)
 
 
+def _binomial_tail(k: float, j: int, z: float) -> float:
+    """sum_{i >= 0} C(k, j + 2i) z^{2i} to rounding, for 4 < k < 5, j >= 2, z <= 1/2."""
+    term, total = math.prod(k - i for i in range(j)) / math.factorial(j), 0.0
+    while total + term != total:
+        total += term
+        term *= (k - j) * (k - j - 1.0) / ((j + 1.0) * (j + 2.0)) * z * z
+        j += 2
+    return total
+
+
 def first_chaos_variance(t: float, radius: float, hurst: float) -> float:
     """Variance of the first-chaos part of the centered spatial average when
     the coefficient at the initial state is 1 (linear or constant-1 sigma).
 
-    H = 1/2 (radius >= 2t): closed form (2/3) radius t^3 - t^4 / 6.
-    H > 1/2: quadrature.  The overlap profile is half the window integral of
-    cone-slice indicators, so the singular double integral collapses, via the
-    closed-form cone product, to a single smooth integral over the separation
-    of the two window points:
-
-        int_0^t (1/8) int_{-2R}^{2R} (2R - |d|) * q(d; t-s) dd ds,
-
-    q(d; a) = |d-2a|^{2H} + |d+2a|^{2H} - 2|d|^{2H}.
+    H = 1/2 (radius >= 2t): (2/3) radius t^3 - t^4 / 6.
+    H > 1/2, any radius: with p = 2H, k = p + 3, L = 2 radius, x = 2t, the
+    closed-form cone product collapses the window double integral to
+    int_0^t (1/4) int_0^L (L-d) (|d-2a|^p + |d+2a|^p - 2|d|^p) dd da.  The inner
+    integral is [|L-2a|^{p+2} + (L+2a)^{p+2} - 2L^{p+2} - 2(2a)^{p+2}] / (4(p+1)(p+2)),
+    the outer one L^k B(x/L) / (8(p+1)(p+2)k), B(y) = (1+y)^k - sgn(1-y)|1-y|^k
+    - 2y^k - 2ky.  B cancels digits far from y = 1 (12 of 16 at R/t = 10^4), so
+    below 1/2 and above 2 it is summed from exact binomial series, whose powers
+    of y fold into those of L and x:
+    B(y) = 2y^3 (sum_{odd j >= 3} C(k,j) y^{j-3} - y^p)
+         = 2y^{k-2} (sum_{even j >= 2} C(k,j) y^{2-j} - k y^{-p}).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -319,34 +338,15 @@ def first_chaos_variance(t: float, radius: float, hurst: float) -> float:
         if radius < 2.0 * t:
             raise ValueError(f"closed form requires radius >= 2t, got R={radius}, t={t}")
         return (2.0 / 3.0) * radius * t**3 - t**4 / 6.0
-
-    from scipy import integrate  # the one QUADPACK use: a kinked nested integrand
-
-    two_h = 2.0 * hurst
-    scale = radius**two_h
-
-    def inner(a: float) -> float:
-        if a == 0.0:
-            return 0.0
-
-        def g(d):
-            q = (
-                abs(d - 2.0 * a) ** two_h
-                + abs(d + 2.0 * a) ** two_h
-                - 2.0 * abs(d) ** two_h
-            )
-            return (2.0 * radius - d) * q
-
-        pts = [p for p in (2.0 * a,) if 0.0 < p < 2.0 * radius]
-        val, _ = integrate.quad(
-            g, 0.0, 2.0 * radius, points=pts, epsabs=1e-10 * scale, epsrel=1e-9, limit=200
-        )
-        return 0.25 * val  # = (1/8) * symmetric integral over [-2R, 2R]
-
-    val, _ = integrate.quad(
-        lambda s: inner(t - s), 0.0, t, epsabs=1e-8 * scale, epsrel=1e-8, limit=200
-    )
-    return val
+    p, y, big, x = 2.0 * hurst, t / radius, 2.0 * radius, 2.0 * t
+    k = p + 3.0
+    scale = 8.0 * (p + 1.0) * (p + 2.0) * k
+    if y < 0.5:
+        return big**p * x**3 * 2.0 * (_binomial_tail(k, 3, y) - y**p) / scale
+    if y > 2.0:
+        return big**2 * x ** (k - 2.0) * 2.0 * (_binomial_tail(k, 2, 1.0 / y) - k * y**-p) / scale
+    bracket = (1.0 + y) ** k - math.copysign(abs(1.0 - y) ** k, 1.0 - y) - 2.0 * y**k - 2.0 * k * y
+    return big**k * bracket / scale
 
 
 def asymptotic_constants(hurst: float, times, curves: MomentCurves) -> np.ndarray:

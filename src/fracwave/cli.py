@@ -1,8 +1,9 @@
 """Command line front end: oracle calculator, experiment runner, rate and
 functional-covariance studies, and raw noise export.
 
-Exit codes: 0 success, 1 runtime or I/O failure, 2 usage, config, or domain
-error.  All numbers print with "." decimals at full double precision.
+Exit codes: 0 success, 1 runtime or I/O failure (a plan that contradicts its
+lattice included), 2 usage, config, or domain error.  All numbers print with
+"." decimals at full double precision.
 
 Config files are INI-style with three sections, unknown keys rejected:
 
@@ -61,7 +62,7 @@ from .estimators import (
     summary_to_dict,
 )
 from .noise import NoiseSpec, sample_sheet, write_sheet
-from .solver import KAPPA, SIGMA_PARAMS, SigmaSpec
+from .solver import KAPPA, SIGMA_PARAMS, LatticeError, SigmaSpec
 
 __all__ = ["RunConfig", "parse_config", "main"]
 
@@ -74,7 +75,7 @@ _SIGMA_DEFAULTS = {"value": "1.0", "base": "1.0", "amplitude": "0.5"}
 
 
 class ConfigError(ValueError):
-    """Malformed or contradictory configuration: maps to exit code 2."""
+    """Malformed configuration or a value outside its domain: maps to exit code 2."""
 
 
 @dataclass(frozen=True)
@@ -167,12 +168,10 @@ def parse_config(text: str) -> RunConfig:
             chaos=_parse_bool(exp.get("chaos", "true"), "chaos"),
             x_half_width=float(xhw) if xhw else None,
         )
-    except ConfigError:
-        raise
+    except (ConfigError, LatticeError):
+        raise  # a LatticeError (off-grid time, window short of its domain) exits 1
     except (TypeError, ValueError) as exc:
-        # plan-level contradictions (window too small, off-lattice times) are
-        # runtime guards per the exit-code contract, not config syntax errors
-        raise ValueError(str(exc)) from exc
+        raise ConfigError(str(exc)) from exc  # the plan's domain checks
 
     out = cp["output"] if "output" in cp else {}
     threads_text = str(out.get("threads", "0")).strip() or "0"
@@ -230,7 +229,7 @@ def _finite_float(text: str) -> float:
 # The finiteness check below names an overflow; numpy's warnings would precede it.
 @np.errstate(over="ignore")
 def cmd_oracle(args) -> int:
-    name = args.quantity
+    name, tol = args.quantity, 0.0
     try:
         if name == "cone":
             if args.hurst == 0.5:
@@ -239,26 +238,20 @@ def cmd_oracle(args) -> int:
             else:
                 value = analytic.cone_inner_product(args.x, args.xi, args.t, args.s, args.hurst)
                 method = "closed-form four-term power combination"
-            tol = 0.0
         elif name == "overlap":
             value = analytic.cone_window_overlap_integral(args.a, args.b, args.R)
             method = "closed-form window-cone overlap integral"
-            tol = 0.0
         elif name == "variance":
             curves = _oracle_curves(args)
             value = analytic.asymptotic_variance(args.t, args.hurst, curves)
             method = "panelled Gauss-Legendre rule, exact for the limit integrand"
-            tol = 0.0
         elif name == "cov":
             curves = _oracle_curves(args)
             value = analytic.cross_covariance(args.ti, args.tj, args.hurst, curves)
             method = "panelled Gauss-Legendre rule, exact for the limit cross integrand"
-            tol = 0.0
         elif name == "chaos1":
             value = analytic.first_chaos_variance(args.t, args.R, args.hurst)
-            method = ("closed form" if args.hurst == 0.5
-                      else "nested quadrature of the window-kernel reduction")
-            tol = 0.0 if args.hurst == 0.5 else 1e-8
+            method = "closed form"
         elif name == "volterra":
             value = analytic.linear_white_second_moment_volterra(args.t, step=args.step)
             method = "trapezoid marching of the second-moment integral equation"
@@ -267,8 +260,9 @@ def cmd_oracle(args) -> int:
             raise ValueError(f"unknown oracle quantity {name}")
         if not (math.isfinite(value) and math.isfinite(tol)):
             raise ValueError(f"the inputs overflow the float range: value {value}, tolerance {tol}")
-    except ValueError as exc:
-        print(f"oracle {name}: {exc}", file=sys.stderr)
+    except (ValueError, OverflowError) as exc:  # a float ** raises OverflowError
+        reason = "the inputs overflow the float range" if isinstance(exc, OverflowError) else exc
+        print(f"oracle {name}: {reason}", file=sys.stderr)
         return 2
     # the quantity's own arguments, in the order its parser declares them
     inputs = {k: v for k, v in vars(args).items() if k not in ("command", "quantity")}

@@ -37,7 +37,7 @@ import numpy as np
 from . import analytic
 from .analytic import MomentCurves
 from .noise import STREAM, NoiseSpec, _check_hurst, _check_key, sample_sheet
-from .solver import KAPPA, LatticeConfig, SigmaSpec, SolutionField, _snap_to_grid, solve
+from .solver import KAPPA, LatticeConfig, LatticeError, SigmaSpec, SolutionField, _snap_to_grid, solve
 
 __all__ = [
     "ExperimentPlan",
@@ -134,7 +134,7 @@ class ExperimentPlan:
         if self.x_half_width is None:
             object.__setattr__(self, "x_half_width", needed)
         elif self.x_half_width < needed - 1e-9:
-            raise ValueError(
+            raise LatticeError(
                 f"x_half_width={self.x_half_width} too small: domain of dependence "
                 f"needs at least max radius + max time = {needed}"
             )
@@ -169,8 +169,8 @@ def plan_hash(plan: ExperimentPlan) -> str:
 
 def _grid_steps(value: float, h: float, name: str) -> int:
     """Lattice steps in a positive time or radius, by the grid rule of
-    solver._snap_to_grid."""
-    n = _snap_to_grid(value, h, name)
+    solver._snap_to_grid; a value <= 0 is refused before the grid is asked."""
+    n = 0 if value <= 0 else _snap_to_grid(value, h, name)
     if n < 1:
         raise ValueError(f"{name}={value} is not positive")
     return n

@@ -33,6 +33,7 @@ __all__ = [
     "SIGMA_PARAMS",
     "SigmaSpec",
     "LatticeConfig",
+    "LatticeError",
     "SolutionField",
     "calibrate_kernel",
     "solve",
@@ -138,13 +139,17 @@ class SigmaSpec:
         return float(self(1.0)) == 0.0
 
 
+class LatticeError(ValueError):
+    """A finite value off the lattice, or a window short of its domain of dependence."""
+
+
 def _snap_to_grid(value: float, h: float, name: str) -> int:
     ratio = value / h
     if not np.isfinite(ratio):
         raise ValueError(f"{name}={value} is not a finite multiple of the lattice step h={h}")
     n = int(round(ratio))
     if abs(ratio - n) > _LATTICE_TOL:
-        raise ValueError(f"{name}={value} is not a multiple of the lattice step h={h}")
+        raise LatticeError(f"{name}={value} is not a multiple of the lattice step h={h}")
     return n
 
 
@@ -165,7 +170,7 @@ class LatticeConfig:
         _snap_to_grid(self.t_max, self.h, "t_max")
         half = _snap_to_grid(self.x_half_width, self.h, "x_half_width")
         if half < self.n_steps:
-            raise ValueError(
+            raise LatticeError(
                 "x_half_width must be at least t_max: the interior cone would be empty"
             )
 

@@ -2,8 +2,10 @@
 quadrature route computed here, plus frozen literal values where a formula has
 a memorable exact evaluation."""
 
+import decimal
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +261,14 @@ def test_asymptotic_variance_keeps_the_bits_of_its_own_integral():
                 old = 0.0 if t == 0 else analytic._limit_integral(
                     lambda s: (t - s) ** 2, t, hurst, curves)
                 assert asymptotic_variance(t, hurst, curves) == old, (t, hurst)
+
+
+def test_gauss_legendre_literals_are_leggauss_bit_for_bit():
+    # the rule is written out so that no command imports numpy.polynomial;
+    # every moment-oracle float depends on these 16 bits
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert analytic._GL_NODES.tobytes() == nodes.tobytes()
+    assert analytic._GL_WEIGHTS.tobytes() == weights.tobytes()
 
 
 def test_moment_rule_refuses_a_time_past_the_panel_cap():
@@ -556,3 +566,70 @@ def test_first_chaos_hurst_continuity_at_half():
     # H -> 1/2 limit of the fractional quadrature recovers the white closed form
     val = first_chaos_variance(1.0, 4.0, 0.5 + 1e-7)
     assert val == pytest.approx(first_chaos_variance(1.0, 4.0, 0.5), rel=1e-4)
+
+
+def _first_chaos_nested_quad(t, radius, hurst):
+    """The adaptive reference the closed form replaced: the window-kernel
+    reduction int_0^t (1/8) int_{-2R}^{2R} (2R - |d|) q(d; t-s) dd ds with
+    q(d; a) = |d-2a|^{2H} + |d+2a|^{2H} - 2|d|^{2H}, by nested QUADPACK."""
+    two_h = 2.0 * hurst
+    scale = radius**two_h
+
+    def inner(a):
+        if a == 0.0:
+            return 0.0
+
+        def g(d):
+            q = abs(d - 2.0 * a) ** two_h + abs(d + 2.0 * a) ** two_h - 2.0 * abs(d) ** two_h
+            return (2.0 * radius - d) * q
+
+        pts = [p for p in (2.0 * a,) if 0.0 < p < 2.0 * radius]
+        val, _ = integrate.quad(
+            g, 0.0, 2.0 * radius, points=pts, epsabs=1e-10 * scale, epsrel=1e-9, limit=200
+        )
+        return 0.25 * val  # = (1/8) * symmetric integral over [-2R, 2R]
+
+    val, _ = integrate.quad(
+        lambda s: inner(t - s), 0.0, t, epsabs=1e-8 * scale, epsrel=1e-8, limit=200
+    )
+    return val
+
+
+def _first_chaos_decimal(t, radius, hurst, digits=50):
+    """The closed form's direct bracket, in 50-digit decimal arithmetic:
+    [(L+x)^k - sgn(L-x)|L-x|^k - 2x^k - 2k x L^{k-1}] / (8(p+1)(p+2)k),
+    p = 2H, k = p + 3, L = 2R, x = 2t."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        p = 2 * decimal.Decimal(hurst)
+        k, big, x = p + 3, 2 * decimal.Decimal(radius), 2 * decimal.Decimal(t)
+        gap = big - x
+        signed = gap.copy_abs() ** k if gap > 0 else -(gap.copy_abs() ** k)
+        bracket = (big + x) ** k - signed - 2 * x**k - 2 * k * x * big ** (k - 1)
+        return float(bracket / (8 * (p + 1) * (p + 2) * k))
+
+
+def test_first_chaos_closed_form_matches_nested_quadrature():
+    # 175 cases, R < t among them; QUADPACK's own tolerances are 1e-8 to 1e-9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        for hurst in (0.55, 0.6, 0.75, 0.9, 0.99):
+            for t in (0.25, 0.5, 1.0, 2.0, 5.0):
+                for radius in (0.5, 1.0, 2.0, 4.0, 8.0, 32.0, 128.0):
+                    assert first_chaos_variance(t, radius, hurst) == pytest.approx(
+                        _first_chaos_nested_quad(t, radius, hurst), rel=1e-8, abs=0.0
+                    ), (t, radius, hurst)
+
+
+def test_first_chaos_closed_form_matches_decimal_reference():
+    # R/t from 1e-6 to 1e6: the float bracket alone would cancel 12 digits at
+    # 1e4, where quad itself warns, and 7 at 1e-4; the two series keep the
+    # float form within 1e-13 (R/t = 1/2 and 2 are the branch points)
+    ratios = [*np.geomspace(1e-6, 1e6, 25), 0.4, 0.5, 0.6, 1.0, 1.9, 2.0, 2.1, 3.0]
+    for hurst in (0.5 + 1e-7, 0.51, 0.55, 0.6, 0.7, 0.75, 0.8, 0.9, 0.95, 0.99):
+        for t in (0.3, 1.0, 2.5):
+            for ratio in ratios:
+                radius = t * float(ratio)
+                assert first_chaos_variance(t, radius, hurst) == pytest.approx(
+                    _first_chaos_decimal(t, radius, hurst), rel=1e-13, abs=0.0
+                ), (t, radius, hurst)

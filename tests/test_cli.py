@@ -145,6 +145,18 @@ def test_oracle_chaos1_frozen_value(capsys):
     assert payload["tolerance"] == 0.0
 
 
+def test_oracle_chaos1_fractional_is_a_closed_form(capsys):
+    code, out, _ = _run(capsys, [
+        "oracle", "chaos1", "--t", "1", "--R", "32", "--hurst", "0.75",
+    ])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "closed form"
+    assert payload["tolerance"] == 0.0
+    assert payload["value"] == analytic.first_chaos_variance(1.0, 32.0, 0.75)
+    assert payload["value"] / 32.0**1.5 == pytest.approx(0.942050, abs=5e-6)
+
+
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "x"])
 def test_oracle_rejects_non_finite_numbers(capsys, text):
     with pytest.raises(SystemExit) as exc:
@@ -170,6 +182,9 @@ def test_oracle_refuses_a_time_past_the_panel_cap(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["cone", "--x", "0", "--xi", "0", "--t", "1e308", "--s", "1e308", "--hurst", "0.75"],
     ["volterra", "--t", "1", "--step", "1e200"],
+    # a float ** that overflows raises OverflowError, where numpy returns inf
+    ["cone", "--x", "0", "--xi", "0", "--t", "1e250", "--s", "1e250", "--hurst", "0.75"],
+    ["chaos1", "--t", "1", "--R", "1e250", "--hurst", "0.75"],
 ])
 def test_oracle_names_an_overflow(capsys, argv):
     # finite inputs whose value or tolerance overflows exit 2, not with a
@@ -255,9 +270,27 @@ def test_non_finite_plan_numbers_are_named(tmp_path, capsys, key, value, named):
     text = "\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line
                      for line in text.splitlines())
     code, out, err = _run(capsys, ["simulate", _write_cfg(tmp_path, text)])
-    assert code == 1
+    assert code == 2
     assert out == ""
     assert named in err and "finite" in err
+
+
+@pytest.mark.parametrize("old,new,code,message", [
+    ("hurst = 0.5", "hurst = 0.3", 2, "config error: hurst must lie in [1/2, 1), got 0.3"),
+    ("seed = 3", "seed = -1", 2, "config error: seed must lie in [0, 2**64), got -1"),
+    ("seed = 3", "seed = 3\nnormalization = unit", 2,
+     "config error: normalization must be 'self' or 'paper', got 'unit'"),
+    ("radii = 1.0", "radii = -0.3", 2, "config error: radius=-0.3 is not positive"),
+    ("times = 1.0", "times = 1.1", 1, "error: time=1.1 is not a multiple of the lattice step h=0.25"),
+], ids=["hurst", "seed", "normalization", "negative-radius", "off-grid-time"])
+def test_plan_domain_errors_exit_2_and_lattice_contradictions_exit_1(
+        tmp_path, capsys, old, new, code, message):
+    # the plan states each rule once; the CLI maps its domain errors to
+    # exit 2, as noise-dump and oracle do, and keeps 1 for a plan that
+    # contradicts its lattice
+    text = SMALL_CFG.replace(old, new)
+    for command in ("simulate", "funcclt"):
+        assert _run(capsys, [command, _write_cfg(tmp_path, text)]) == (code, "", message + "\n")
 
 
 def test_window_violation_is_runtime_error(tmp_path, capsys):
@@ -391,8 +424,8 @@ def test_simulate_refuses_a_seed_past_the_key_range(tmp_path, capsys):
     # a plan-level guard, as for a negative seed: one line, before any chunk
     path = _write_cfg(tmp_path, SMALL_CFG.replace("seed = 3", f"seed = {2**64}"))
     code, out, err = _run(capsys, ["simulate", path])
-    assert (code, out) == (1, "")
-    assert err == f"error: seed must lie in [0, 2**64), got {2**64}\n"
+    assert (code, out) == (2, "")
+    assert err == f"config error: seed must lie in [0, 2**64), got {2**64}\n"
 
 
 def test_rate_csv_output(tmp_path, capsys):

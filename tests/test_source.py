@@ -2,8 +2,9 @@
 fracwave module imports is used in that module (names listed in a module's
 __all__ are exempt, and so is __init__.py, whose imports are re-exports),
 every name a module exports is used by code that runs, so is every default
-of an exported function, and the commands import only what they run: scipy only inside the one oracle that needs it,
-numpy.ma only in rate."""
+of an exported function, and the commands import only what they run: no
+module imports scipy anywhere, no command loads scipy or numpy.polynomial,
+and only rate loads numpy.ma."""
 
 import ast
 import json
@@ -141,24 +142,21 @@ _BUDGET_PLANS = {
                 "\n[sigma]\nkind = linear\n",
 }
 
-# Runs the commands given as JSON in one fresh interpreter, then
-# `oracle chaos1 --hurst 0.75`, and reports what each stage left imported.
+# Runs the commands given as JSON in one fresh interpreter and reports, after
+# each, its exit code and the scipy or numpy.polynomial modules then loaded.
 _IMPORT_BUDGET_SCRIPT = textwrap.dedent("""
     import contextlib, io, json, sys
     from fracwave import analytic, cli
 
-    codes = []
+    report, out = [], io.StringIO()
     for argv in json.loads(sys.argv[1]):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            codes.append(cli.main(argv))
-    before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        codes.append(cli.main(["oracle", "chaos1", "--t", "0.5", "--R", "1", "--hurst", "0.75"]))
+        out.seek(0), out.truncate()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        report.append([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                                    or m.startswith("numpy.polynomial"))])
     print(json.dumps({
-        "codes": codes,
-        "before": before,
-        "after": "scipy.integrate" in sys.modules,
+        "report": report,
         "chaos1": json.loads(out.getvalue())["value"],
         "direct": analytic.first_chaos_variance(0.5, 1.0, 0.75),
     }))
@@ -166,10 +164,10 @@ _IMPORT_BUDGET_SCRIPT = textwrap.dedent("""
 
 
 def test_commands_leave_scipy_integrate_unimported(tmp_path):
-    """Only the fractional first-chaos oracle integrates adaptively; every
-    other command, the simulate table's prelimit oracle, the paper-scaled
-    rate and every KS distance included, runs without loading any scipy
-    module."""
+    """No command loads any scipy module: the simulate table's prelimit
+    oracle, the paper-scaled rate, every KS distance and the fractional
+    first-chaos oracle (a closed form) included.  None loads numpy.polynomial
+    either: the moment rule's Gauss-Legendre nodes are literals."""
     for name, body in _BUDGET_PLANS.items():
         (tmp_path / name).write_text("[experiment]\n" + body)
     commands = [
@@ -180,6 +178,7 @@ def test_commands_leave_scipy_integrate_unimported(tmp_path):
         ["oracle", "cov", "--ti", "0.5", "--tj", "1", "--hurst", "0.75"],
         ["noise-dump", "--hurst", "0.75", "--dt", "0.25", "--dx", "0.25", "--n-time", "4",
          "--n-space", "8", "--out", str(tmp_path / "sheet.bin")],
+        ["oracle", "chaos1", "--t", "0.5", "--R", "1", "--hurst", "0.75"],
     ]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
@@ -188,11 +187,9 @@ def test_commands_leave_scipy_integrate_unimported(tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["codes"] == [0] * 7
-    assert report["before"] == []
-    assert report["after"] is True
-    assert report["chaos1"] == report["direct"]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["report"] == [[0, []]] * len(commands)
+    assert result["chaos1"] == result["direct"]
 
 
 def test_commands_other_than_rate_leave_numpy_ma_unimported(tmp_path):
@@ -227,27 +224,19 @@ def test_commands_other_than_rate_leave_numpy_ma_unimported(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == [[0, False]] * len(commands)
 
 
-def _module_level_imports(node: ast.AST):
-    """Import statements that run when the module is imported: everything
-    outside function bodies."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(child, ast.Import):
-            yield child.lineno, [alias.name for alias in child.names]
-        elif isinstance(child, ast.ImportFrom):
-            yield child.lineno, [child.module or ""]
-        else:
-            yield from _module_level_imports(child)
+def _imported_modules(tree: ast.Module):
+    """(line, module) of every import statement, inside functions too."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.lineno, node.module or ""
 
 
 def test_no_module_imports_scipy_at_import_time():
-    """scipy costs every command about 0.3 s to import; a module may import
-    it only inside the function that uses it."""
-    found = {
-        f"{p.name}:{line}": names
-        for p in sorted(SRC.glob("*.py"))
-        for line, names in _module_level_imports(_parse(p))
-        if any(name.split(".")[0] == "scipy" for name in names)
-    }
-    assert found == {}
+    """No fracwave module imports scipy, at import time or inside a
+    function: numpy is the one runtime dependency, and scipy is the tests'
+    independent reference."""
+    found = [f"{p.name}:{line} {name}" for p in sorted(SRC.glob("*.py"))
+             for line, name in _imported_modules(_parse(p)) if name.split(".")[0] == "scipy"]
+    assert found == []
