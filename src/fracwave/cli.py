@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 runtime or I/O failure (a plan that contradicts its
 lattice included), 2 usage, config, or domain error.  All numbers print with
 "." decimals at full double precision.
 
-Config files are INI-style with three sections, unknown keys rejected:
+Config files are INI-style with two sections, unknown sections and keys
+rejected; they describe the experiment, and the flags --out, --raw and
+--threads describe the run:
 
     [experiment]
     hurst = 0.5              # in [0.5, 1)
@@ -25,11 +27,6 @@ Config files are INI-style with three sections, unknown keys rejected:
     # amplitude = 0.5
     # knots = -1, 0, 1       # tabulated: piecewise linear
     # values = 0, 1, 2
-
-    [output]
-    summary =                # path for summary JSON; empty = stdout
-    raw =                    # optional CSV of per-replica samples
-    threads = 0              # 0 = auto (FRACWAVE_THREADS, then CPU count)
 """
 
 from __future__ import annotations
@@ -57,7 +54,6 @@ from .estimators import (
     ks_normality,
     resolve_threads,
     run_experiment,
-    run_tasks,
     strict_json,
     summary_to_dict,
 )
@@ -69,7 +65,6 @@ __all__ = ["RunConfig", "parse_config", "main"]
 # the [experiment] keys are the plan's fields but sigma; those without a
 # default are required
 _PLAN_FIELDS = [f for f in fields(ExperimentPlan) if f.name != "sigma"]
-_OUTPUT_KEYS = {"summary", "raw", "threads"}
 # defaults of the scalar sigma params; the params of each kind are SIGMA_PARAMS
 _SIGMA_DEFAULTS = {"value": "1.0", "base": "1.0", "amplitude": "0.5"}
 
@@ -80,12 +75,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Mirror of ExperimentPlan plus output paths and thread cap (0 = auto)."""
+    """The experiment a config file describes."""
 
     plan: ExperimentPlan
-    summary_path: str = ""
-    raw_path: str = ""
-    threads: int = 0
 
 
 def _parse_floats(text: str, key: str) -> tuple[float, ...]:
@@ -138,7 +130,7 @@ def parse_config(text: str) -> RunConfig:
                           f"its keys would apply to every section")
 
     # the keys of [sigma] depend on its kind: _build_sigma checks them
-    known = {"experiment": {f.name for f in _PLAN_FIELDS}, "sigma": None, "output": _OUTPUT_KEYS}
+    known = {"experiment": {f.name for f in _PLAN_FIELDS}, "sigma": None}
     for sec in cp.sections():
         if sec not in known:
             raise ConfigError(f"unknown config section [{sec}]")
@@ -172,35 +164,16 @@ def parse_config(text: str) -> RunConfig:
         raise  # a LatticeError (off-grid time, window short of its domain) exits 1
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc  # the plan's domain checks
-
-    out = cp["output"] if "output" in cp else {}
-    threads_text = str(out.get("threads", "0")).strip() or "0"
-    try:
-        threads = int(threads_text)
-    except ValueError as exc:
-        raise ConfigError(f"output.threads must be an integer, got {threads_text!r}") from exc
-    if threads < 0:
-        raise ConfigError("output.threads must be >= 0 (0 = auto)")
-    return RunConfig(
-        plan=plan,
-        summary_path=str(out.get("summary", "")).strip(),
-        raw_path=str(out.get("raw", "")).strip(),
-        threads=threads,
-    )
+    return RunConfig(plan)
 
 
-def _load_config(path: str) -> RunConfig:
+def _load_config(path: str) -> ExperimentPlan:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
-
-
-def _effective_threads(rc: RunConfig, args) -> int:
-    # 0 (auto) falls back to FRACWAVE_THREADS, then CPUs, in resolve_threads
-    return rc.threads if args.threads is None else args.threads
+    return parse_config(text).plan
 
 
 def _json_print(obj, stream=None) -> None:
@@ -277,11 +250,10 @@ def _write_raw_csv(path: str, summary: ExperimentSummary) -> None:
     plan = summary.plan
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("replica_id,t,R,G\n")
-        for k, rid in enumerate(summary.replica_ids):
+        for k, row in enumerate(summary.g_samples):  # row k is replica k
             for it, t in enumerate(plan.times):
                 for ir, r in enumerate(plan.radii):
-                    g = float(summary.g_samples[k, it, ir])
-                    fh.write(f"{int(rid)},{t!r},{r!r},{g!r}\n")
+                    fh.write(f"{k},{t!r},{r!r},{float(row[it, ir])!r}\n")
 
 
 def _human_table(summary: ExperimentSummary) -> str:
@@ -308,15 +280,12 @@ def _human_table(summary: ExperimentSummary) -> str:
 
 
 def cmd_simulate(args) -> int:
-    rc = _load_config(args.config)
-    summary = run_experiment(rc.plan, threads=_effective_threads(rc, args))
+    summary = run_experiment(_load_config(args.config), threads=args.threads)
     payload = summary_to_dict(summary, deterministic=args.deterministic)
-    out_path = args.out or rc.summary_path
-    raw_path = args.raw or rc.raw_path
-    if raw_path:
-        _write_raw_csv(raw_path, summary)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if args.raw:
+        _write_raw_csv(args.raw, summary)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             _json_print(payload, fh)
         print(_human_table(summary), end="")
     else:
@@ -342,7 +311,13 @@ def _ols_slope(logr: np.ndarray, logk: np.ndarray) -> float:
 def _bootstrap_ks(summary: ExperimentSummary, i_time: int, n_boot: int, radius_ids) -> np.ndarray:
     """(n_boot, len(radius_ids)) KS distances of the replica resamples at the
     given radii.  Every call rebuilds the plan's Philox stream, so each draws
-    the same n_boot index vectors whichever radii it covers."""
+    the same n_boot index vectors whichever radii it covers: the resampling
+    is shared across radii, whose samples are coupled through common
+    replicas.  With first-chaos samples present, each replica's (G, I1) pair
+    is resampled jointly and the statistic is ks_coupled, as in the rate
+    ladder; otherwise it is the plain KS distance of the resample divided,
+    as the summary's KS column is, by its own SD or, under paper
+    normalization, by the pair's oracle scale."""
     # one contiguous column per radius: take() on it is the same resample
     # as a row gather of the (M, n_radii) view, at a fraction of the cost
     g = [np.ascontiguousarray(summary.samples(i_time, ir)) for ir in radius_ids]
@@ -368,7 +343,9 @@ def _bootstrap_ks(summary: ExperimentSummary, i_time: int, n_boot: int, radius_i
 
 def _bootstrap_tasks(n_radii: int, i_time: int, n_boot: int, workers: int) -> list:
     """The bootstrap as run_tasks tasks: the radii split into one group per
-    worker, each task drawing the whole index stream itself."""
+    worker, each task drawing the whole index stream itself.  _slope_ci
+    takes the slopes and quantiles from the reassembled table, so the worker
+    count does not change a bit."""
     groups = np.array_split(range(n_radii), min(workers, n_radii))
     return [(_bootstrap_ks, (i_time, n_boot, group)) for group in groups]
 
@@ -383,29 +360,8 @@ def _slope_ci(radii, tables: list, level: float) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def _bootstrap_slope_ci(
-    summary: ExperimentSummary, i_time: int, n_boot: int = 200, level: float = 0.95,
-    workers: int = 1,
-) -> tuple[float, float]:
-    """Percentile CI of the log-log slope under replica resampling.
-
-    Resampling is shared across radii (samples are coupled through common
-    replicas), seeded from the plan for reproducibility.  With first-chaos
-    samples present, each replica's (G, I1) pair is resampled jointly and the
-    statistic is ks_coupled, as in the rate ladder; otherwise it is the plain
-    KS distance of the resample divided, as the summary's KS column is, by
-    its own SD or, under paper normalization, by the pair's oracle scale.
-    The tasks of _bootstrap_tasks run through run_tasks, and the slopes and
-    quantiles are taken here from the reassembled table, so the worker count
-    does not change a bit.  cmd_rate runs the same tasks inside summarize.
-    """
-    tasks = _bootstrap_tasks(len(summary.plan.radii), i_time, n_boot, workers)
-    return _slope_ci(summary.plan.radii, run_tasks(summary, tasks, workers), level)
-
-
 def cmd_rate(args) -> int:
-    rc = _load_config(args.config)
-    plan = rc.plan
+    plan = _load_config(args.config)
     if plan.sigma.is_degenerate:
         raise ConfigError("rate study needs sigma(1) != 0: with sigma(1) = 0 the field stays "
                           "at its initial state and every average is 0")
@@ -413,7 +369,7 @@ def cmd_rate(args) -> int:
         raise ConfigError("rate study needs at least 3 radii in the config")
     if plan.replicas < KS_MIN_N:
         raise ConfigError(f"rate study needs at least {KS_MIN_N} replicas for KS distances")
-    workers = resolve_threads(_effective_threads(rc, args))
+    workers = resolve_threads(args.threads)
     # the study reads the last time only: the lattice (t_max, x_half_width)
     # and every replica's sample there stay the same without the others
     plan = replace(plan, times=plan.times[-1:])
@@ -456,18 +412,18 @@ def cmd_rate(args) -> int:
 
 
 def cmd_funcclt(args) -> int:
-    rc = _load_config(args.config)
-    if len(rc.plan.times) < 2:
+    plan = _load_config(args.config)
+    if len(plan.times) < 2:
         raise ConfigError("functional covariance check needs at least 2 times in the config")
-    if rc.plan.replicas < 2:
+    if plan.replicas < 2:
         raise ConfigError("functional covariance check needs at least 2 replicas")
-    summary = run_experiment(rc.plan, threads=_effective_threads(rc, args))
+    summary = run_experiment(plan, threads=args.threads)
     report = functional_cov_check(summary)
     payload = strict_json({
         "schema": "fracwave.funcclt/1",
         "times": report.times.tolist(),
         "radius": report.radius,
-        "hurst": rc.plan.hurst,
+        "hurst": plan.hurst,
         "empirical": report.empirical.tolist(),
         "oracle": report.oracle.tolist(),
         "se": report.se.tolist(),
@@ -541,23 +497,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p_vol.add_argument("--t", type=_finite_float, required=True)
     p_vol.add_argument("--step", type=_finite_float, default=1e-3)
 
-    p_sim = sub.add_parser("simulate", help="run the experiment described by a config file")
-    p_sim.add_argument("config")
+    # the config describes the experiment, the flags the run
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("config")
+    run.add_argument("--threads", type=int, default=None,
+                     help="worker processes (0 or unset: FRACWAVE_THREADS, else one per CPU)")
+
+    p_sim = sub.add_parser("simulate", parents=[run],
+                           help="run the experiment described by a config file")
     p_sim.add_argument("--deterministic", action="store_true",
                        help="omit volatile fields (wall time) from the summary JSON")
-    p_sim.add_argument("--threads", type=int, default=None)
     p_sim.add_argument("--out", default=None, help="summary JSON path (default: stdout)")
     p_sim.add_argument("--raw", default=None, help="raw per-replica CSV path")
 
-    p_rate = sub.add_parser("rate", help="KS distance vs radius with a log-log slope fit")
-    p_rate.add_argument("config")
-    p_rate.add_argument("--threads", type=int, default=None)
+    p_rate = sub.add_parser("rate", parents=[run],
+                            help="KS distance vs radius with a log-log slope fit")
     p_rate.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_rate.add_argument("--bootstrap", type=int, default=200)
 
-    p_f = sub.add_parser("funcclt", help="empirical vs limit covariance across times")
-    p_f.add_argument("config")
-    p_f.add_argument("--threads", type=int, default=None)
+    p_f = sub.add_parser("funcclt", parents=[run],
+                         help="empirical vs limit covariance across times")
     p_f.add_argument("--out", default=None, help="JSON path (default: stdout)")
 
     p_nd = sub.add_parser("noise-dump", help="sample a noise sheet and write the binary format")

@@ -665,7 +665,6 @@ class ExperimentSummary:
     plan: ExperimentPlan
     plan_digest: str
     wall_seconds: float
-    replica_ids: np.ndarray = field(repr=False)
     g_samples: np.ndarray = field(repr=False)  # (M, n_times, n_radii), canonical order
     i1_samples: Optional[np.ndarray] = field(repr=False, default=None)
     curve_times: np.ndarray = field(repr=False, default=None)
@@ -805,7 +804,6 @@ def summarize(plan: ExperimentPlan, merged: ChunkResult, wall_seconds: float,
         plan=plan,
         plan_digest=digest,
         wall_seconds=wall_seconds,
-        replica_ids=ids,
         g_samples=g,
         i1_samples=i1,
         curve_times=cfg.h * np.arange(cfg.n_steps + 1),

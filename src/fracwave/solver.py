@@ -203,8 +203,8 @@ class SolutionField:
 
     A field solved from a stack of sheets has a leading replica axis
     (values[b] is replica b) and one noise_ref tag per sheet.  NaN marks
-    nodes outside the interior validity cone (the window shrinks by one node
-    per side per step).  sheet is the driving noise, None if unknown."""
+    nodes outside the interior validity cone, which at level n holds nodes
+    n..n_nodes-1-n.  sheet is the driving noise, None if unknown."""
 
     config: LatticeConfig
     sigma: SigmaSpec
@@ -216,12 +216,6 @@ class SolutionField:
         """Provenance tag of the driving noise (NoiseSheet.ref), built when
         read: 'external' without a sheet."""
         return "external" if self.sheet is None else self.sheet.ref
-
-    def valid_bounds(self, level: int) -> tuple[int, int]:
-        """Inclusive node-index range valid at a time level."""
-        if not (0 <= level <= self.config.n_steps):
-            raise ValueError(f"level {level} outside [0, {self.config.n_steps}]")
-        return level, self.config.n_nodes - 1 - level
 
 
 def calibrate_kernel(h: float, hurst: float) -> float:

@@ -23,7 +23,7 @@ import pytest
 import scipy.integrate
 
 from fracwave import analytic
-from fracwave.cli import _bootstrap_slope_ci, _ols_slope
+from fracwave.cli import _bootstrap_tasks, _ols_slope, _slope_ci
 from fracwave.estimators import (
     ExperimentPlan,
     first_chaos_weights,
@@ -34,6 +34,7 @@ from fracwave.estimators import (
     merge_chunks,
     run_experiment,
     run_replica_chunk,
+    run_tasks,
     summarize,
     summary_to_dict,
     tightness_moment,
@@ -320,7 +321,7 @@ def test_criterion_7_ks_rate(ens_e):
     I/sd(I) is exactly standard normal and the coupled statistic estimates
     the same sup |F - Phi| as the plain KS statistic; corr(G, I) is 0.999
     here, so its floor is far lower.  SEs are delete-group jackknife, the
-    bootstrap resamples (G, I) pairs (cli._bootstrap_slope_ci).
+    bootstrap resamples (G, I) pairs (cli._bootstrap_ks), as fracwave rate does.
 
     Why not the plain statistic: its floor for exact Gaussians is about
     0.0074-0.0087 at 10^4 replicas, above the true distances.  On the
@@ -371,7 +372,7 @@ def test_criterion_7_ks_rate(ens_e):
         logr = np.log(np.asarray(ens_e.plan.radii))
         slope = _ols_slope(logr, np.log(ks))
         assert slope < 0.0
-        lo, hi = _bootstrap_slope_ci(ens_e, 0, n_boot=200)
+        lo, hi = _slope_ci(ens_e.plan.radii, run_tasks(ens_e, _bootstrap_tasks(4, 0, 200, 1), 1), 0.95)
         assert hi < 0.0
         assert ens_e.wall_seconds + (time.perf_counter() - start) < 1200.0
 

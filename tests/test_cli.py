@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,13 +15,14 @@ import numpy as np
 import pytest
 
 from fracwave import analytic, cli, estimators, noise
-from fracwave.cli import _bootstrap_slope_ci, _ols_slope, main, parse_config
+from fracwave.cli import _bootstrap_tasks, _ols_slope, _slope_ci, main, parse_config
 from fracwave.estimators import (
     functional_cov_check,
     ks_coupled,
     ks_coupled_se,
     ks_normality,
     run_experiment,
+    run_tasks,
 )
 from fracwave.noise import NoiseSpec, read_sheet, sample_sheet
 
@@ -233,6 +235,7 @@ def test_oracle_volterra_rejects_a_step_that_is_not_positive(capsys, step):
 def test_config_rejections():
     bad = [
         ("unknown config section", SMALL_CFG + "\n[extra]\nkey = 1\n"),
+        ("unknown config section [output]", SMALL_CFG + "\n[output]\nthreads = 1\n"),
         ("unknown key", SMALL_CFG.replace("seed = 3", "seed = 3\nwhat = 1")),
         ("missing required key", SMALL_CFG.replace("hurst = 0.5\n", "")),
         ("does not apply", SMALL_CFG.replace("kind = linear", "kind = linear\nvalue = 2.0")),
@@ -247,7 +250,7 @@ def test_config_rejections():
     ]
     from fracwave.cli import ConfigError
     for fragment, text in bad:
-        with pytest.raises(ConfigError, match=fragment.split()[0]):
+        with pytest.raises(ConfigError, match=re.escape(fragment)):
             parse_config(text)
 
 
@@ -259,6 +262,12 @@ def test_config_error_exit_codes(tmp_path, capsys):
     code, _, err = _run(capsys, ["simulate", str(tmp_path / "missing.cfg")])
     assert code == 2
     assert "cannot read config" in err
+    # --out, --raw and --threads describe the run; a config has no [output]
+    path = _write_cfg(tmp_path, SMALL_CFG + "\n[output]\nsummary = s.json\n")
+    for command in ("simulate", "rate", "funcclt"):
+        code, out, err = _run(capsys, [command, path])
+        assert code == 2 and out == ""
+        assert "unknown config section [output]" in err
 
 
 @pytest.mark.parametrize("key,value,named", [
@@ -358,15 +367,6 @@ def test_simulate_out_and_raw_files(tmp_path, capsys):
     assert np.isfinite(g).all()
     # table went to stdout since the JSON went to a file
     assert "variance" in out
-
-
-def test_simulate_output_section_paths(tmp_path, capsys):
-    out_json = tmp_path / "s.json"
-    text = SMALL_CFG + f"\n[output]\nsummary = {out_json}\nthreads = 1\n"
-    path = _write_cfg(tmp_path, text)
-    code, _, _ = _run(capsys, ["simulate", path])
-    assert code == 0
-    assert out_json.exists()
 
 
 # ------------------------------------------------------------ rate
@@ -528,7 +528,8 @@ def test_bootstrap_column_gather_equals_row_gather():
     for summary in (chaos_on, chaos_off, paper):
         for i_time in (0, 1):
             for level in (0.95, 0.6, 0.3, 0.05):
-                assert _bootstrap_slope_ci(summary, i_time, n_boot=30, level=level) == \
+                tables = run_tasks(summary, _bootstrap_tasks(3, i_time, 30, 1), 1)
+                assert _slope_ci(summary.plan.radii, tables, level) == \
                     _bootstrap_row_gather(summary, i_time, 30, level)
 
 
@@ -579,9 +580,10 @@ def test_bootstrap_split_over_workers_is_exact():
     chaos_on = run_experiment(parse_config(text).plan, threads=1)
     chaos_off = dataclasses.replace(chaos_on, i1_samples=None)
     for summary in (chaos_on, chaos_off):
-        want = _bootstrap_slope_ci(summary, 0, n_boot=30, level=0.6)
+        want = _slope_ci(summary.plan.radii, run_tasks(summary, _bootstrap_tasks(3, 0, 30, 1), 1), 0.6)
         for workers in (2, 3, 5):
-            assert _bootstrap_slope_ci(summary, 0, n_boot=30, level=0.6, workers=workers) == want
+            tables = run_tasks(summary, _bootstrap_tasks(3, 0, 30, workers), workers)
+            assert _slope_ci(summary.plan.radii, tables, 0.6) == want
 
 
 def test_rate_reaches_the_traced_seams(tmp_path, capsys, monkeypatch):

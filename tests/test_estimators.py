@@ -888,7 +888,6 @@ def test_curve_moments_equal_numpy_on_the_stacked_rows():
     assert rows.shape == (301, 17)
     assert _curves(s) == _stacked_curves(rows)
     assert s.g_samples.tobytes() == np.concatenate([low.g, mid.g[::-1], high.g]).tobytes()
-    assert s.replica_ids.tolist() == list(range(301))
     # many blocks of random sizes, rows that are not sigma values of a solve
     rng = np.random.default_rng(5)
     for h, m in ((1.0 / 8.0, 20000), (1.0 / 64.0, 3001)):

@@ -101,15 +101,14 @@ def test_lattice_validation():
 def test_solution_field_cone_access():
     cfg = LatticeConfig(h=0.5, t_max=1.0, x_half_width=2.0)
     fld = solve(cfg, _sheet(cfg), SigmaSpec.constant(1.0))
-    assert fld.valid_bounds(0) == (0, 8)
-    assert fld.valid_bounds(2) == (2, 6)
+    assert cfg.n_nodes == 9  # the cone holds nodes 0..8 at level 0, 2..6 at level 2
     # inside the cone a finite value, outside NaN
     assert np.isfinite(fld.values[2, 4])
     assert np.isnan(fld.values[2, 0])
     assert np.isnan(fld.values[1, 8])
     # NaN exactly off-cone, finite exactly on-cone
     for level in range(cfg.n_steps + 1):
-        lo, hi = fld.valid_bounds(level)
+        lo, hi = level, cfg.n_nodes - 1 - level
         row = fld.values[level]
         assert np.all(np.isfinite(row[lo: hi + 1]))
         assert np.all(np.isnan(row[:lo]))
@@ -142,7 +141,7 @@ def test_zero_noise_keeps_initial_state():
     for sigma in (SigmaSpec.constant(3.0), SigmaSpec.linear(), SigmaSpec.affine_sine(1.0, 0.5)):
         fld = solve(cfg, _zero_sheet(cfg), sigma)
         for level in range(cfg.n_steps + 1):
-            lo, hi = fld.valid_bounds(level)
+            lo, hi = level, cfg.n_nodes - 1 - level
             assert np.all(fld.values[level, lo: hi + 1] == 1.0), sigma.kind
 
 
@@ -152,7 +151,7 @@ def test_degenerate_sigma_freezes_field_bitwise():
     vanish = SigmaSpec.tabulated([-9.0, 1.0, 11.0], [-10.0, 0.0, 10.0])
     fld = solve(cfg, _sheet(cfg, hurst=0.75, seed=3), vanish)
     for level in range(cfg.n_steps + 1):
-        lo, hi = fld.valid_bounds(level)
+        lo, hi = level, cfg.n_nodes - 1 - level
         assert np.all(fld.values[level, lo: hi + 1] == 1.0)
 
 
@@ -302,7 +301,7 @@ def test_picard_zero_iterations_is_initial_state():
     cfg = LatticeConfig(h=0.25, t_max=1.0, x_half_width=2.0)
     fld = picard_reference(cfg, _sheet(cfg, seed=1), SigmaSpec.linear(), iterations=0)
     for level in range(cfg.n_steps + 1):
-        lo, hi = fld.valid_bounds(level)
+        lo, hi = level, cfg.n_nodes - 1 - level
         assert np.all(fld.values[level, lo: hi + 1] == 1.0)
 
 

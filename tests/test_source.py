@@ -1,10 +1,11 @@
 """Source hygiene that no linter in the toolchain checks: every name a
 fracwave module imports is used in that module (names listed in a module's
 __all__ are exempt, and so is __init__.py, whose imports are re-exports),
-every name a module exports is used by code that runs, so is every default
-of an exported function, and the commands import only what they run: no
-module imports scipy anywhere, no command loads scipy or numpy.polynomial,
-and only rate loads numpy.ma."""
+every name a module exports is used by code that runs, so is every public
+member of an exported class and every default of any function or method,
+and the commands import only what they run: no module imports scipy
+anywhere, no command loads scipy or numpy.polynomial, and only rate loads
+numpy.ma."""
 
 import ast
 import json
@@ -68,25 +69,52 @@ def _referenced(tree: ast.Module) -> set[str]:
     return names
 
 
+def _public_members(tree: ast.Module):
+    """(class, member) of the public methods, properties and fields of the
+    module's __all__ classes."""
+    exported = _exported(tree)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in exported:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    name = item.name
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield node.name, name
+
+
 def test_every_export_is_used_by_code_that_runs():
-    """A name in a module's __all__ must be read by the code that runs (its
-    own module included).  A name that only unit tests reach is API that
-    no run uses: delete it, or use it."""
+    """A name in a module's __all__, and a public method, property or field
+    of an exported class, must be read by the code that runs (its own module
+    included).  A name that only unit tests reach is API that no run uses:
+    delete it, or use it."""
     read = set().union(*(_referenced(_parse(p)) for p in RUNNERS))
-    unread = {p.stem: sorted(_exported(_parse(p)) - read) for p in MODULES}
+    unread = {}
+    for p in MODULES:
+        tree = _parse(p)
+        members = {f"{cls}.{name}" for cls, name in _public_members(tree) if name not in read}
+        unread[p.stem] = sorted((_exported(tree) - read) | members)
     assert {name: names for name, names in unread.items() if names} == {}
 
 
 def _defaulted(tree: ast.Module):
     """(function, parameter, position or None if keyword-only) of every
-    parameter with a default, over the module's __all__ functions."""
-    exported = _exported(tree)
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name in exported:
+    parameter with a default, over every function and method of the module,
+    private ones included.  A method's positions leave out its self or cls,
+    which a call through an instance or the class does not pass."""
+    bound = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             for item in node.body if isinstance(item, ast.FunctionDef)
+             and "staticmethod" not in {_callee(d) for d in item.decorator_list}}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
             positional = node.args.posonlyargs + node.args.args
             first = len(positional) - len(node.args.defaults)
+            shift = 1 if id(node) in bound else 0
             for i, arg in enumerate(positional[first:], first):
-                yield node.name, arg.arg, i
+                yield node.name, arg.arg, i - shift
             for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
                 if default is not None:
                     yield node.name, arg.arg, None
@@ -112,8 +140,8 @@ def _set_arguments(tree: ast.Module, positions: dict, keywords: set) -> None:
 
 
 def test_every_default_is_set_by_code_that_runs():
-    """A defaulted parameter of an __all__ function must be set, by
-    position, keyword or functools.partial, somewhere in the code that
+    """A defaulted parameter of any function or method in src/ must be set,
+    by position, keyword or functools.partial, somewhere in the code that
     runs.  A knob that only unit tests turn is a second code path that no
     run takes: fix it, or let a run set it."""
     positions, keywords = {}, set()
