@@ -6,7 +6,9 @@ of |x|^{2H} (fractional increments with Hurst index H).  H = 1/2 reduces to
 space-time white noise.  Rows are sampled exactly with the minimal circulant
 (FFT) embedding of size 2*n_space, two rows per complex FFT, so statistical
 tests downstream see the true lattice law, not an approximation.  STREAM
-names the version of the mapping from (seed, replica) to sheets.
+names the version of the mapping from (seed, replica) to sheets: each
+replica draws its normals from an SFC64 seeded by a counter-based Philox
+keyed with (seed, replica) (see _replica_rng).
 
 A sheet is one replica's (n_time, n_space) masses or a stack of replicas'
 sheets along a leading axis, (B, n_time, n_space); sample_sheet draws a
@@ -19,7 +21,7 @@ Contents
 --------
 NoiseSpec, NoiseSheet   lattice geometry + sampled cell masses (or a stack)
 fgn_cell_covariance     closed-form cell covariance within one row
-sample_sheet            exact sampler (per-replica counter-based streams)
+sample_sheet            exact sampler (one Philox-keyed stream per replica)
 region_mass             total mass of an index rectangle
 write_sheet, read_sheet binary dump of a sampled sheet
 """
@@ -48,7 +50,7 @@ __all__ = [
     "read_sheet",
 ]
 
-STREAM = "philox2"
+STREAM = "sfc64p3"
 
 SHEET_MAGIC = b"FWNS"
 SHEET_VERSION = 2
@@ -203,26 +205,36 @@ def _embedding_spectrum(hurst: float, embed_size: int) -> np.ndarray:
     return lam
 
 
-# One Philox and its Generator, re-keyed for every replica: setting the
-# state costs a fraction of building a new bit generator.  _FRESH is the
-# state of an unused Philox (zero counter, empty buffer) with a key slot.
+# One Philox, one SFC64 and the SFC64's Generator, re-seeded for every
+# replica: setting their states costs a fraction of building new bit
+# generators.  _KEYED is the state of an unused Philox (zero counter, empty
+# buffer) with a key slot; _SEEDED is an SFC64 state whose words a..c are
+# filled per replica, with counter 1 and no buffered uint32.
 _PHILOX = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-_GENERATOR = np.random.Generator(_PHILOX)
-_FRESH = _PHILOX.state
+_KEYED = _PHILOX.state
+_SFC64 = np.random.SFC64(0)
+_GENERATOR = np.random.Generator(_SFC64)
+_SEEDED = _SFC64.state
+_SEEDED["state"]["state"][3] = 1
 
 
 def _replica_rng(seed: int, replica: int) -> np.random.Generator:
-    """Counter-based stream for one replica: Philox keyed by (seed, replica).
+    """Stream for one replica: SFC64 seeded from a Philox keyed by (seed, replica).
 
-    Each row (each row pair, for H > 1/2) of the sheet occupies a
-    fixed-length slice of this stream's counter sequence, so replicas never
-    share state and results do not depend on scheduling.  The returned
-    Generator is shared: the next call re-keys it (counter, buffer and all,
-    as a new Philox would start), so a caller draws what it needs before
-    asking for another replica's stream.  Not safe across threads.
+    The counter-based Philox, keyed by the two words (seed, replica), gives
+    its first three raw outputs as the SFC64 words (a, b, c), with counter
+    1; the SFC64 then discards 12 outputs, as SFC64 seeds itself, and draws
+    everything the replica needs.  Replicas never share state, so results
+    do not depend on scheduling.  The returned Generator is shared: the next
+    call re-seeds it (state, buffered uint32 and all, as new bit generators
+    would start), so a caller draws what it needs before asking for another
+    replica's stream.  Not safe across threads.
     """
-    _FRESH["state"]["key"] = np.array([seed, replica], dtype=np.uint64)
-    _PHILOX.state = _FRESH
+    _KEYED["state"]["key"] = np.array([seed, replica], dtype=np.uint64)
+    _PHILOX.state = _KEYED
+    _SEEDED["state"]["state"][:3] = _PHILOX.random_raw(3)
+    _SFC64.state = _SEEDED
+    _SFC64.random_raw(12)
     return _GENERATOR
 
 

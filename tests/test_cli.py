@@ -24,7 +24,7 @@ from fracwave.estimators import (
     run_experiment,
     run_tasks,
 )
-from fracwave.noise import NoiseSpec, read_sheet, sample_sheet
+from fracwave.noise import STREAM, NoiseSpec, read_sheet, sample_sheet
 
 SMALL_CFG = """
 [experiment]
@@ -322,7 +322,10 @@ def test_simulate_stdout_json_and_table(tmp_path, capsys):
     assert payload["plan"]["replicas"] == 60
     assert len(payload["pairs"]) == 1
     assert "wall_seconds" not in payload
-    assert "t=1.0" in err or "1.0" in err  # human table goes to stderr
+    # the human table goes to stderr: its header, then the t = 1, R = 1 row
+    lines = err.splitlines()
+    assert lines[1].split() == ["t", "R", "variance", "oracle", "var", "KS", "chaos", "ratio"]
+    assert lines[2].split()[:2] == ["1", "1"] and len(lines) == 4
 
     # byte-identical on repeat
     code2, out2, _ = _run(capsys, ["simulate", path, "--deterministic"])
@@ -698,7 +701,7 @@ def test_noise_dump_round_trip(tmp_path, capsys):
     spec = NoiseSpec(hurst=0.75, dt=0.125, dx=0.125, n_time=8, n_space=16, seed=11)
     fresh = sample_sheet(spec, replica=2)
     assert sheet.masses.tobytes() == fresh.masses.tobytes()
-    assert sheet.ref == fresh.ref == "philox2:11:2"
+    assert sheet.ref == fresh.ref == f"{STREAM}:11:2"
 
 
 @pytest.mark.parametrize("flag,text", [("--dt", "nan"), ("--dx", "inf"), ("--dt", "-inf")])

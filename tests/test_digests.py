@@ -29,26 +29,26 @@ LARGE = (1 / 64, 0.5, (1.0,), 16.0, 3)
 
 # (kind, hurst, rows) -> (g_samples digest, curves digest), first 16 hex digits
 DIGESTS = {
-    ("constant", 0.5, 8): ("80ffb13cc176e7f0", "81c2268cd535688f"),
-    ("constant", 0.5, 7): ("59be6d3e10b097c0", "83cb3821977118dd"),
-    ("constant", 0.75, 8): ("d7243096739783f6", "81c2268cd535688f"),
-    ("constant", 0.75, 7): ("3ce3202d9d9d623b", "83cb3821977118dd"),
-    ("linear", 0.5, 8): ("c6eb5f33f217e2d8", "bfebbf9bcda78faf"),
-    ("linear", 0.5, 7): ("93aee3a47402f65e", "fe56b5d9e730ecd1"),
-    ("linear", 0.75, 8): ("4f6e639f47717937", "c209bbb292c8c9fa"),
-    ("linear", 0.75, 7): ("f00fa0b888507e53", "aed06ddbf7d4fb61"),
-    ("affine_sine", 0.5, 8): ("bf86a850da93db35", "f4dc85791d1ca7b1"),
-    ("affine_sine", 0.5, 7): ("c4849409bbd7e842", "befeaf76b2c6cf25"),
-    ("affine_sine", 0.75, 8): ("a4e7a3bb012d7fc8", "8dfa4c273f8f0bfe"),
-    ("affine_sine", 0.75, 7): ("757ee757d0f47d79", "95dc0f6167044a41"),
-    ("tabulated", 0.5, 8): ("5f956614fc51b0e7", "f8520d074fe86b68"),
-    ("tabulated", 0.5, 7): ("8831f0d75e9e8bea", "cbd0bf88e6e079e8"),
-    ("tabulated", 0.75, 8): ("175e594097bb30e8", "6abef56bc5d3f3ba"),
-    ("tabulated", 0.75, 7): ("2fa0b54a0059766f", "a7ad81693177a447"),
-    ("linear", 0.5, 32): ("c92f231949f255a7", "edd6d51bd98c4f0f"),
-    ("linear", 0.5, 31): ("0a04c45bcfe98734", "8b832af6fc8320db"),
-    ("linear", 0.75, 32): ("ac7f327bf5f1cd33", "866e4e4ce75bc959"),
-    ("linear", 0.75, 31): ("2441cb833a1c9e14", "451751b2b6e6ec72"),
+    ("constant", 0.5, 8): ("7a8a7b5fe95e6fdf", "81c2268cd535688f"),
+    ("constant", 0.5, 7): ("865c3d90235e569e", "83cb3821977118dd"),
+    ("constant", 0.75, 8): ("d1f4ba8eaa5d941f", "81c2268cd535688f"),
+    ("constant", 0.75, 7): ("e4a9a683f6cbe541", "83cb3821977118dd"),
+    ("linear", 0.5, 8): ("61646acb8a02846b", "3f7827dfa5acea94"),
+    ("linear", 0.5, 7): ("207b1fc494a9637b", "87e0544beb68df27"),
+    ("linear", 0.75, 8): ("53fb6918f0b94bff", "854d9736ebab973e"),
+    ("linear", 0.75, 7): ("fcf4cb3afea7a07c", "c28c81b8894abb19"),
+    ("affine_sine", 0.5, 8): ("b2eb818e6209934e", "bb76b57d63e9f530"),
+    ("affine_sine", 0.5, 7): ("043dcdd7d746f0d2", "5288fb4234a125fe"),
+    ("affine_sine", 0.75, 8): ("d70ba3844348103f", "06f54877197d8820"),
+    ("affine_sine", 0.75, 7): ("ad1990fca37e4087", "d2bde714a7e9abd1"),
+    ("tabulated", 0.5, 8): ("9cc2c0c3ed7e14b0", "7cb30743fce076af"),
+    ("tabulated", 0.5, 7): ("66685fbbbb4420ff", "25da76f11d9eba9b"),
+    ("tabulated", 0.75, 8): ("09cfa3e12b0e4dae", "0c4dee5aa3f9f799"),
+    ("tabulated", 0.75, 7): ("6edba3a4694c98e6", "ed11792103b0b51f"),
+    ("linear", 0.5, 32): ("f0313d281bf35028", "6495ea08330ac427"),
+    ("linear", 0.5, 31): ("277a4db2efdb3bf3", "6440f54b7400b31b"),
+    ("linear", 0.75, 32): ("78bbdd082f65f9a5", "d070e25f4e5f82f6"),
+    ("linear", 0.75, 31): ("3354fa2e27291be3", "0546346c141980bc"),
 }
 
 
@@ -67,7 +67,7 @@ def _digests(kind: str, hurst: float, rows: int) -> tuple[str, str]:
 
 def test_digests_belong_to_the_stream():
     # new digests come with a new stream version
-    assert STREAM == "philox2"
+    assert STREAM == "sfc64p3"
 
 
 @pytest.mark.parametrize("key", list(DIGESTS), ids=lambda k: f"{k[0]}-H{k[1]}-n{k[2]}")

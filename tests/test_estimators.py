@@ -359,10 +359,10 @@ def test_plan_validation():
 # plan_hash of one plan per sigma kind, as first pinned when plan_to_dict
 # listed its keys by hand
 _PLAN_HASHES = {
-    "constant": "ddb941c06614579fd35e285267889167898ceefe1c8c3f4bf0a19b3ea8e63d12",
-    "linear": "400f7a963799ae7e34ad6666623d83e434e8b20504905c0066c63bcdf59f1bab",
-    "affine_sine": "5e939736d14493eccb78c7355d69b77bb2692060f61ade4d79e770f705aa0996",
-    "tabulated": "b0bedd4dbc57670d76fb5b0f8a86ab2dedcc457ea1e64bc71be54a508df10ecb",
+    "constant": "113bb9547818d6d319824c206ba5b305ca59db1c06f95f6a081652a030162754",
+    "linear": "b0152dc6c9f1129e362d3d22aafda1a89fd8b2f9a1d47e93a23e0ade0b754968",
+    "affine_sine": "2502dcc2c053e30ccae0c0b9201d5979d4241f383728a517e846794565c9c8fc",
+    "tabulated": "ffdd6810c1e387e590b642fb8cbb16227075c93039135a40fa6eba45ebfcde32",
 }
 
 

@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from fracwave import noise
 from fracwave.noise import (
@@ -162,26 +162,79 @@ def test_sampler_determinism_and_replica_separation():
     assert not np.array_equal(a.masses, d.masses)
 
 
+def _fresh_rng(seed, replica):
+    """A replica's stream built from new bit generators: a Philox keyed by
+    (seed, replica) gives the SFC64 words (a, b, c), counter 1, and the
+    SFC64 discards 12 outputs, as SFC64 seeds itself."""
+    philox = np.random.Philox(key=np.array([seed, replica], dtype=np.uint64))
+    sfc = np.random.SFC64()
+    state = sfc.state
+    state["state"]["state"] = np.append(philox.random_raw(3), np.uint64(1))
+    sfc.state = state
+    sfc.random_raw(12)
+    return np.random.Generator(sfc)
+
+
+def test_replica_stream_is_sfc64_seeded_from_philox():
+    # numpy's SFC64 against the generator written out (Doty-Humphrey's
+    # small fast chaotic PRNG, 64-bit), seeded from the first three words
+    # of the keyed Philox, at both ends of the key range
+    mask = 2**64 - 1
+    for seed, replica in [(0, 0), (41, 7), (mask, mask)]:
+        a, b, c = (int(v) for v in np.random.Philox(
+            key=np.array([seed, replica], dtype=np.uint64)).random_raw(3))
+        counter = 1
+        words = []
+        for _ in range(12 + 6):
+            out = (a + b + counter) & mask
+            counter += 1
+            a, b, c = b ^ (b >> 11), (c + (c << 3)) & mask, (((c << 24) | (c >> 40)) + out) & mask
+            words.append(out)
+        rng = noise._replica_rng(seed, replica)
+        assert rng.bit_generator.random_raw(6).tolist() == words[12:]
+        assert _fresh_rng(seed, replica).bit_generator.random_raw(6).tolist() == words[12:]
+
+
 def test_interleaved_sheets_equal_fresh_draws(monkeypatch):
-    # _replica_rng re-keys one shared Philox per call; sheets drawn in any
-    # interleaving, with the shared generator left mid-buffer in between,
-    # must equal sheets drawn from a Philox built afresh for each replica
+    # _replica_rng re-seeds one shared Philox and SFC64 per call; sheets
+    # drawn in any interleaving, with the shared generator left with a
+    # buffered uint32 in between, must equal sheets drawn from bit
+    # generators built afresh for each replica
     specs = [NoiseSpec(hurst=0.5, dt=0.125, dx=0.125, n_time=8, n_space=144, seed=41),
              NoiseSpec(hurst=0.75, dt=0.1, dx=0.2, n_time=7, n_space=40, seed=42)]
     order = [(0, 3), (1, 0), (0, 0), (1, 3), (0, 3), (1, 7), (0, 7), (1, 0)]
     drawn = []
     for k, (which, replica) in enumerate(order):
         drawn.append(sample_sheet(specs[which], replica=replica).masses)
-        leftover = noise._replica_rng(5, 100 + k)  # leave a half-used uint32 and buffer
+        leftover = noise._replica_rng(5, 100 + k)  # leave a half-used uint64
         leftover.integers(0, 2**32, size=2 * k + 1, dtype=np.uint32)
         leftover.standard_normal(k + 1)
 
-    def fresh(seed, replica):
-        return np.random.Generator(np.random.Philox(key=np.array([seed, replica], dtype=np.uint64)))
-
-    monkeypatch.setattr(noise, "_replica_rng", fresh)
+    monkeypatch.setattr(noise, "_replica_rng", _fresh_rng)
     for (which, replica), masses in zip(order, drawn):
         assert masses.tobytes() == sample_sheet(specs[which], replica=replica).masses.tobytes()
+
+
+def test_neighbouring_keys_draw_independent_sheets():
+    # white sheets are iid N(0, dt dx) cells: sheets of ids r and r + 1, and
+    # of seeds s and s + 1, must be uncorrelated to within 4/sqrt(n), and
+    # the pooled normals standard normal by a KS test
+    top = 2**64 - 1
+    n_time, n_space = 64, 1024
+    n = n_time * n_space
+
+    def normals(seed, replica):
+        spec = NoiseSpec(hurst=0.5, dt=1.0, dx=1.0, n_time=n_time, n_space=n_space, seed=seed)
+        return sample_sheet(spec, replica=replica).masses.ravel()
+
+    pooled = []
+    for seed, replica in [(0, 0), (20_005, 11), (top - 1, top - 1)]:
+        z = normals(seed, replica)
+        for other in (normals(seed, replica + 1), normals(seed + 1, replica)):
+            assert abs(np.corrcoef(z, other)[0, 1]) < 4.0 / np.sqrt(n)
+            pooled.append(other)
+        pooled.append(z)
+    assert stats.kstest(np.concatenate(pooled), "norm").pvalue > 1e-3
 
 
 @pytest.mark.parametrize("hurst", [0.5, 0.75])
