@@ -47,7 +47,7 @@ print(f"field noise provenance: {fld.noise_ref!r}")
 # With sigma constant the solution is 1 + (integral of the kernel against
 # the noise), which one fixed-point sweep reproduces identically.
 fld_c = solve(cfg, sheet, SigmaSpec.constant(1.0))
-ref_c = picard_reference(cfg, sheet, SigmaSpec.constant(1.0), iterations=1)
+ref_c, _ = picard_reference(cfg, sheet, SigmaSpec.constant(1.0), iterations=1)
 gap = np.nanmax(np.abs(fld_c.values - ref_c.values))
 print(f"constant sigma: scheme vs one-sweep reference, max gap {gap:.3e}")
 
@@ -55,8 +55,7 @@ print(f"constant sigma: scheme vs one-sweep reference, max gap {gap:.3e}")
 # For state-dependent sigma the two integrators discretize the integral
 # equation differently, so at fixed h they differ by O(h); refining the
 # lattice shrinks the gap.
-ref, diffs = picard_reference(cfg, sheet, SigmaSpec.linear(), iterations=8,
-                              return_diffs=True)
+ref, diffs = picard_reference(cfg, sheet, SigmaSpec.linear(), iterations=8)
 print("fixed-point sweep deltas:", " ".join(f"{d:.2e}" for d in diffs))
 for h in (0.25, 0.125, 0.0625):
     c2 = LatticeConfig(h=h, t_max=1.0, x_half_width=1.0)
@@ -66,7 +65,7 @@ for h in (0.25, 0.125, 0.0625):
     for rep in range(25):
         sh2 = sample_sheet(sp2, replica=rep)
         a = solve(c2, sh2, SigmaSpec.linear())
-        b = picard_reference(c2, sh2, SigmaSpec.linear(), iterations=12)
+        b, _ = picard_reference(c2, sh2, SigmaSpec.linear(), iterations=12)
         gaps.append(abs(a.values[-1, c2.center_index] - b.values[-1, c2.center_index]))
     print(f"h = {h:7.4f}: mean |scheme - fixed point| at the cone tip "
           f"{np.mean(gaps):.4f}")

@@ -360,6 +360,31 @@ def _slope_ci(radii, tables: list, level: float) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
+def _rate_study(plan: ExperimentPlan, n_boot: int, workers: int):
+    """The KS ladder over the plan's radii at its last time, with its SEs,
+    the log-log OLS slope and the slope's 95% bootstrap CI:
+    (ks, se, slope, (lo, hi)).  The ladder is coupled (ks_coupled) when
+    the plan computes first-chaos samples, else the summary's KS column."""
+    # the study reads the last time only: the lattice (t_max, x_half_width)
+    # and every replica's sample there stay the same without the others
+    plan = replace(plan, times=plan.times[-1:])
+    radii = range(len(plan.radii))
+    # the statistics pass: bootstrap groups, then (with first-chaos samples)
+    # the coupled ladder, whose floor lies far below that of the plain KS
+    # column, one radius per task; summarize runs them with its pair tasks
+    boot = _bootstrap_tasks(len(plan.radii), 0, n_boot, workers)
+    ladder = [(_coupled_ks, (0, ir)) for ir in radii] if plan.chaos else []
+    summary = run_experiment(plan, threads=workers, tasks=boot + ladder)
+    tables, coupled = summary.task_results[: len(boot)], summary.task_results[len(boot):]
+    if coupled:
+        ks, se = map(np.array, zip(*coupled))
+    else:
+        ks = np.array([summary.stats[(0, ir)].ks for ir in radii])
+        se = np.array([summary.stats[(0, ir)].ks_se for ir in radii])
+    slope = _ols_slope(np.log(np.asarray(plan.radii)), np.log(ks))
+    return ks, se, slope, _slope_ci(plan.radii, tables, level=0.95)
+
+
 def cmd_rate(args) -> int:
     plan = _load_config(args.config)
     if plan.sigma.is_degenerate:
@@ -369,35 +394,16 @@ def cmd_rate(args) -> int:
         raise ConfigError("rate study needs at least 3 radii in the config")
     if plan.replicas < KS_MIN_N:
         raise ConfigError(f"rate study needs at least {KS_MIN_N} replicas for KS distances")
-    workers = resolve_threads(args.threads)
-    # the study reads the last time only: the lattice (t_max, x_half_width)
-    # and every replica's sample there stay the same without the others
-    plan = replace(plan, times=plan.times[-1:])
-    i_time = 0
-    radii = range(len(plan.radii))
-    # the statistics pass: bootstrap groups, then (with first-chaos samples)
-    # the coupled ladder, whose floor lies far below that of the plain KS
-    # column, one radius per task; summarize runs them with its pair tasks
-    boot = _bootstrap_tasks(len(plan.radii), i_time, args.bootstrap, workers)
-    ladder = [(_coupled_ks, (i_time, ir)) for ir in radii] if plan.chaos else []
-    summary = run_experiment(plan, threads=workers, tasks=boot + ladder)
-    tables, coupled = summary.task_results[: len(boot)], summary.task_results[len(boot):]
-    if coupled:
-        ks, se = map(np.array, zip(*coupled))
-    else:
-        ks = np.array([summary.stats[(i_time, ir)].ks for ir in radii])
-        se = np.array([summary.stats[(i_time, ir)].ks_se for ir in radii])
-    slope = _ols_slope(np.log(np.asarray(plan.radii)), np.log(ks))
-    lo, hi = _slope_ci(plan.radii, tables, level=0.95)
+    ks, se, slope, (lo, hi) = _rate_study(plan, args.bootstrap, resolve_threads(args.threads))
     lines = ["R,ks,se"]
     for r, k, s in zip(plan.radii, ks, se):
         lines.append(f"{float(r)!r},{float(k)!r},{float(s)!r}")
     lines.append(f"# slope,{slope!r}")
     lines.append(f"# slope_ci_low,{lo!r}")
     lines.append(f"# slope_ci_high,{hi!r}")
-    lines.append(f"# t,{plan.times[i_time]!r}")
+    lines.append(f"# t,{plan.times[-1]!r}")
     lines.append(f"# bootstrap,{args.bootstrap}")
-    if coupled:
+    if plan.chaos:
         lines.append("# estimator,coupled_first_chaos")
     text = "\n".join(lines) + "\n"
     if args.out:

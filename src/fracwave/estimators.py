@@ -176,6 +176,19 @@ def _grid_steps(value: float, h: float, name: str) -> int:
     return n
 
 
+def _window(cfg: LatticeConfig, t: float, radius: float) -> tuple[int, int, int]:
+    """Level of time t and the node indices of the window [-radius, radius]
+    at it: (n, left, right).  Raises if the window leaves the validity cone,
+    which at level n spans nodes n .. n_nodes - 1 - n."""
+    n = cfg.time_index(t)
+    rn = _grid_steps(radius, cfg.h, "radius")
+    j0 = cfg.center_index
+    if n + rn > j0:
+        raise ValueError(f"window radius {radius} at t={t} leaves the validity cone; "
+                         f"grow x_half_width to at least radius + t")
+    return n, j0 - rn, j0 + rn
+
+
 def window_averages(fld: SolutionField, times: Sequence[float], radii: Sequence[float]) -> np.ndarray:
     """Trapezoid integrals of u(t, .) - 1 over [-radius, radius], for every
     (t, radius) pair.
@@ -185,19 +198,12 @@ def window_averages(fld: SolutionField, times: Sequence[float], radii: Sequence[
     Raises if any needed node is outside the validity cone at its level.
     """
     cfg = fld.config
-    j0 = cfg.center_index
-    rns = [_grid_steps(radius, cfg.h, "radius") for radius in radii]
     out = np.empty(fld.values.shape[:-2] + (len(times), len(radii)))
     for it, t in enumerate(times):
-        n = cfg.time_index(t)
-        row = fld.values[..., n, :] - 1.0
-        for ir, (radius, rn) in enumerate(zip(radii, rns)):
-            if n + rn > j0:  # the cone at level n spans nodes n .. 2*j0 - n
-                raise ValueError(
-                    f"window radius {radius} at t={t} leaves the validity cone; "
-                    f"grow x_half_width to at least radius + t"
-                )
-            seg = row[..., j0 - rn: j0 + rn + 1]
+        row = fld.values[..., cfg.time_index(t), :] - 1.0
+        for ir, radius in enumerate(radii):
+            _, left, right = _window(cfg, t, radius)
+            seg = row[..., left: right + 1]
             out[..., it, ir] = cfg.h * (np.add.reduce(seg, axis=-1) - 0.5 * (seg[..., 0] + seg[..., -1]))
     return out
 
@@ -214,12 +220,7 @@ def first_chaos_weights(cfg: LatticeConfig, t: float, radius: float, kappa: floa
     of the node weights (1 inside the window, 1/2 at its ends).  The sums
     are of halves, hence exact, and each row is two slices of one array.
     """
-    n_t = cfg.time_index(t)
-    rn = _grid_steps(radius, cfg.h, "radius")
-    j0 = cfg.center_index
-    left, right = j0 - rn, j0 + rn  # window node-index ends
-    if n_t + rn > j0:
-        raise ValueError("window plus horizon exceeds the lattice half width")
+    n_t, left, right = _window(cfg, t, radius)
     # cum[k + n_t] = weight of the nodes below k, for k = -n_t .. n_nodes + n_t
     w = np.zeros(cfg.n_nodes + 2 * n_t)
     w[n_t + left: n_t + right + 1] = 1.0

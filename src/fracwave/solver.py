@@ -104,18 +104,8 @@ class SigmaSpec:
         )
 
     def __call__(self, u):
-        if self.kind == "constant":
-            c = self.params[0]
-            if np.isscalar(u):
-                return c
-            return np.full_like(np.asarray(u, dtype=np.float64), c)
-        if self.kind == "linear":
-            return u
-        if self.kind == "affine_sine":
-            a, b = self.params
-            return a + b * np.sin(u)
-        knots, values = self.params
-        return np.interp(u, knots, values)
+        """sigma(u): times with unit mass, since x * 1.0 is x for every float."""
+        return self.times(u, 1.0, np.empty(np.shape(u)))
 
     def times(self, u: np.ndarray, mass: np.ndarray, out: np.ndarray) -> np.ndarray:
         """sigma(u) * mass, elementwise, written to out: the same floats as
@@ -130,7 +120,7 @@ class SigmaSpec:
             out *= b
             out += a
         else:
-            out[...] = self(u)
+            out[...] = np.interp(u, *self.params)
         out *= mass
         return out
 
@@ -207,7 +197,6 @@ class SolutionField:
     n..n_nodes-1-n.  sheet is the driving noise, None if unknown."""
 
     config: LatticeConfig
-    sigma: SigmaSpec
     values: np.ndarray = field(repr=False)
     sheet: Optional[NoiseSheet] = field(default=None, repr=False)
 
@@ -312,16 +301,11 @@ def solve(config: LatticeConfig, sheet: NoiseSheet, sigma: SigmaSpec, *,
         else:
             level -= flat[n - 1, lo:hi]
         level += sigma.times(flat[n, lo:hi], mass[n, lo:hi], kick[: hi - lo])
-    return SolutionField(config=config, sigma=sigma, values=np.moveaxis(u, 0, -2), sheet=sheet)
+    return SolutionField(config=config, values=np.moveaxis(u, 0, -2), sheet=sheet)
 
 
-def picard_reference(
-    config: LatticeConfig,
-    sheet: NoiseSheet,
-    sigma: SigmaSpec,
-    iterations: int,
-    return_diffs: bool = False,
-):
+def picard_reference(config: LatticeConfig, sheet: NoiseSheet, sigma: SigmaSpec,
+                     iterations: int) -> tuple[SolutionField, list[float]]:
     """Fixed-point reference solver: direct quadrature of the integral form.
 
     Starting from the constant initial state, each sweep evaluates
@@ -334,8 +318,8 @@ def picard_reference(
     the cell's base level.  Meant for small lattices; cost is
     O(iterations * n_steps^2 * n_nodes).
 
-    Returns the final iterate as a SolutionField; with return_diffs, also the
-    list of successive sup-norm differences over the validity cone.
+    Returns the final iterate as a SolutionField and the list of successive
+    sup-norm differences over the validity cone.
     """
     _check_sheet(config, sheet)
     _single(sheet, "picard_reference")
@@ -369,7 +353,4 @@ def picard_reference(
         diffs.append(float(np.nanmax(np.abs(nxt - u))))
         u = nxt
 
-    fld = SolutionField(config=config, sigma=sigma, values=u, sheet=sheet)
-    if return_diffs:
-        return fld, diffs
-    return fld
+    return SolutionField(config=config, values=u, sheet=sheet), diffs

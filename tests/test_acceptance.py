@@ -3,7 +3,7 @@
 
 Monte Carlo sizes and lattice steps are fixed by the criteria themselves;
 this module is intentionally the slow part of the suite (several minutes).
-Shared ensembles:
+Ensembles (E is run by criterion 7 itself, through fracwave rate's study):
 
   A  constant sigma=1, H=1/2,  h=1/64, t=1,          R=2            (criterion 2)
   B  linear sigma,     H=1/2,  h=1/64, t=1,          R=4,8,16,32    (criteria 3, 5)
@@ -23,18 +23,16 @@ import pytest
 import scipy.integrate
 
 from fracwave import analytic
-from fracwave.cli import _bootstrap_tasks, _ols_slope, _slope_ci
+from fracwave.cli import _rate_study
 from fracwave.estimators import (
     ExperimentPlan,
     first_chaos_weights,
     functional_cov_check,
-    ks_coupled,
-    ks_coupled_se,
     ks_critical,
     merge_chunks,
+    resolve_threads,
     run_experiment,
     run_replica_chunk,
-    run_tasks,
     summarize,
     summary_to_dict,
     tightness_moment,
@@ -95,16 +93,6 @@ def ens_d():
         hurst=0.5, sigma=SigmaSpec.constant(1.0), h=1.0 / 64.0,
         times=(0.25, 0.5, 1.0), radii=(8.0, 16.0, 32.0), replicas=M,
         seed=20_004, chaos=False,
-    )
-    return run_experiment(plan)
-
-
-@pytest.fixture(scope="module")
-def ens_e():
-    plan = ExperimentPlan(
-        hurst=0.5, sigma=SigmaSpec.affine_sine(1.0, 0.5), h=1.0 / 32.0,
-        times=(1.0,), radii=(4.0, 8.0, 16.0, 32.0), replicas=M_E,
-        seed=20_005, chaos=True,
     )
     return run_experiment(plan)
 
@@ -308,20 +296,24 @@ def test_criterion_6_functional_clt_covariance(ens_d, ens_f):
 # ---------------------------------------------------------------- criterion 7
 
 
-def test_criterion_7_ks_rate(ens_e):
+def test_criterion_7_ks_rate():
     """Nonlinear sigma: the KS distance of the normalized average decays as
     the radius grows through 4, 8, 16, 32 (nonincreasing modulo noise, with
     at most one inversion exceeding its standard error), and the fitted
     log-log slope is negative with a bootstrap confidence interval
     excluding zero.
 
+    The criterion runs fracwave rate's own study, cli._rate_study, on
+    ensemble E: the same ladder, SEs, slope and bootstrap CI that the rate
+    command prints, from the same code, timed from before the run.
+
     The distance is measured with ks_coupled: the empirical law of G/sd(G)
     against that of its first-chaos projection I/sd(I) on the same
     replicas.  I is a fixed linear functional of the Gaussian noise, so
     I/sd(I) is exactly standard normal and the coupled statistic estimates
     the same sup |F - Phi| as the plain KS statistic; corr(G, I) is 0.999
-    here, so its floor is far lower.  SEs are delete-group jackknife, the
-    bootstrap resamples (G, I) pairs (cli._bootstrap_ks), as fracwave rate does.
+    here, so its floor is far lower.  SEs are delete-group jackknife, and
+    the bootstrap resamples (G, I) pairs (cli._bootstrap_ks).
 
     Why not the plain statistic: its floor for exact Gaussians is about
     0.0074-0.0087 at 10^4 replicas, above the true distances.  Under the
@@ -363,9 +355,12 @@ def test_criterion_7_ks_rate(ens_e):
     2020)."""
     with _criterion(7):
         start = time.perf_counter()
-        pairs = [(ens_e.samples(0, ir), ens_e.chaos_samples(0, ir)) for ir in range(4)]
-        ks = np.array([ks_coupled(g, i1) for g, i1 in pairs])
-        se = np.array([ks_coupled_se(g, i1) for g, i1 in pairs])
+        plan_e = ExperimentPlan(
+            hurst=0.5, sigma=SigmaSpec.affine_sine(1.0, 0.5), h=1.0 / 32.0,
+            times=(1.0,), radii=(4.0, 8.0, 16.0, 32.0), replicas=M_E,
+            seed=20_005, chaos=True,
+        )
+        ks, se, slope, (lo, hi) = _rate_study(plan_e, 200, resolve_threads())
         assert np.all(ks > 0.0)
         # noise-level wiggles are not inversions; beyond-noise ones are,
         # and a single one is tolerated
@@ -374,13 +369,9 @@ def test_criterion_7_ks_rate(ens_e):
             if ks[i + 1] - ks[i] > math.hypot(se[i], se[i + 1])
         ]
         assert len(beyond) <= 1
-
-        logr = np.log(np.asarray(ens_e.plan.radii))
-        slope = _ols_slope(logr, np.log(ks))
         assert slope < 0.0
-        lo, hi = _slope_ci(ens_e.plan.radii, run_tasks(ens_e, _bootstrap_tasks(4, 0, 200, 1), 1), 0.95)
         assert hi < 0.0
-        assert ens_e.wall_seconds + (time.perf_counter() - start) < 1200.0
+        assert time.perf_counter() - start < 1200.0
 
 
 # ---------------------------------------------------------------- criterion 8

@@ -34,7 +34,7 @@ from fracwave.estimators import (
     tightness_moment,
     window_averages,
 )
-from fracwave.noise import sample_sheet
+from fracwave.noise import NoiseSpec, sample_sheet
 from fracwave.solver import KAPPA, LatticeConfig, SigmaSpec, solve
 
 
@@ -415,6 +415,29 @@ def test_spatial_average_zero_noise_and_guards():
         window_averages(fld2, (1.0,), (2.0,))  # needs x_half >= R + t
     with pytest.raises(ValueError, match="multiple"):
         window_averages(fld2, (1.0,), (0.9,))
+
+
+@pytest.mark.parametrize("reduction", ["window_averages", "first_chaos_weights"])
+def test_window_outside_the_validity_cone_is_refused(reduction):
+    # both reductions read the window through one rule: at level n the cone
+    # spans nodes n .. n_nodes - 1 - n, so radius + t may reach x_half_width
+    # but not pass it
+    cfg = LatticeConfig(h=0.25, t_max=1.0, x_half_width=2.0)
+    if reduction == "window_averages":
+        sheet = sample_sheet(NoiseSpec(hurst=0.5, dt=0.25, dx=0.25, n_time=cfg.n_steps,
+                                       n_space=cfg.n_cells, seed=3))
+        fld = solve(cfg, sheet, SigmaSpec.linear())
+
+        def reduce(t, radius):
+            return window_averages(fld, (t,), (radius,))
+    else:
+        def reduce(t, radius):
+            return first_chaos_weights(cfg, t, radius, KAPPA)
+    for t, radius in ((1.0, 1.0), (0.5, 1.5), (0.25, 0.25)):
+        assert np.all(np.isfinite(reduce(t, radius)))
+    for t, radius in ((1.0, 1.25), (0.5, 1.75), (0.25, 2.0)):
+        with pytest.raises(ValueError, match=rf"window radius {radius} at t={t} leaves the validity cone"):
+            reduce(t, radius)
 
 
 def test_constant_sigma_average_equals_first_chaos():

@@ -299,7 +299,7 @@ def test_sheet_compatibility_errors():
 
 def test_picard_zero_iterations_is_initial_state():
     cfg = LatticeConfig(h=0.25, t_max=1.0, x_half_width=2.0)
-    fld = picard_reference(cfg, _sheet(cfg, seed=1), SigmaSpec.linear(), iterations=0)
+    fld, _ = picard_reference(cfg, _sheet(cfg, seed=1), SigmaSpec.linear(), iterations=0)
     for level in range(cfg.n_steps + 1):
         lo, hi = level, cfg.n_nodes - 1 - level
         assert np.all(fld.values[level, lo: hi + 1] == 1.0)
@@ -311,8 +311,8 @@ def test_picard_constant_sigma_converges_in_one_sweep():
     cfg = LatticeConfig(h=0.25, t_max=1.0, x_half_width=2.0)
     sheet = _sheet(cfg, hurst=0.75, seed=13)
     c = 2.0
-    p1 = picard_reference(cfg, sheet, SigmaSpec.constant(c), iterations=1)
-    p2 = picard_reference(cfg, sheet, SigmaSpec.constant(c), iterations=2)
+    p1, _ = picard_reference(cfg, sheet, SigmaSpec.constant(c), iterations=1)
+    p2, _ = picard_reference(cfg, sheet, SigmaSpec.constant(c), iterations=2)
     assert np.array_equal(p1.values, p2.values, equal_nan=True)  # fixed point
 
     n, j0 = cfg.n_steps, cfg.center_index
@@ -329,9 +329,7 @@ def test_picard_constant_sigma_converges_in_one_sweep():
 def test_picard_iteration_contracts():
     cfg = LatticeConfig(h=0.125, t_max=1.0, x_half_width=2.0)
     sheet = _sheet(cfg, seed=21)
-    _, diffs = picard_reference(
-        cfg, sheet, SigmaSpec.linear(), iterations=8, return_diffs=True
-    )
+    _, diffs = picard_reference(cfg, sheet, SigmaSpec.linear(), iterations=8)
     # geometric-looking decay; successive sup differences drop fast
     assert diffs[0] > 0
     for a, b in zip(diffs[2:], diffs[3:]):
@@ -352,7 +350,7 @@ def test_picard_and_scheme_agree_to_first_order():
         t = (np.arange(cfg.n_steps) + 0.5) * h
         sheet.masses[:] = h * h * np.outer(1.0 + t, np.cos(3.0 * x))
         direct = solve(cfg, sheet, SigmaSpec.linear())
-        fixed = picard_reference(cfg, sheet, SigmaSpec.linear(), iterations=12)
+        fixed, _ = picard_reference(cfg, sheet, SigmaSpec.linear(), iterations=12)
         n, j0 = cfg.n_steps, cfg.center_index
         gaps.append(abs(direct.values[n, j0] - fixed.values[n, j0]))
     assert gaps[2] < gaps[1] < gaps[0]
@@ -395,4 +393,4 @@ def test_noise_provenance_tag():
     assert fld.noise_ref == f"{STREAM}:9:4"
     external = _zero_sheet(cfg)
     assert external.ref == "external"
-    assert picard_reference(cfg, external, SigmaSpec.linear(), 1).noise_ref == "external"
+    assert picard_reference(cfg, external, SigmaSpec.linear(), 1)[0].noise_ref == "external"
