@@ -3,13 +3,14 @@
 A plan fixes the lattice, the coefficient, observation times and window radii,
 the replica count and the base seed.  Replicas are pure functions of
 (plan, replica id): chunks of replicas can run in any order or in parallel and
-merge into the same summary, byte for byte, because all reductions happen in
-canonical replica order after the merge.  The statistics of each (time,
-radius) pair are one task over the merged samples: with more than one worker
-they too run on a process pool, each reducing its columns in canonical order,
-and come back in pair order.  A caller's own statistics over the summary (the
-rate command's coupled ladder and bootstrap) join the pair tasks on that one
-pool.  pool_map is the one pool path: chunks and statistics tasks.
+merge into the same summary, byte for byte: a chunk runs increasing ids, the
+merge puts its chunks' blocks in id order, and every reduction runs in that
+order after it.  The statistics of each (time, radius) pair are one task over
+the merged samples: with more than one worker they too run on a process pool,
+each reducing its columns in id order, and come back in pair order.  A
+caller's own statistics over the summary (the rate command's coupled ladder
+and bootstrap) join the pair tasks on that one pool.  pool_map is the one
+pool path: chunks and statistics tasks.
 
 The summary carries raw per-replica samples of the centered spatial average
 and its first-chaos projection, per-pair statistics (variance, normality
@@ -473,10 +474,10 @@ def ks_critical(n: int, alpha: float = 0.01) -> float:
 
 @dataclass
 class ChunkResult:
-    """Raw per-replica output for a set of replica ids (any order), in
-    blocks: a chunk is one, a merge keeps its chunks'.  replica_ids, g and
-    i1 run block after block; sigma_blocks holds each block's sigma(u) at
-    the window center apart, so that summarize never stacks them."""
+    """Raw per-replica output for increasing replica ids, in blocks: a
+    chunk is one, a merge puts its chunks' blocks in id order.  replica_ids,
+    g and i1 run block after block; sigma_blocks holds each block's sigma(u)
+    at the window center apart, so that summarize never stacks them."""
 
     replica_ids: np.ndarray
     g: np.ndarray  # (n_ids, n_times, n_radii)
@@ -486,7 +487,7 @@ class ChunkResult:
 
 def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int],
                       buffers: Optional[dict] = None) -> ChunkResult:
-    """Solve and reduce the given replicas.  Pure in (plan, ids).
+    """Solve and reduce the given replicas, ids increasing.  Pure in (plan, ids).
 
     The replicas run in stacks whose solution field fits _BATCH_BYTES: one
     sample_sheet call draws a stack's sheets into one buffer and one solve
@@ -503,6 +504,9 @@ def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int],
     replica-id range in its message, pooled or not.
     """
     ids = np.asarray(list(replica_ids), dtype=np.int64)
+    if ids.size == 0 or np.any(ids[1:] <= ids[:-1]):
+        raise ValueError(f"a chunk runs a nonempty, increasing list of replica ids, got "
+                         f"{np.array2string(ids, threshold=8)} [plan {plan_hash(plan)[:12]}]")
     cfg = plan.lattice()
     spec = plan.noise_spec()
     batch = max(1, _BATCH_BYTES // (8 * (cfg.n_steps + 1) * cfg.n_nodes))
@@ -534,33 +538,26 @@ def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int],
     return ChunkResult(replica_ids=ids, g=g, i1=i1, sigma_blocks=(sig_c,))
 
 
-def _block_ids(chunk: ChunkResult) -> list[np.ndarray]:
-    return np.split(chunk.replica_ids, np.cumsum([len(b) for b in chunk.sigma_blocks])[:-1])
-
-
 def merge_chunks(*chunks: ChunkResult) -> ChunkResult:
-    """Associative, commutative merge of any number of chunks, in one
-    concatenation of the ids, g and i1 rows; the sigma blocks are kept, not
-    copied.  A ValueError names the ids that would be duplicated, or two
-    blocks whose id ranges interleave: summarize folds the blocks one after
-    the other in id order, which such blocks have not."""
-    ids = np.concatenate([c.replica_ids for c in chunks])
-    srt = np.sort(ids)
-    dup = srt[1:][srt[1:] == srt[:-1]]
-    if dup.size:
-        raise ValueError(f"merge would duplicate replica ids {sorted(set(dup[:5].tolist()))}")
+    """Associative, commutative merge of any number of chunks: their blocks,
+    each its ids with their g and i1 rows and its sigma block, sorted by
+    first id and concatenated, so the ids increase; the sigma blocks are
+    kept, not copied.  A ValueError names two blocks whose id ranges
+    overlap, which no order of blocks puts in id order."""
     if len({c.i1 is None for c in chunks}) > 1:
         raise ValueError("cannot merge chunks with and without chaos samples")
-    spans = sorted((b.min(), b.max()) for c in chunks for b in _block_ids(c) if b.size)
-    for (lo, hi), (lo2, hi2) in zip(spans, spans[1:]):
-        if hi > lo2:
-            raise ValueError(f"chunks of replicas {lo}..{hi} and {lo2}..{hi2} interleave")
-    return ChunkResult(
-        replica_ids=ids,
-        g=np.concatenate([c.g for c in chunks]),
-        i1=None if chunks[0].i1 is None else np.concatenate([c.i1 for c in chunks]),
-        sigma_blocks=tuple(b for c in chunks for b in c.sigma_blocks if len(b)),
-    )
+    blocks = []
+    for c in chunks:
+        cuts = np.cumsum([0] + [len(sig) for sig in c.sigma_blocks])
+        blocks += [(c.replica_ids[lo:hi], c.g[lo:hi], None if c.i1 is None else c.i1[lo:hi], sig)
+                   for sig, lo, hi in zip(c.sigma_blocks, cuts, cuts[1:])]
+    blocks.sort(key=lambda b: b[0][0])
+    for (a, *_), (b, *_) in zip(blocks, blocks[1:]):
+        if a[-1] >= b[0]:
+            raise ValueError(f"chunks of replicas {a[0]}..{a[-1]} and {b[0]}..{b[-1]} overlap")
+    ids, g, i1, sig = zip(*blocks)
+    return ChunkResult(replica_ids=np.concatenate(ids), g=np.concatenate(g),
+                       i1=None if i1[0] is None else np.concatenate(i1), sigma_blocks=sig)
 
 
 def _group_bounds(n: int) -> np.ndarray:
@@ -666,13 +663,13 @@ class ExperimentSummary:
     plan: ExperimentPlan
     plan_digest: str
     wall_seconds: float
-    g_samples: np.ndarray = field(repr=False)  # (M, n_times, n_radii), canonical order
-    i1_samples: Optional[np.ndarray] = field(repr=False, default=None)
-    curve_times: np.ndarray = field(repr=False, default=None)
-    curve_mean: np.ndarray = field(repr=False, default=None)
-    curve_sq: np.ndarray = field(repr=False, default=None)
-    curve_mean_se: np.ndarray = field(repr=False, default=None)
-    curve_sq_se: np.ndarray = field(repr=False, default=None)
+    g_samples: np.ndarray = field(repr=False)  # (M, n_times, n_radii), in replica id order
+    i1_samples: Optional[np.ndarray] = field(repr=False)
+    curve_times: np.ndarray = field(repr=False)
+    curve_mean: np.ndarray = field(repr=False)
+    curve_sq: np.ndarray = field(repr=False)
+    curve_mean_se: np.ndarray = field(repr=False)
+    curve_sq_se: np.ndarray = field(repr=False)
     stats: dict = field(default_factory=dict)  # (i_time, i_radius) -> PairStats
     # results of the tasks given to summarize, in their order
     task_results: list = field(repr=False, default_factory=list)
@@ -752,12 +749,12 @@ def _fold_rows(blocks) -> np.ndarray:
 
 
 def _curve_moments(merged: ChunkResult, m: int) -> tuple[np.ndarray, ...]:
-    """mean(axis=0) of sigma and sigma^2 over the replicas in canonical
-    order, then std(axis=0, ddof=1) / sqrt(m) of each, to the bit; besides
-    the blocks it holds a few blocks' worth at a time."""
+    """mean(axis=0) of sigma and sigma^2 over the replicas, then std(axis=0,
+    ddof=1) / sqrt(m) of each, to the bit, folding the merged blocks as
+    stored (in id order); besides the blocks it holds a few blocks' worth at
+    a time."""
     def rows(square: bool):
-        for ids, block in sorted(zip(_block_ids(merged), merged.sigma_blocks), key=lambda p: p[0][0]):
-            block = block if np.all(ids[1:] > ids[:-1]) else block[np.argsort(ids)]
+        for block in merged.sigma_blocks:
             yield block**2 if square else block
 
     mean, sq = (_fold_rows(rows(square)) / m for square in (False, True))
@@ -770,13 +767,13 @@ def _curve_moments(merged: ChunkResult, m: int) -> tuple[np.ndarray, ...]:
 
 def summarize(plan: ExperimentPlan, merged: ChunkResult, wall_seconds: float,
               workers: int = 1, tasks: Sequence = ()) -> ExperimentSummary:
-    """Build the summary from merged chunks.  All reductions run in canonical
-    (sorted replica id) order, so the result is chunking-independent; g
-    and i1 are reordered only when their ids are not canonical.  The pair
-    statistics run as one task per (time, radius) pair through run_tasks on
-    `workers` processes; each task reads its columns of the (M, n_times,
-    n_radii) sample block with the strides they have here, so the worker
-    count does not change a bit.
+    """Build the summary from merged chunks.  The merge leaves the replicas in
+    id order and every reduction runs in that order, so the result is
+    chunking-independent; summarize reorders nothing.  The pair statistics
+    run as one task per (time, radius) pair through run_tasks on `workers`
+    processes; each task reads its columns of the (M, n_times, n_radii)
+    sample block with the strides they have here, so the worker count does
+    not change a bit.
 
     tasks are further (fn, args) statistics of the summary, fn(summary,
     *args), that need no pair statistics.  They run on the same pool, ahead
@@ -787,17 +784,12 @@ def summarize(plan: ExperimentPlan, merged: ChunkResult, wall_seconds: float,
     when the merged ids are not 0..M-1 exactly once."""
     digest = plan_hash(plan)
     m = plan.replicas
-    ids, g, i1 = merged.replica_ids, merged.g, merged.i1
-    canonical = np.arange(m)
-    if not np.array_equal(ids, canonical):
-        order = np.argsort(ids, kind="stable")
-        ids, g, i1 = ids[order], g[order], None if i1 is None else i1[order]
-        if not np.array_equal(ids, canonical):
-            k = int(np.argmax(np.append(ids[:m] != canonical[: ids.size], True)))  # first misfit
-            what = f"replica {ids[k]} is extra" if k < ids.size and (k == m or ids[k] < k) \
-                else f"replica {k} is missing"
-            raise ValueError(f"merged chunks do not cover replicas 0..{m - 1} exactly once: "
-                             f"{what} [plan {digest[:12]}]")
+    ids = merged.replica_ids
+    if not np.array_equal(ids, np.arange(m)):
+        k = int(np.argmax(np.append(ids[:m] != np.arange(min(m, ids.size)), True)))  # first misfit
+        what = f"replica {ids[k]} is extra" if k == m else f"replica {k} is missing"
+        raise ValueError(f"merged chunks do not cover replicas 0..{m - 1} exactly once: "
+                         f"{what} [plan {digest[:12]}]")
     curve_mean, curve_sq, curve_mean_se, curve_sq_se = _curve_moments(merged, m)
 
     cfg = plan.lattice()
@@ -805,8 +797,8 @@ def summarize(plan: ExperimentPlan, merged: ChunkResult, wall_seconds: float,
         plan=plan,
         plan_digest=digest,
         wall_seconds=wall_seconds,
-        g_samples=g,
-        i1_samples=i1,
+        g_samples=merged.g,
+        i1_samples=merged.i1,
         curve_times=cfg.h * np.arange(cfg.n_steps + 1),
         curve_mean=curve_mean,
         curve_sq=curve_sq,

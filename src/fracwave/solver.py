@@ -194,17 +194,17 @@ class SolutionField:
     A field solved from a stack of sheets has a leading replica axis
     (values[b] is replica b) and one noise_ref tag per sheet.  NaN marks
     nodes outside the interior validity cone, which at level n holds nodes
-    n..n_nodes-1-n.  sheet is the driving noise, None if unknown."""
+    n..n_nodes-1-n.  sheet is the driving noise."""
 
     config: LatticeConfig
     values: np.ndarray = field(repr=False)
-    sheet: Optional[NoiseSheet] = field(default=None, repr=False)
+    sheet: NoiseSheet = field(repr=False)
 
     @property
     def noise_ref(self) -> Union[str, tuple[str, ...]]:
         """Provenance tag of the driving noise (NoiseSheet.ref), built when
-        read: 'external' without a sheet."""
-        return "external" if self.sheet is None else self.sheet.ref
+        read."""
+        return self.sheet.ref
 
 
 def calibrate_kernel(h: float, hurst: float) -> float:

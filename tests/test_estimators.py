@@ -469,7 +469,7 @@ def test_chunk_reductions_equal_per_replica_reductions(ids):
     plan = _rate_plan()
     stack = _stack_size(plan)
     assert stack > 2
-    chosen = list(range(stack + 3, 0, -1)) if ids == "across_stacks" else [7]
+    chosen = list(range(1, stack + 4)) if ids == "across_stacks" else [7]
     res = run_replica_chunk(plan, chosen)
     cfg = plan.lattice()
     assert res.replica_ids.tolist() == chosen
@@ -485,6 +485,15 @@ def test_chunk_reductions_equal_per_replica_reductions(ids):
                 assert res.i1[k, it, ir] == pytest.approx(
                     float(np.vdot(w, sheet.masses[: w.shape[0]])), rel=1e-12, abs=1e-15)
         assert res.g[k].tobytes() == window_averages(fld, plan.times, plan.radii).tobytes()
+
+
+@pytest.mark.parametrize("ids,named", [([], r"\[\]"), ([3, 1], r"\[3 1\]"), ([0, 2, 2], r"\[0 2 2\]")])
+def test_chunk_refuses_ids_that_do_not_increase(ids, named):
+    # a chunk runs increasing ids, so a merge of chunks need only order blocks
+    plan = _rate_plan(replicas=4)
+    with pytest.raises(ValueError, match=r"increasing list of replica ids, got " + named
+                       + rf" \[plan {plan_hash(plan)[:12]}\]"):
+        run_replica_chunk(plan, ids)
 
 
 @pytest.mark.parametrize("lattice", ["rate", "wide"])
@@ -857,7 +866,7 @@ def test_merge_rejects_duplicates_and_gaps():
     )
     where = rf"\[plan {plan_hash(plan)[:12]}\]"
     a = run_replica_chunk(plan, range(0, 5))
-    with pytest.raises(ValueError, match=r"duplicate replica ids \[4\]"):
+    with pytest.raises(ValueError, match=r"replicas 0\.\.4 and 4\.\.7 overlap"):
         merge_chunks(a, run_replica_chunk(plan, range(4, 8)))
     partial = merge_chunks(a, run_replica_chunk(plan, range(6, 8)))  # gap at 5
     with pytest.raises(ValueError, match=r"exactly once: replica 5 is missing " + where):
@@ -866,23 +875,39 @@ def test_merge_rejects_duplicates_and_gaps():
         summarize(plan, merge_chunks(a, run_replica_chunk(plan, [5, 6])), 0.0)
     with pytest.raises(ValueError, match=r"exactly once: replica 8 is extra " + where):
         summarize(plan, merge_chunks(a, run_replica_chunk(plan, range(5, 9))), 0.0)
-    # the many-chunk merge checks all ids at once
-    with pytest.raises(ValueError, match=r"duplicate replica ids \[0\]"):
+    # the many-chunk merge checks all blocks at once
+    with pytest.raises(ValueError, match=r"replicas 0\.\.4 and 0\.\.0 overlap"):
         merge_chunks(a, run_replica_chunk(plan, range(5, 8)), run_replica_chunk(plan, range(0, 1)))
-    with pytest.raises(ValueError, match=r"duplicate replica ids \[1, 3\]"):
-        merge_chunks(a, run_replica_chunk(plan, [3, 1]))
-    # no order of blocks whose id ranges interleave is canonical
-    with pytest.raises(ValueError, match=r"replicas 0\.\.4 and 1\.\.3 interleave"):
-        merge_chunks(run_replica_chunk(plan, [0, 2, 4]), run_replica_chunk(plan, [3, 1]))
-    with pytest.raises(ValueError, match=r"replicas 5\.\.7 and 6\.\.6 interleave"):
+    with pytest.raises(ValueError, match=r"replicas 0\.\.4 and 1\.\.3 overlap"):
+        merge_chunks(a, run_replica_chunk(plan, [1, 3]))
+    with pytest.raises(ValueError, match=r"increasing list of replica ids, got \[3 1\] " + where):
+        run_replica_chunk(plan, [3, 1])
+    # no order of blocks whose id ranges interleave puts the ids in order
+    with pytest.raises(ValueError, match=r"replicas 0\.\.4 and 1\.\.3 overlap"):
+        merge_chunks(run_replica_chunk(plan, [0, 2, 4]), run_replica_chunk(plan, [1, 3]))
+    with pytest.raises(ValueError, match=r"replicas 5\.\.7 and 6\.\.6 overlap"):
         merge_chunks(a, run_replica_chunk(plan, [5, 7]), run_replica_chunk(plan, [6]))
     whole = merge_chunks(run_replica_chunk(plan, range(6, 8)), a, run_replica_chunk(plan, [5]))
     assert whole.g.tobytes() == merge_chunks(merge_chunks(run_replica_chunk(plan, range(6, 8)), a),
                                              run_replica_chunk(plan, [5])).g.tobytes()
-    # the merge keeps each chunk's sigma rows as they are
-    assert [len(b) for b in whole.sigma_blocks] == [2, 5, 1]
-    assert whole.sigma_blocks[1] is a.sigma_blocks[0]
+    # the merge puts the blocks in id order and keeps each chunk's sigma rows as they are
+    assert whole.replica_ids.tolist() == list(range(8))
+    assert [len(b) for b in whole.sigma_blocks] == [5, 1, 2]
+    assert whole.sigma_blocks[0] is a.sigma_blocks[0]
     summarize(plan, whole, 0.0)
+
+
+def test_nested_merge_fills_a_gap_in_id_order():
+    # the merge sorts blocks, not whole chunks: a merge with a gap (0..4 and
+    # 6..7) that a later merge fills (5) gives run_experiment's bytes
+    plan = ExperimentPlan(hurst=0.5, sigma=SigmaSpec.affine_sine(1.0, 0.5), h=0.25,
+                          times=(0.5, 1.0), radii=(1.0,), replicas=8, seed=1)
+    a, b, c = (run_replica_chunk(plan, ids) for ids in (range(0, 5), [5], range(6, 8)))
+    nested = summarize(plan, merge_chunks(merge_chunks(a, c), b), 0.0)
+    direct = run_experiment(plan, threads=1)
+    assert nested.g_samples.tobytes() == direct.g_samples.tobytes()
+    assert nested.i1_samples.tobytes() == direct.i1_samples.tobytes()
+    assert _curves(nested) == _curves(direct)
 
 
 def _stacked_curves(rows: np.ndarray) -> list[bytes]:
@@ -901,16 +926,16 @@ def _curves(summary) -> list[bytes]:
 def test_curve_moments_equal_numpy_on_the_stacked_rows():
     # summarize folds the sigma blocks one at a time; its four curves must be
     # the floats np.mean and np.std(ddof=1) give on all rows stacked in
-    # canonical order, whatever the chunking and the order within a chunk
+    # id order, whatever the chunking and the merge order
     plan = ExperimentPlan(hurst=0.5, sigma=SigmaSpec.affine_sine(1.0, 0.5), h=1.0 / 16.0,
                           times=(1.0,), radii=(1.0, 2.0), replicas=301, seed=29, chaos=False)
-    low, mid, high = (run_replica_chunk(plan, range(0, 100)), run_replica_chunk(plan, range(199, 99, -1)),
+    low, mid, high = (run_replica_chunk(plan, range(0, 100)), run_replica_chunk(plan, range(100, 200)),
                       run_replica_chunk(plan, range(200, 301)))
     s = summarize(plan, merge_chunks(high, merge_chunks(low, mid)), 0.0)
-    rows = np.concatenate([low.sigma_blocks[0], mid.sigma_blocks[0][::-1], high.sigma_blocks[0]])
+    rows = np.concatenate([low.sigma_blocks[0], mid.sigma_blocks[0], high.sigma_blocks[0]])
     assert rows.shape == (301, 17)
     assert _curves(s) == _stacked_curves(rows)
-    assert s.g_samples.tobytes() == np.concatenate([low.g, mid.g[::-1], high.g]).tobytes()
+    assert s.g_samples.tobytes() == np.concatenate([low.g, mid.g, high.g]).tobytes()
     # many blocks of random sizes, rows that are not sigma values of a solve
     rng = np.random.default_rng(5)
     for h, m in ((1.0 / 8.0, 20000), (1.0 / 64.0, 3001)):
@@ -920,8 +945,8 @@ def test_curve_moments_equal_numpy_on_the_stacked_rows():
         cuts = np.cumsum(rng.integers(1, 700, size=m))
         cuts = np.concatenate(([0], cuts[cuts < m], [m]))
         g = rng.standard_normal((m, 1, 1))
-        chunks = [estimators.ChunkResult(replica_ids=np.arange(lo, hi)[::-1], g=g[lo:hi][::-1], i1=None,
-                                         sigma_blocks=(rows[lo:hi][::-1],))
+        chunks = [estimators.ChunkResult(replica_ids=np.arange(lo, hi), g=g[lo:hi], i1=None,
+                                         sigma_blocks=(rows[lo:hi],))
                   for lo, hi in zip(cuts[:-1], cuts[1:])]
         s = summarize(plan, merge_chunks(*chunks[::-1]), 0.0)
         assert _curves(s) == _stacked_curves(rows)

@@ -69,6 +69,13 @@ def _referenced(tree: ast.Module) -> set[str]:
     return names
 
 
+def _loaded_attributes(tree: ast.Module) -> set[str]:
+    """Attribute names the code loads (x.name read, not assigned or
+    deleted); a bare name that happens to match is not such a read."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def _public_members(tree: ast.Module):
     """(class, member) of the public methods, properties and fields of the
     module's __all__ classes."""
@@ -87,15 +94,18 @@ def _public_members(tree: ast.Module):
 
 
 def test_every_export_is_used_by_code_that_runs():
-    """A name in a module's __all__, and a public method, property or field
-    of an exported class, must be read by the code that runs (its own module
-    included).  A name that only unit tests reach is API that no run uses:
-    delete it, or use it."""
-    read = set().union(*(_referenced(_parse(p)) for p in RUNNERS))
+    """A name in a module's __all__ must be read by the code that runs (its
+    own module included), and a public method, property or field of an
+    exported class must be loaded there as an attribute, x.name: a local
+    variable of the same name does not read it.  A name that only unit tests
+    reach is API that no run uses: delete it, or use it."""
+    trees = [_parse(p) for p in RUNNERS]
+    read = set().union(*map(_referenced, trees))
+    loaded = set().union(*map(_loaded_attributes, trees))
     unread = {}
     for p in MODULES:
         tree = _parse(p)
-        members = {f"{cls}.{name}" for cls, name in _public_members(tree) if name not in read}
+        members = {f"{cls}.{name}" for cls, name in _public_members(tree) if name not in loaded}
         unread[p.stem] = sorted((_exported(tree) - read) | members)
     assert {name: names for name, names in unread.items() if names} == {}
 
