@@ -52,6 +52,7 @@ from .estimators import (
     ks_coupled,
     ks_coupled_se,
     ks_normality,
+    pair_tasks,
     resolve_threads,
     run_experiment,
     strict_json,
@@ -369,20 +370,17 @@ def _rate_study(plan: ExperimentPlan, n_boot: int, workers: int):
     # and every replica's sample there stay the same without the others
     plan = replace(plan, times=plan.times[-1:])
     radii = range(len(plan.radii))
-    # the statistics pass: bootstrap groups, then (with first-chaos samples)
-    # the coupled ladder, whose floor lies far below that of the plain KS
-    # column, one radius per task; summarize runs them with its pair tasks
-    boot = _bootstrap_tasks(len(plan.radii), 0, n_boot, workers)
-    ladder = [(_coupled_ks, (0, ir)) for ir in radii] if plan.chaos else []
-    summary = run_experiment(plan, threads=workers, tasks=boot + ladder)
-    tables, coupled = summary.task_results[: len(boot)], summary.task_results[len(boot):]
-    if coupled:
-        ks, se = map(np.array, zip(*coupled))
-    else:
-        ks = np.array([summary.stats[(0, ir)].ks for ir in radii])
-        se = np.array([summary.stats[(0, ir)].ks_se for ir in radii])
+    # the statistics pass: the bootstrap groups, then the ladder, one radius
+    # per task: coupled with first-chaos samples, whose floor lies far below
+    # that of the plain KS column, else the pair table for its KS column
+    groups = _bootstrap_tasks(len(plan.radii), 0, n_boot, workers)
+    boot = {("boot", k): task for k, task in enumerate(groups)}
+    ladder = {(0, ir): (_coupled_ks, (0, ir)) for ir in radii} if plan.chaos else pair_tasks(plan)
+    stats = run_experiment(plan, threads=workers, tasks={**boot, **ladder}).stats
+    rows = [stats[(0, ir)] for ir in radii]
+    ks, se = map(np.array, zip(*(rows if plan.chaos else [(ps.ks, ps.ks_se) for ps in rows])))
     slope = _ols_slope(np.log(np.asarray(plan.radii)), np.log(ks))
-    return ks, se, slope, _slope_ci(plan.radii, tables, level=0.95)
+    return ks, se, slope, _slope_ci(plan.radii, [stats[key] for key in boot], level=0.95)
 
 
 def cmd_rate(args) -> int:
@@ -423,8 +421,7 @@ def cmd_funcclt(args) -> int:
         raise ConfigError("functional covariance check needs at least 2 times in the config")
     if plan.replicas < 2:
         raise ConfigError("functional covariance check needs at least 2 replicas")
-    summary = run_experiment(plan, threads=args.threads)
-    report = functional_cov_check(summary)
+    report = functional_cov_check(run_experiment(plan, threads=args.threads, tasks={}))
     payload = strict_json({
         "schema": "fracwave.funcclt/1",
         "times": report.times.tolist(),

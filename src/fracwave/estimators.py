@@ -5,17 +5,17 @@ the replica count and the base seed.  Replicas are pure functions of
 (plan, replica id): chunks of replicas can run in any order or in parallel and
 merge into the same summary, byte for byte: a chunk runs increasing ids, the
 merge puts its chunks' blocks in id order, and every reduction runs in that
-order after it.  The statistics of each (time, radius) pair are one task over
-the merged samples: with more than one worker they too run on a process pool,
-each reducing its columns in id order, and come back in pair order.  A
-caller's own statistics over the summary (the rate command's coupled ladder
-and bootstrap) join the pair tasks on that one pool.  pool_map is the one
-pool path: chunks and statistics tasks.
+order after it.  Statistics over the merged samples are keyed summarize
+tasks: by default the pair table, one task per (time, radius) pair, while a
+caller may ask for just the tasks it reads (the rate command's bootstrap and
+ladder).  A task reads the samples, never another task's result; with more
+than one worker the tasks run on a process pool, each reducing its columns
+in id order.  pool_map is the one pool path: chunks and statistics tasks.
 
 The summary carries raw per-replica samples of the centered spatial average
-and its first-chaos projection, per-pair statistics (variance, normality
-distance, chaos decomposition) with delete-group jackknife standard errors,
-and empirical moment curves read off the window center.
+and its first-chaos projection, empirical moment curves read off the window
+center, and the statistics asked for: by default per-pair variance, normality
+distance and chaos decomposition, with delete-group jackknife standard errors.
 
 The normality distance needs Phi.  An interpolated table finds the few ranks
 where the sup can be, and a port of Cephes ndtr (the float scipy.special.ndtr
@@ -31,7 +31,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -55,6 +55,7 @@ __all__ = [
     "run_replica_chunk",
     "merge_chunks",
     "summarize",
+    "pair_tasks",
     "pool_map",
     "run_tasks",
     "run_experiment",
@@ -670,9 +671,8 @@ class ExperimentSummary:
     curve_sq: np.ndarray = field(repr=False)
     curve_mean_se: np.ndarray = field(repr=False)
     curve_sq_se: np.ndarray = field(repr=False)
-    stats: dict = field(default_factory=dict)  # (i_time, i_radius) -> PairStats
-    # results of the tasks given to summarize, in their order
-    task_results: list = field(repr=False, default_factory=list)
+    # task key -> result; by default (i_time, i_radius) -> PairStats
+    stats: dict = field(default_factory=dict)
 
     def samples(self, i_time: int, i_radius: int) -> np.ndarray:
         return self.g_samples[:, i_time, i_radius]
@@ -739,6 +739,11 @@ def _pair_stats(summary: ExperimentSummary, pair: tuple[int, int]) -> PairStats:
     return ps
 
 
+def pair_tasks(plan: ExperimentPlan) -> dict:
+    """The pair table as summarize tasks: (i_time, i_radius) -> its PairStats task."""
+    return {pair: (_pair_stats, (pair,)) for pair in np.ndindex(len(plan.times), len(plan.radii))}
+
+
 def _fold_rows(blocks) -> np.ndarray:
     """np.sum(axis=0) of the stacked blocks, to the bit, one block at a time:
     numpy adds the rows of a C-contiguous (n, k >= 2) array in turn."""
@@ -766,19 +771,18 @@ def _curve_moments(merged: ChunkResult, m: int) -> tuple[np.ndarray, ...]:
 
 
 def summarize(plan: ExperimentPlan, merged: ChunkResult, wall_seconds: float,
-              workers: int = 1, tasks: Sequence = ()) -> ExperimentSummary:
+              workers: int = 1, tasks: Optional[Mapping] = None) -> ExperimentSummary:
     """Build the summary from merged chunks.  The merge leaves the replicas in
     id order and every reduction runs in that order, so the result is
-    chunking-independent; summarize reorders nothing.  The pair statistics
-    run as one task per (time, radius) pair through run_tasks on `workers`
-    processes; each task reads its columns of the (M, n_times, n_radii)
-    sample block with the strides they have here, so the worker count does
-    not change a bit.
+    chunking-independent; summarize reorders nothing.
 
-    tasks are further (fn, args) statistics of the summary, fn(summary,
-    *args), that need no pair statistics.  They run on the same pool, ahead
-    of the pair tasks, so a caller lists them longest first; their results
-    are summary.task_results, in order.
+    tasks maps each key to a statistic (fn, args) of the summary,
+    fn(summary, *args); None means the pair table (pair_tasks).  They run
+    through run_tasks on `workers` processes, in the mapping's order, so a
+    caller lists its longest first.  A task reads the samples, never another
+    task's result; each reads its columns of the (M, n_times, n_radii) sample
+    block with the strides they have here, so the worker count does not
+    change a bit.  summary.stats maps each key to its task's result.
 
     A ValueError names the plan digest and the first missing or extra id
     when the merged ids are not 0..M-1 exactly once."""
@@ -805,11 +809,8 @@ def summarize(plan: ExperimentPlan, merged: ChunkResult, wall_seconds: float,
         curve_mean_se=curve_mean_se,
         curve_sq_se=curve_sq_se,
     )
-    pairs = [(it, ir) for it in range(len(plan.times)) for ir in range(len(plan.radii))]
-    tasks = list(tasks)
-    results = run_tasks(summary, tasks + [(_pair_stats, (pair,)) for pair in pairs], workers)
-    summary.task_results = results[: len(tasks)]
-    summary.stats = dict(zip(pairs, results[len(tasks):]))
+    tasks = pair_tasks(plan) if tasks is None else tasks
+    summary.stats = dict(zip(tasks, run_tasks(summary, tasks.values(), workers)))
     return summary
 
 
@@ -878,7 +879,7 @@ def run_tasks(summary: ExperimentSummary, tasks: Sequence, workers: int) -> list
 
 
 def run_experiment(plan: ExperimentPlan, threads: Optional[int] = None,
-                   tasks: Sequence = ()) -> ExperimentSummary:
+                   tasks: Optional[Mapping] = None) -> ExperimentSummary:
     """Run all replicas (chunked, optionally in parallel) and summarize.
 
     Chunks get the plan once per worker and only their id ranges per task.

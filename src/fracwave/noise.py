@@ -21,7 +21,7 @@ Contents
 --------
 NoiseSpec, NoiseSheet   lattice geometry + sampled cell masses (or a stack)
 fgn_cell_covariance     closed-form cell covariance within one row
-sample_sheet            exact sampler (one Philox-keyed stream per replica)
+sample_sheet            exact sampler (per replica, an SFC64 seeded by a (seed, replica)-keyed Philox)
 region_mass             total mass of an index rectangle
 write_sheet, read_sheet binary dump of a sampled sheet
 """

@@ -94,7 +94,7 @@ def ens_d():
         times=(0.25, 0.5, 1.0), radii=(8.0, 16.0, 32.0), replicas=M,
         seed=20_004, chaos=False,
     )
-    return run_experiment(plan)
+    return run_experiment(plan, tasks={})  # criteria 6 and 8 read the samples only
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +103,7 @@ def ens_f():
         hurst=0.75, sigma=SigmaSpec.constant(1.0), h=1.0 / 32.0,
         times=(0.5, 1.0), radii=(32.0,), replicas=M, seed=20_006, chaos=False,
     )
-    return run_experiment(plan)
+    return run_experiment(plan, tasks={})
 
 
 # ---------------------------------------------------------------- criterion 1

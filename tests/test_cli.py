@@ -554,10 +554,8 @@ def test_rate_threads_do_not_change_a_byte(tmp_path, capsys, chaos):
     assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
-@pytest.mark.parametrize("chaos", ["false", "true"])
-def test_rate_starts_two_pools(tmp_path, capsys, monkeypatch, chaos):
-    # one pool for the chunks, one for the statistics pass: pair
-    # statistics, coupled ladder and bootstrap groups share it
+def _count_pools(monkeypatch) -> list:
+    """The max_workers of every process pool started from here on."""
     import concurrent.futures
 
     started = []
@@ -567,6 +565,14 @@ def test_rate_starts_two_pools(tmp_path, capsys, monkeypatch, chaos):
             started.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return started
+
+
+@pytest.mark.parametrize("chaos", ["false", "true"])
+def test_rate_starts_two_pools(tmp_path, capsys, monkeypatch, chaos):
+    # one pool for the chunks, one for the statistics pass: the bootstrap
+    # groups and the ladder (coupled, or with chaos off the pair table) share it
+    started = _count_pools(monkeypatch)
     text = SMALL_CFG.replace("radii = 1.0", "radii = 1.0, 2.0, 4.0").replace(
         "replicas = 60", f"replicas = 600\nchaos = {chaos}")
     path = _write_cfg(tmp_path, text)
@@ -616,6 +622,33 @@ def test_rate_reaches_the_traced_seams(tmp_path, capsys, monkeypatch):
     assert calls["fracwave.cli.ks_normality"] == 5 * 3  # chaos-off bootstrap
     assert calls["fracwave.cli.run_experiment"] == 1
     assert calls["fracwave.noise._replica_rng"] == 150  # once per replica
+
+
+@pytest.mark.parametrize("chaos", ["true", "false"])
+def test_rate_computes_only_the_statistics_it_reads(tmp_path, capsys, monkeypatch, chaos):
+    # chaos on, the coupled ladder is the KS column and no pair table runs;
+    # chaos off, the pair table runs once per radius, at the last time only
+    calls = {"pairs": [], "ks": 0}
+    pair_stats, ks_plain = estimators._pair_stats, estimators.ks_normality
+
+    def counted_pair_stats(summary, pair):
+        calls["pairs"].append((summary.plan.times[pair[0]], pair))
+        return pair_stats(summary, pair)
+
+    def counted_ks(samples):
+        calls["ks"] += 1
+        return ks_plain(samples)
+    monkeypatch.setattr(estimators, "_pair_stats", counted_pair_stats)
+    monkeypatch.setattr(estimators, "ks_normality", counted_ks)
+    text = SMALL_CFG.replace("radii = 1.0", "radii = 1.0, 2.0, 4.0").replace(
+        "times = 1.0", "times = 0.5, 1.0").replace("replicas = 60", f"replicas = 150\nchaos = {chaos}")
+    path = _write_cfg(tmp_path, text)
+    code, _, err = _run(capsys, ["rate", path, "--bootstrap", "5", "--threads", "1"])
+    assert code == 0, err
+    if chaos == "true":
+        assert calls == {"pairs": [], "ks": 0}
+    else:
+        assert calls == {"pairs": [(1.0, (0, ir)) for ir in range(3)], "ks": 3}
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -681,6 +714,23 @@ def test_funcclt_json(tmp_path, capsys):
     assert emp.shape == (2, 2)
     assert np.asarray(payload["oracle"]).shape == (2, 2)
     assert payload["max_se_units"] < 20.0
+
+
+def test_funcclt_runs_no_pair_statistics(tmp_path, capsys, monkeypatch):
+    # the check reads the samples only: one pool, for the chunks, and no
+    # statistics pass
+    started = _count_pools(monkeypatch)
+    text = SMALL_CFG.replace("times = 1.0", "times = 0.5, 1.0").replace(
+        "radii = 1.0", "radii = 1.0, 2.0").replace("replicas = 60", "replicas = 600")
+    path = _write_cfg(tmp_path, text)
+    code, out, err = _run(capsys, ["funcclt", path, "--threads", "2"])
+    assert code == 0, err
+    assert started == [2]
+    pair_calls = []
+    monkeypatch.setattr(estimators, "_pair_stats", lambda *args: pair_calls.append(args))
+    code, serial, _ = _run(capsys, ["funcclt", path, "--threads", "1"])
+    assert code == 0 and serial == out and started == [2]
+    assert pair_calls == []
 
 
 # ------------------------------------------------------------ noise-dump

@@ -1009,6 +1009,28 @@ def test_run_experiment_parallel_matches_serial():
         )
 
 
+def test_summary_stats_holds_the_given_tasks_in_order():
+    # tasks of several kinds on one pool; the default is the pair table
+    plan = ExperimentPlan(
+        hurst=0.5, sigma=SigmaSpec.linear(), h=0.25, times=(0.5, 1.0),
+        radii=(1.0, 2.0), replicas=600, seed=4,
+    )
+    default = run_experiment(plan, threads=1)
+    assert list(default.stats) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    tasks = {
+        "tight": (tightness_moment, (2.0, 0.5, 1.0)),
+        (1, 0): (estimators._pair_stats, ((1, 0),)),
+        "cov": (functional_cov_check, ()),
+    }
+    for threads in (1, 2):
+        summary = run_experiment(plan, threads=threads, tasks=tasks)
+        assert list(summary.stats) == ["tight", (1, 0), "cov"]
+        assert summary.stats["tight"] == tightness_moment(default, 2.0, 0.5, 1.0)
+        assert summary.stats[(1, 0)] == default.stats[(1, 0)]
+        assert summary.stats["cov"].empirical.tobytes() == functional_cov_check(default).empirical.tobytes()
+    assert run_experiment(plan, threads=2, tasks={}).stats == {}
+
+
 def test_pool_map_keeps_task_order():
     tasks = list(range(7))
     want = [divmod(100 + t, 3) for t in tasks]
