@@ -266,7 +266,7 @@ def _human_table(summary: ExperimentSummary) -> str:
     )
     out.write(f"{'t':>6} {'R':>7} {'variance':>12} {'oracle var':>12} "
               f"{'KS':>9} {'chaos ratio':>12}\n")
-    for (it, ir), ps in sorted(summary.stats.items()):
+    for (it, ir), ps in summary.pair_table():
         try:
             oracle_var = summary.oracle_scale(it, ir) ** 2
             oracle_txt = f"{oracle_var:12.5g}"

@@ -4,7 +4,7 @@ A plan fixes the lattice, the coefficient, observation times and window radii,
 the replica count and the base seed.  Replicas are pure functions of
 (plan, replica id): chunks of replicas can run in any order or in parallel and
 merge into the same summary, byte for byte: a chunk runs increasing ids, the
-merge puts its chunks' blocks in id order, and every reduction runs in that
+merge puts its chunks' pieces in id order, and every reduction runs in that
 order after it.  Statistics over the merged samples are keyed summarize
 tasks: by default the pair table, one task per (time, radius) pair, while a
 caller may ask for just the tasks it reads (the rate command's bootstrap and
@@ -16,6 +16,11 @@ The summary carries raw per-replica samples of the centered spatial average
 and its first-chaos projection, empirical moment curves read off the window
 center, and the statistics asked for: by default per-pair variance, normality
 distance and chaos decomposition, with delete-group jackknife standard errors.
+The curves keep no per-replica rows: each block of _CHUNK replica ids is
+reduced to its sums and centred sums of squares, in the worker that ran it
+when it ran the whole block, and summarize folds the blocks in id order, so
+the curves take 4 (n_steps + 1) floats a block and have the same bits at any
+worker count and chunking.
 
 The normality distance needs Phi.  An interpolated table finds the few ranks
 where the sup can be, and a port of Cephes ndtr (the float scipy.special.ndtr
@@ -475,15 +480,31 @@ def ks_critical(n: int, alpha: float = 0.01) -> float:
 
 @dataclass
 class ChunkResult:
-    """Raw per-replica output for increasing replica ids, in blocks: a
-    chunk is one, a merge puts its chunks' blocks in id order.  replica_ids,
-    g and i1 run block after block; sigma_blocks holds each block's sigma(u)
-    at the window center apart, so that summarize never stacks them."""
+    """Raw per-replica output for increasing replica ids, in pieces: a chunk
+    cuts its ids at the edges of the blocks of _CHUNK ids, a merge puts its
+    chunks' pieces in id order.  replica_ids, g and i1 run piece after piece.
+    sigma_pieces holds, per piece, its id count and sigma(u) at the window
+    center: as the block's moments (_block_moments) when the piece is a
+    whole block, else as its rows, which summarize joins to their block's."""
 
     replica_ids: np.ndarray
     g: np.ndarray  # (n_ids, n_times, n_radii)
     i1: Optional[np.ndarray]  # same shape, or None when chaos is off
-    sigma_blocks: tuple  # of (n_block_ids, n_steps + 1) arrays
+    sigma_pieces: tuple  # of (n_ids, rows or None, moments or None)
+
+
+def _block_moments(rows: np.ndarray) -> np.ndarray:
+    """Sum S and centred sum of squares M2 = sum (v - S/n)^2 of v = sigma and
+    v = sigma^2 over one block's rows, each an np.add.reduce in row order:
+    shape (4, n_steps + 1), rows S and M2 of sigma, then of sigma^2."""
+    out = np.empty((4, rows.shape[1]))
+    work = np.empty_like(rows)  # sigma^2, then each deviation and its square
+    for k in range(2):
+        v = rows if k == 0 else np.square(rows, out=work)
+        out[2 * k] = np.add.reduce(v, axis=0)
+        np.subtract(v, out[2 * k] / len(v), out=work)
+        out[2 * k + 1] = np.add.reduce(np.square(work, out=work), axis=0)
+    return out
 
 
 def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int],
@@ -500,6 +521,10 @@ def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int],
     passes its own buffers dict keeps them for its next chunk too: freed
     between chunks, the memory would go back to the system and fault in
     again.
+
+    Block k holds ids 256k .. min(256k + 256, M) - 1.  The chunk reduces
+    each whole block it holds to its moments, and ships the rows of a block
+    it holds only part of.
 
     An exception keeps its type and gains the plan digest and the chunk's
     replica-id range in its message, pooled or not.
@@ -536,29 +561,37 @@ def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int],
         except TypeError:  # a type built from more than a message: as it was
             raise exc from None
         raise named from exc
-    return ChunkResult(replica_ids=ids, g=g, i1=i1, sigma_blocks=(sig_c,))
+    pieces = []
+    cuts = [0, *(np.flatnonzero(np.diff(ids // _CHUNK)) + 1), ids.size]
+    for lo, hi in zip(cuts, cuts[1:]):
+        first, n = ids[lo], hi - lo
+        if first % _CHUNK == 0 and ids[hi - 1] - first + 1 == n == min(_CHUNK, plan.replicas - first):
+            pieces.append((n, None, _block_moments(sig_c[lo:hi])))
+        else:
+            pieces.append((n, sig_c[lo:hi].copy(), None))
+    return ChunkResult(replica_ids=ids, g=g, i1=i1, sigma_pieces=tuple(pieces))
 
 
 def merge_chunks(*chunks: ChunkResult) -> ChunkResult:
-    """Associative, commutative merge of any number of chunks: their blocks,
-    each its ids with their g and i1 rows and its sigma block, sorted by
-    first id and concatenated, so the ids increase; the sigma blocks are
-    kept, not copied.  A ValueError names two blocks whose id ranges
-    overlap, which no order of blocks puts in id order."""
+    """Associative, commutative merge of any number of chunks: their pieces,
+    each its ids with their g and i1 rows and its sigma moments or rows,
+    sorted by first id and concatenated, so the ids increase; the sigma
+    pieces are kept, not copied.  A ValueError names two pieces whose id
+    ranges overlap, which no order of pieces puts in id order."""
     if len({c.i1 is None for c in chunks}) > 1:
         raise ValueError("cannot merge chunks with and without chaos samples")
-    blocks = []
+    pieces = []
     for c in chunks:
-        cuts = np.cumsum([0] + [len(sig) for sig in c.sigma_blocks])
-        blocks += [(c.replica_ids[lo:hi], c.g[lo:hi], None if c.i1 is None else c.i1[lo:hi], sig)
-                   for sig, lo, hi in zip(c.sigma_blocks, cuts, cuts[1:])]
-    blocks.sort(key=lambda b: b[0][0])
-    for (a, *_), (b, *_) in zip(blocks, blocks[1:]):
+        cuts = np.cumsum([0] + [n for n, _, _ in c.sigma_pieces])
+        pieces += [(c.replica_ids[lo:hi], c.g[lo:hi], None if c.i1 is None else c.i1[lo:hi], sig)
+                   for sig, lo, hi in zip(c.sigma_pieces, cuts, cuts[1:])]
+    pieces.sort(key=lambda p: p[0][0])
+    for (a, *_), (b, *_) in zip(pieces, pieces[1:]):
         if a[-1] >= b[0]:
             raise ValueError(f"chunks of replicas {a[0]}..{a[-1]} and {b[0]}..{b[-1]} overlap")
-    ids, g, i1, sig = zip(*blocks)
+    ids, g, i1, sig = zip(*pieces)
     return ChunkResult(replica_ids=np.concatenate(ids), g=np.concatenate(g),
-                       i1=None if i1[0] is None else np.concatenate(i1), sigma_blocks=sig)
+                       i1=None if i1[0] is None else np.concatenate(i1), sigma_pieces=sig)
 
 
 def _group_bounds(n: int) -> np.ndarray:
@@ -677,6 +710,12 @@ class ExperimentSummary:
     def samples(self, i_time: int, i_radius: int) -> np.ndarray:
         return self.g_samples[:, i_time, i_radius]
 
+    def pair_table(self) -> list:
+        """The ((i_time, i_radius), PairStats) items of stats, in index
+        order; the results of other tasks are left out."""
+        keys = np.ndindex(len(self.plan.times), len(self.plan.radii))
+        return [(pair, self.stats[pair]) for pair in keys if pair in self.stats]
+
     def chaos_samples(self, i_time: int, i_radius: int) -> np.ndarray:
         if self.i1_samples is None:
             raise ValueError("plan ran without chaos projections")
@@ -744,37 +783,41 @@ def pair_tasks(plan: ExperimentPlan) -> dict:
     return {pair: (_pair_stats, (pair,)) for pair in np.ndindex(len(plan.times), len(plan.radii))}
 
 
-def _fold_rows(blocks) -> np.ndarray:
-    """np.sum(axis=0) of the stacked blocks, to the bit, one block at a time:
-    numpy adds the rows of a C-contiguous (n, k >= 2) array in turn."""
-    acc = None
-    for block in blocks:
-        acc = np.add.reduce(block if acc is None else np.concatenate((acc[None], block)), axis=0)
-    return acc
-
-
 def _curve_moments(merged: ChunkResult, m: int) -> tuple[np.ndarray, ...]:
-    """mean(axis=0) of sigma and sigma^2 over the replicas, then std(axis=0,
-    ddof=1) / sqrt(m) of each, to the bit, folding the merged blocks as
-    stored (in id order); besides the blocks it holds a few blocks' worth at
-    a time."""
-    def rows(square: bool):
-        for block in merged.sigma_blocks:
-            yield block**2 if square else block
+    """mean over the replicas of sigma and sigma^2, then std(ddof=1) /
+    sqrt(m) of each, from per-block moments.
 
-    mean, sq = (_fold_rows(rows(square)) / m for square in (False, True))
+    Whole blocks arrive as moments.  The rows of split blocks, in pieces
+    that each lie within one block, are joined per block in id order and
+    reduced by the same _block_moments, so the bits do not depend on the
+    chunking.  Then mean = (S_0 + S_1 + ...) / m and M2 = sum_b [M2_b
+    + n_b (S_b / n_b - mean)^2] (Chan, Golub & LeVeque 1983), each summed
+    over the blocks in id order.  With one block the second term is 0."""
+    blocks, part, lo = [], [], 0
+    for n, rows, moments in merged.sigma_pieces:
+        lo += n
+        if rows is not None:
+            part.append(rows)
+            if lo % _CHUNK and lo < m:  # the block goes on in the next piece
+                continue
+            rows = np.concatenate(part)
+            n, moments, part = len(rows), _block_moments(rows), []
+        blocks.append((n, moments))
+    mean = functools.reduce(np.add, (b[0::2] for _, b in blocks)) / m
     if m < 2:
-        return mean, sq, np.zeros_like(mean), np.zeros_like(sq)
-    mean_se, sq_se = (np.sqrt(_fold_rows((b - mu) ** 2 for b in rows(square)) / (m - 1)) / np.sqrt(m)
-                      for mu, square in ((mean, False), (sq, True)))
-    return mean, sq, mean_se, sq_se
+        return mean[0], mean[1], np.zeros_like(mean[0]), np.zeros_like(mean[1])
+    m2 = functools.reduce(np.add, (b[1::2] + n * (b[0::2] / n - mean) ** 2 for n, b in blocks))
+    se = np.sqrt(m2 / (m - 1)) / np.sqrt(m)
+    return mean[0], mean[1], se[0], se[1]
 
 
 def summarize(plan: ExperimentPlan, merged: ChunkResult, wall_seconds: float,
               workers: int = 1, tasks: Optional[Mapping] = None) -> ExperimentSummary:
     """Build the summary from merged chunks.  The merge leaves the replicas in
     id order and every reduction runs in that order, so the result is
-    chunking-independent; summarize reorders nothing.
+    chunking-independent; summarize reorders nothing.  The curves come from
+    the sigma pieces: the moments of whole blocks, and the rows of the others
+    joined per block (_curve_moments).
 
     tasks maps each key to a statistic (fn, args) of the summary,
     fn(summary, *args); None means the pair table (pair_tasks).  They run
@@ -892,7 +935,7 @@ def run_experiment(plan: ExperimentPlan, threads: Optional[int] = None,
     # one buffers dict per process: each worker inherits its own copy
     results = pool_map(functools.partial(run_replica_chunk, buffers={}), (plan,), ids, workers)
     merged = merge_chunks(*results)
-    del results  # the merge keeps the sigma blocks; the chunks' g and i1 rows go
+    del results  # the merge keeps the sigma moments; the chunks' g and i1 rows go
     # a plan of one chunk is too small to pay for a pool for its statistics
     return summarize(plan, merged, time.perf_counter() - start, workers if len(ids) > 1 else 1, tasks)
 
@@ -991,7 +1034,7 @@ def summary_to_dict(summary: ExperimentSummary, deterministic: bool = False) -> 
     them); with deterministic=True the volatile fields (wall time) are omitted
     so identical plans produce identical bytes.  Statistics undefined at the
     replica count (SEs at M = 1, say) read None."""
-    rows = [{"t_index": it, "r_index": ir, **asdict(ps)} for (it, ir), ps in sorted(summary.stats.items())]
+    rows = [{"t_index": it, "r_index": ir, **asdict(ps)} for (it, ir), ps in summary.pair_table()]
     time_cov = []
     if len(summary.plan.times) >= 2 and summary.plan.replicas >= 2:
         for ir, r in enumerate(summary.plan.radii):

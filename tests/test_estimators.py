@@ -473,10 +473,13 @@ def test_chunk_reductions_equal_per_replica_reductions(ids):
     res = run_replica_chunk(plan, chosen)
     cfg = plan.lattice()
     assert res.replica_ids.tolist() == chosen
+    # the ids hold no whole block of the one-replica plan: the chunk ships rows
+    assert all(moments is None for _, _, moments in res.sigma_pieces)
+    rows = np.concatenate([rows for _, rows, _ in res.sigma_pieces])
     for k, rid in enumerate(chosen):
         sheet = sample_sheet(plan.noise_spec(), replica=rid)
         fld = solve(cfg, sheet, plan.sigma)
-        assert res.sigma_blocks[0][k].tobytes() == plan.sigma(fld.values[:, cfg.center_index]).tobytes()
+        assert rows[k].tobytes() == plan.sigma(fld.values[:, cfg.center_index]).tobytes()
         for it, t in enumerate(plan.times):
             for ir, r in enumerate(plan.radii):
                 w = first_chaos_weights(cfg, t, r, KAPPA)
@@ -525,18 +528,23 @@ def test_chunk_stacks_share_one_buffer(lattice, monkeypatch):
     assert [size for size, _, _ in seen] == sizes
     assert len({addr for _, addr, _ in seen}) == len({addr for _, _, addr in seen}) == 1
     stacks = estimators._chaos_stacks(cfg, plan.times, plan.radii)
+    rows = []
     for k in ids:
         sheet = sample_sheet(plan.noise_spec(), replica=k)
         fld = solve_(cfg, sheet, plan.sigma)
         assert res.g[k].tobytes() == window_averages(fld, plan.times, plan.radii).tobytes()
-        assert res.sigma_blocks[0][k].tobytes() == plan.sigma(fld.values[:, cfg.center_index]).tobytes()
+        rows.append(plan.sigma(fld.values[:, cfg.center_index]))
         assert res.i1[k].tobytes() == estimators._chaos_samples(stacks, sheet.masses).tobytes()
+    # the ids are the plan's one whole block: the chunk ships its moments
+    (n, no_rows, moments), = res.sigma_pieces
+    assert (n, no_rows) == (len(ids), None)
+    assert moments.tobytes() == _block_reference(np.array(rows)).tobytes()
     # a buffers dict the caller keeps serves its next chunk, bytes unchanged
     buffers = {}
     again = [run_replica_chunk(plan, ids, buffers=buffers) for _ in range(2)]
     for other in again:
         assert other.g.tobytes() == res.g.tobytes() and other.i1.tobytes() == res.i1.tobytes()
-        assert other.sigma_blocks[0].tobytes() == res.sigma_blocks[0].tobytes()
+        assert other.sigma_pieces[0][2].tobytes() == moments.tobytes()
 
 
 def test_run_experiment_keeps_one_buffer_across_chunks(monkeypatch):
@@ -756,8 +764,7 @@ def test_summary_ks_se_equals_delete_group_reference(normalization, m):
     z = rng.standard_normal((m, 2, 2))
     g = z + 0.2 * (z**2 - 1.0)
     g[:, 0, 1] = np.round(g[:, 0, 1], 1)  # ties
-    chunk = estimators.ChunkResult(replica_ids=np.arange(m), g=g, i1=None,
-                                   sigma_blocks=(np.ones((m, plan.lattice().n_steps + 1)),))
+    chunk = _hand_chunk(g, None, np.ones((m, plan.lattice().n_steps + 1)))
     s = summarize(plan, chunk, 0.0)
     for (it, ir), ps in s.stats.items():
         x = np.ascontiguousarray(g[:, it, ir])
@@ -783,8 +790,7 @@ def test_summary_moment_ses_equal_delete_group_reference(m):
     g = i1 + 0.3 * (i1**2 - 1.0) + 0.2 * rng.standard_normal((m, 2, 2))
     # summarize and functional_cov_check read each (time, radius) column of
     # these (m, 2, 2) arrays as a strided view
-    chunk = estimators.ChunkResult(replica_ids=np.arange(m), g=g, i1=i1,
-                                   sigma_blocks=(np.ones((m, plan.lattice().n_steps + 1)),))
+    chunk = _hand_chunk(g, i1, np.ones((m, plan.lattice().n_steps + 1)))
     s = summarize(plan, chunk, 0.0)
 
     def var(v):
@@ -890,10 +896,10 @@ def test_merge_rejects_duplicates_and_gaps():
     whole = merge_chunks(run_replica_chunk(plan, range(6, 8)), a, run_replica_chunk(plan, [5]))
     assert whole.g.tobytes() == merge_chunks(merge_chunks(run_replica_chunk(plan, range(6, 8)), a),
                                              run_replica_chunk(plan, [5])).g.tobytes()
-    # the merge puts the blocks in id order and keeps each chunk's sigma rows as they are
+    # the merge puts the pieces in id order and keeps each chunk's sigma rows as they are
     assert whole.replica_ids.tolist() == list(range(8))
-    assert [len(b) for b in whole.sigma_blocks] == [5, 1, 2]
-    assert whole.sigma_blocks[0] is a.sigma_blocks[0]
+    assert [(n, len(rows)) for n, rows, _ in whole.sigma_pieces] == [(5, 5), (1, 1), (2, 2)]
+    assert whole.sigma_pieces[0] is a.sigma_pieces[0]
     summarize(plan, whole, 0.0)
 
 
@@ -910,12 +916,32 @@ def test_nested_merge_fills_a_gap_in_id_order():
     assert _curves(nested) == _curves(direct)
 
 
-def _stacked_curves(rows: np.ndarray) -> list[bytes]:
+def _block_reference(rows: np.ndarray) -> np.ndarray:
+    # S and M2 of sigma, then of sigma^2, over one block's rows in id order
+    out = []
+    for v in (rows, rows**2):
+        s = np.add.reduce(v, axis=0)
+        out += [s, np.add.reduce((v - s / len(v)) ** 2, axis=0)]
+    return np.array(out)
+
+
+def _folded_curves(rows: np.ndarray) -> list[bytes]:
+    # the block fold written out: per block of _CHUNK ids its moments, then
+    # mean = sum S_b / M and M2 = sum (M2_b + n_b (S_b / n_b - mean)^2), each
+    # summed over the blocks in id order
     m = rows.shape[0]
-    sq = rows**2
-    return [rows.mean(axis=0).tobytes(), sq.mean(axis=0).tobytes(),
-            (rows.std(axis=0, ddof=1) / np.sqrt(m)).tobytes(),
-            (sq.std(axis=0, ddof=1) / np.sqrt(m)).tobytes()]
+    blocks = [rows[lo: lo + estimators._CHUNK] for lo in range(0, m, estimators._CHUNK)]
+    moments = [_block_reference(b) for b in blocks]
+    total = moments[0][0::2]
+    for mom in moments[1:]:
+        total = total + mom[0::2]
+    mean = total / m
+    m2 = None
+    for b, mom in zip(blocks, moments):
+        term = mom[1::2] + len(b) * (mom[0::2] / len(b) - mean) ** 2
+        m2 = term if m2 is None else m2 + term
+    se = np.sqrt(m2 / (m - 1)) / np.sqrt(m)
+    return [mean[0].tobytes(), mean[1].tobytes(), se[0].tobytes(), se[1].tobytes()]
 
 
 def _curves(summary) -> list[bytes]:
@@ -923,20 +949,45 @@ def _curves(summary) -> list[bytes]:
             summary.curve_mean_se.tobytes(), summary.curve_sq_se.tobytes()]
 
 
-def test_curve_moments_equal_numpy_on_the_stacked_rows():
-    # summarize folds the sigma blocks one at a time; its four curves must be
-    # the floats np.mean and np.std(ddof=1) give on all rows stacked in
-    # id order, whatever the chunking and the merge order
+def _sigma_rows(plan, ids) -> np.ndarray:
+    # sigma(u) at the window center, one replica at a time
+    cfg = plan.lattice()
+    return np.array([plan.sigma(solve(cfg, sample_sheet(plan.noise_spec(), replica=k),
+                                      plan.sigma).values[:, cfg.center_index]) for k in ids])
+
+
+def _hand_chunk(g, i1, rows, lo=0):
+    # a chunk of replicas lo, lo + 1, ... built by hand, its sigma rows cut
+    # at block edges as run_replica_chunk cuts them, none reduced
+    hi = lo + len(g)
+    cuts = np.union1d([lo, hi], np.arange(lo + -lo % estimators._CHUNK, hi, estimators._CHUNK))
+    return estimators.ChunkResult(replica_ids=np.arange(lo, hi), g=g, i1=i1,
+                                  sigma_pieces=tuple((b - a, rows[a - lo: b - lo], None)
+                                                     for a, b in zip(cuts, cuts[1:])))
+
+
+def _row_pieces(g: np.ndarray, rows: np.ndarray, cuts) -> list:
+    # hand-built chunks of rows cut anywhere
+    return [_hand_chunk(g[lo:hi], None, rows[lo:hi], lo) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def test_curve_moments_equal_the_block_fold_reference():
+    # chunks reduce whole blocks to moments and ship the rows of split ones;
+    # summarize joins the rows per block and folds the blocks.  The four
+    # curves must be the floats of the fold written out on the rows stacked
+    # in id order, whatever the chunking and the merge order
     plan = ExperimentPlan(hurst=0.5, sigma=SigmaSpec.affine_sine(1.0, 0.5), h=1.0 / 16.0,
-                          times=(1.0,), radii=(1.0, 2.0), replicas=301, seed=29, chaos=False)
-    low, mid, high = (run_replica_chunk(plan, range(0, 100)), run_replica_chunk(plan, range(100, 200)),
-                      run_replica_chunk(plan, range(200, 301)))
+                          times=(1.0,), radii=(1.0, 2.0), replicas=601, seed=29, chaos=False)
+    low, mid, high = (run_replica_chunk(plan, range(0, 100)), run_replica_chunk(plan, range(100, 300)),
+                      run_replica_chunk(plan, range(300, 601)))
+    # 300..601 holds the rest of block 1 as rows and block 2 (512..600) whole
+    assert [(n, rows is None) for n, rows, _ in high.sigma_pieces] == [(212, False), (89, True)]
     s = summarize(plan, merge_chunks(high, merge_chunks(low, mid)), 0.0)
-    rows = np.concatenate([low.sigma_blocks[0], mid.sigma_blocks[0], high.sigma_blocks[0]])
-    assert rows.shape == (301, 17)
-    assert _curves(s) == _stacked_curves(rows)
+    rows = _sigma_rows(plan, range(plan.replicas))
+    assert rows.shape == (601, 17)
+    assert _curves(s) == _folded_curves(rows)
     assert s.g_samples.tobytes() == np.concatenate([low.g, mid.g, high.g]).tobytes()
-    # many blocks of random sizes, rows that are not sigma values of a solve
+    # many pieces of random sizes across blocks, rows that are not sigma values of a solve
     rng = np.random.default_rng(5)
     for h, m in ((1.0 / 8.0, 20000), (1.0 / 64.0, 3001)):
         plan = ExperimentPlan(hurst=0.5, sigma=SigmaSpec.linear(), h=h, times=(1.0,), radii=(1.0,),
@@ -945,23 +996,48 @@ def test_curve_moments_equal_numpy_on_the_stacked_rows():
         cuts = np.cumsum(rng.integers(1, 700, size=m))
         cuts = np.concatenate(([0], cuts[cuts < m], [m]))
         g = rng.standard_normal((m, 1, 1))
-        chunks = [estimators.ChunkResult(replica_ids=np.arange(lo, hi), g=g[lo:hi], i1=None,
-                                         sigma_blocks=(rows[lo:hi],))
-                  for lo, hi in zip(cuts[:-1], cuts[1:])]
-        s = summarize(plan, merge_chunks(*chunks[::-1]), 0.0)
-        assert _curves(s) == _stacked_curves(rows)
+        s = summarize(plan, merge_chunks(*_row_pieces(g, rows, cuts)[::-1]), 0.0)
+        assert _curves(s) == _folded_curves(rows)
         assert s.g_samples.tobytes() == g.tobytes()
+
+
+def test_curve_moments_agree_with_numpy_on_the_stacked_rows():
+    # the fold sums in another order than np.mean and np.std(ddof=1) on all
+    # rows stacked, so it may differ in the last bits, and only there
+    rng = np.random.default_rng(7)
+    for m in (257, 4000, 20000):
+        plan = ExperimentPlan(hurst=0.5, sigma=SigmaSpec.linear(), h=1.0 / 8.0, times=(1.0,),
+                              radii=(1.0,), replicas=m, seed=1, chaos=False)
+        rows = 1.0 + 0.5 * np.sin(3.0 * rng.standard_normal((m, plan.lattice().n_steps + 1)))
+        s = summarize(plan, merge_chunks(*_row_pieces(np.zeros((m, 1, 1)), rows, [0, m])), 0.0)
+        sq = rows**2
+        for got, want in ((s.curve_mean, rows.mean(axis=0)), (s.curve_sq, sq.mean(axis=0)),
+                          (s.curve_mean_se, rows.std(axis=0, ddof=1) / np.sqrt(m)),
+                          (s.curve_sq_se, sq.std(axis=0, ddof=1) / np.sqrt(m))):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_curves_keep_their_bits_across_threads_and_split_blocks():
+    # run_experiment's chunks are whole blocks; two chunks that split block
+    # 0 give the same four curves, as do one and two workers
+    plan = ExperimentPlan(hurst=0.5, sigma=SigmaSpec.affine_sine(1.0, 0.5), h=1.0 / 16.0,
+                          times=(1.0,), radii=(1.0,), replicas=600, seed=13, chaos=False)
+    one, two = (run_experiment(plan, threads=threads, tasks={}) for threads in (1, 2))
+    split = summarize(plan, merge_chunks(run_replica_chunk(plan, range(0, 100)),
+                                         run_replica_chunk(plan, range(100, 600))), 0.0, tasks={})
+    assert _curves(one) == _curves(two) == _curves(split)
 
 
 def test_summary_holds_no_second_copy_of_the_sigma_rows():
     # 65 levels and one (t, R) pair: the sigma rows are most of what the
-    # merge and the summary hold.  Folded block by block they cost less
-    # than one more copy of themselves; stacking them alone would be one.
+    # chunks hold.  Chunks of 128 ids each hold half a block, so they ship
+    # rows; joined and reduced block by block they cost less than one more
+    # copy of themselves, which stacking them alone would be.
     plan = ExperimentPlan(hurst=0.5, sigma=SigmaSpec.affine_sine(1.0, 0.5), h=1.0 / 64.0,
                           times=(1.0,), radii=(1.0,), replicas=1024, seed=31, chaos=False)
     chunks = [run_replica_chunk(plan, range(lo, lo + 128)) for lo in range(0, plan.replicas, 128)]
-    rows = sum(c.sigma_blocks[0].nbytes for c in chunks)
-    assert rows == 1024 * 65 * 8
+    rows = np.concatenate([piece[1] for c in chunks for piece in c.sigma_pieces])
+    assert rows.nbytes == 1024 * 65 * 8
     summarize(plan, merge_chunks(*chunks), 0.0, workers=1)  # builds the KS table, once per process
     tracemalloc.start()
     try:
@@ -969,8 +1045,20 @@ def test_summary_holds_no_second_copy_of_the_sigma_rows():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < rows
-    assert _curves(summary) == _stacked_curves(np.concatenate([c.sigma_blocks[0] for c in chunks]))
+    assert peak < rows.nbytes
+    assert _curves(summary) == _folded_curves(rows)
+
+
+def test_merged_aligned_chunks_hold_no_sigma_rows():
+    # chunks of whole blocks, as run_experiment cuts them, ship 4 (n_steps +
+    # 1) floats a block: the merge holds moments, never the 532 480 bytes of rows
+    plan = ExperimentPlan(hurst=0.5, sigma=SigmaSpec.affine_sine(1.0, 0.5), h=1.0 / 64.0,
+                          times=(1.0,), radii=(1.0,), replicas=1024, seed=31, chaos=False)
+    size = estimators._CHUNK
+    merged = merge_chunks(*(run_replica_chunk(plan, range(lo, lo + size)) for lo in range(0, 1024, size)))
+    assert all(rows is None for _, rows, _ in merged.sigma_pieces)
+    payload = sum(moments.nbytes for _, _, moments in merged.sigma_pieces)
+    assert payload < 1024 * 65 * 8 / 32
 
 
 def test_run_experiment_deterministic_across_calls():
@@ -1029,6 +1117,20 @@ def test_summary_stats_holds_the_given_tasks_in_order():
         assert summary.stats[(1, 0)] == default.stats[(1, 0)]
         assert summary.stats["cov"].empirical.tobytes() == functional_cov_check(default).empirical.tobytes()
     assert run_experiment(plan, threads=2, tasks={}).stats == {}
+
+
+def test_pair_rows_leave_other_tasks_out():
+    # summary_to_dict and the simulate table read the pair rows of stats,
+    # whatever else it holds
+    from fracwave.cli import _human_table
+    plan = ExperimentPlan(hurst=0.5, sigma=SigmaSpec.linear(), h=0.25, times=(0.5, 1.0),
+                          radii=(1.0, 2.0), replicas=20, seed=4)
+    s = run_experiment(plan, threads=1, tasks={"tight": (tightness_moment, (2.0, 0.5, 1.0)),
+                                               (1, 0): (estimators._pair_stats, ((1, 0),))})
+    rows = summary_to_dict(s, deterministic=True)["pairs"]
+    assert [(row["t_index"], row["r_index"]) for row in rows] == [(1, 0)]
+    assert rows[0]["variance"] == s.stats[(1, 0)].variance
+    assert len(_human_table(s).splitlines()) == 4  # heading, column names, one pair, wall time
 
 
 def test_pool_map_keeps_task_order():
