@@ -41,7 +41,7 @@ top = fld.values[-1]
 valid = np.isfinite(top)
 print(f"top row: {valid.sum()} valid sites of {top.size} "
       f"(cone shrinks by one cell per step per side)")
-print(f"field noise provenance: {fld.noise_ref!r}")
+print(f"field noise provenance: {fld.sheet.ref!r}")
 
 # --- additive case is a plain stochastic integral -------------------------
 # With sigma constant the solution is 1 + (integral of the kernel against

@@ -57,5 +57,5 @@ for ir, radius in enumerate(plan.radii):
 # the widest window it is already far below the 1% rejection line.
 st = summary.stats[(0, len(plan.radii) - 1)]
 print(f"KS at R = {plan.radii[-1]}: {st.ks:.4f}  "
-      f"(1% critical value for n={st.n}: {ks_critical(st.n, 0.01):.4f})")
+      f"(1% critical value for n={st.n}: {ks_critical(st.n):.4f})")
 print(f"mean of G (should vanish): {st.mean:+.4f} +- {st.mean_se:.4f}")

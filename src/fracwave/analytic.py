@@ -176,7 +176,7 @@ def linear_white_second_moment(t: float) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def linear_white_second_moment_volterra(t: float, step: float = 1e-3) -> float:
+def linear_white_second_moment_volterra(t: float, step: float) -> float:
     """Independent route to linear_white_second_moment: trapezoidal marching
     of the integral equation m(t) = 1 + (1/2) int_0^t (t-s) m(s) ds."""
     if t < 0 or step <= 0:

@@ -3,11 +3,14 @@ functional-covariance studies, and raw noise export.
 
 Exit codes: 0 success, 1 runtime or I/O failure (a plan that contradicts its
 lattice included), 2 usage, config, or domain error.  All numbers print with
-"." decimals at full double precision.
+"." decimals at full double precision.  Output goes to --out if given, else
+to stdout; simulate's table goes to stdout with --out, else to stderr.
 
 Config files are INI-style with two sections, unknown sections and keys
 rejected; they describe the experiment, and the flags --out, --raw and
---threads describe the run:
+--threads describe the run.  The [experiment] keys are the fields of
+estimators.ExperimentPlan; a defaulted one left out (or an empty
+x_half_width) takes the plan's default:
 
     [experiment]
     hurst = 0.5              # in [0.5, 1)
@@ -16,9 +19,9 @@ rejected; they describe the experiment, and the flags --out, --raw and
     radii = 8, 16, 32        # strictly increasing, multiples of h
     replicas = 10000
     seed = 1                 # in [0, 2**64)
-    normalization = self     # self | paper
-    chaos = true             # also compute first-chaos projections
-    x_half_width = 33.0      # optional; default max(radii) + max(times)
+    normalization = self     # self (default) | paper
+    chaos = true             # default true: also compute first-chaos projections
+    x_half_width = 33.0      # default max(radii) + max(times)
 
     [sigma]                  # the keys of each kind: solver.SIGMA_PARAMS
     kind = constant          # constant | linear | affine_sine | tabulated
@@ -63,8 +66,8 @@ from .solver import KAPPA, SIGMA_PARAMS, LatticeError, SigmaSpec
 
 __all__ = ["RunConfig", "parse_config", "main"]
 
-# the [experiment] keys are the plan's fields but sigma; those without a
-# default are required
+# the [experiment] keys are the plan's fields but sigma, in declaration
+# order; those without a default are required, an absent one takes it
 _PLAN_FIELDS = [f for f in fields(ExperimentPlan) if f.name != "sigma"]
 # defaults of the scalar sigma params; the params of each kind are SIGMA_PARAMS
 _SIGMA_DEFAULTS = {"value": "1.0", "base": "1.0", "amplitude": "0.5"}
@@ -95,6 +98,17 @@ def _parse_bool(text: str, key: str) -> bool:
     if low in ("false", "no", "off", "0"):
         return False
     raise ConfigError(f"{key}: expected a boolean, got {text!r}")
+
+
+# one reader per annotation of a plan field: (text, key) -> value
+_READERS = {
+    "float": lambda text, key: float(text),
+    "int": lambda text, key: int(text),
+    "str": lambda text, key: text.strip(),
+    "bool": _parse_bool,
+    "tuple[float, ...]": _parse_floats,
+    "Optional[float]": lambda text, key: float(text) if text.strip() else None,
+}
 
 
 def _build_sigma(section) -> SigmaSpec:
@@ -148,19 +162,9 @@ def parse_config(text: str) -> RunConfig:
 
     sig = _build_sigma(cp["sigma"])
     try:
-        xhw = exp.get("x_half_width", "").strip()
-        plan = ExperimentPlan(
-            hurst=float(exp["hurst"]),
-            sigma=sig,
-            h=float(exp["h"]),
-            times=_parse_floats(exp["times"], "times"),
-            radii=_parse_floats(exp["radii"], "radii"),
-            replicas=int(exp["replicas"]),
-            seed=int(exp["seed"]),
-            normalization=exp.get("normalization", "self").strip(),
-            chaos=_parse_bool(exp.get("chaos", "true"), "chaos"),
-            x_half_width=float(xhw) if xhw else None,
-        )
+        values = {f.name: _READERS[f.type](exp[f.name], f.name)
+                  for f in _PLAN_FIELDS if f.name in exp}
+        plan = ExperimentPlan(sigma=sig, **values)
     except (ConfigError, LatticeError):
         raise  # a LatticeError (off-grid time, window short of its domain) exits 1
     except (TypeError, ValueError) as exc:
@@ -177,8 +181,17 @@ def _load_config(path: str) -> ExperimentPlan:
     return parse_config(text).plan
 
 
-def _json_print(obj, stream=None) -> None:
-    print(json.dumps(obj, indent=2, allow_nan=False), file=stream or sys.stdout)
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+def _emit(text: str, path: Optional[str]) -> None:
+    """A command's output: to the --out path if given, else to stdout."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        print(text, end="")
 
 
 # ---------------------------------------------------------------- oracle
@@ -240,7 +253,7 @@ def cmd_oracle(args) -> int:
         return 2
     # the quantity's own arguments, in the order its parser declares them
     inputs = {k: v for k, v in vars(args).items() if k not in ("command", "quantity")}
-    _json_print({"inputs": inputs, "value": value, "method": method, "tolerance": tol})
+    _emit(_json({"inputs": inputs, "value": value, "method": method, "tolerance": tol}), None)
     return 0
 
 
@@ -285,13 +298,9 @@ def cmd_simulate(args) -> int:
     payload = summary_to_dict(summary, deterministic=args.deterministic)
     if args.raw:
         _write_raw_csv(args.raw, summary)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _json_print(payload, fh)
-        print(_human_table(summary), end="")
-    else:
-        _json_print(payload)
-        print(_human_table(summary), end="", file=sys.stderr)
+    _emit(_json(payload), args.out)
+    # the table goes where the JSON does not
+    print(_human_table(summary), end="", file=sys.stdout if args.out else sys.stderr)
     return 0
 
 
@@ -403,12 +412,7 @@ def cmd_rate(args) -> int:
     lines.append(f"# bootstrap,{args.bootstrap}")
     if plan.chaos:
         lines.append("# estimator,coupled_first_chaos")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -432,11 +436,7 @@ def cmd_funcclt(args) -> int:
         "se": report.se.tolist(),
         "max_se_units": report.max_se_units,
     })
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _json_print(payload, fh)
-    else:
-        _json_print(payload)
+    _emit(_json(payload), args.out)
     return 0
 
 

@@ -471,11 +471,12 @@ def ks_coupled_se(samples: Sequence[float], reference: Sequence[float]) -> float
     return _ks_jackknife(_paired(samples, reference), normalize=True)
 
 
-def ks_critical(n: int, alpha: float = 0.01) -> float:
-    """Classical large-sample KS critical value sqrt(-ln(alpha/2)/2) / sqrt(n)."""
-    if n < 1 or not (0 < alpha < 1):
-        raise ValueError("need n >= 1 and 0 < alpha < 1")
-    return float(np.sqrt(-0.5 * np.log(alpha / 2.0)) / np.sqrt(n))
+def ks_critical(n: int) -> float:
+    """Classical large-sample KS critical value at the 1% level,
+    sqrt(-ln(0.01/2)/2) / sqrt(n)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return float(np.sqrt(-0.5 * np.log(0.005)) / np.sqrt(n))
 
 
 @dataclass
@@ -1029,7 +1030,7 @@ def strict_json(obj):
     return obj
 
 
-def summary_to_dict(summary: ExperimentSummary, deterministic: bool = False) -> dict:
+def summary_to_dict(summary: ExperimentSummary, deterministic: bool) -> dict:
     """JSON-ready view of a summary.  Raw samples stay out (CSV export covers
     them); with deterministic=True the volatile fields (wall time) are omitted
     so identical plans produce identical bytes.  Statistics undefined at the

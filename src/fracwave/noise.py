@@ -238,9 +238,10 @@ def _replica_rng(seed: int, replica: int) -> np.random.Generator:
     return _GENERATOR
 
 
-def sample_sheet(spec: NoiseSpec, replica: Union[int, Sequence[int]] = 0, *,
+def sample_sheet(spec: NoiseSpec, replica: Union[int, Sequence[int]], *,
                  buffers: Optional[dict] = None) -> NoiseSheet:
     """Draw one sheet of cell masses; bit-reproducible for fixed (spec, replica).
+    The replica id is required: no id is drawn by default.
 
     H = 1/2: cells are iid N(0, dt*dx).  H > 1/2: each row is an exact
     stationary fractional-increment vector, synthesized by the circulant

@@ -22,7 +22,7 @@ NaN and never read by the recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -192,19 +192,13 @@ class SolutionField:
     """Solved field on the lattice: values[..., n, j] = u(n*h, -x_half_width + j*h).
 
     A field solved from a stack of sheets has a leading replica axis
-    (values[b] is replica b) and one noise_ref tag per sheet.  NaN marks
-    nodes outside the interior validity cone, which at level n holds nodes
-    n..n_nodes-1-n.  sheet is the driving noise."""
+    (values[b] is replica b).  NaN marks nodes outside the interior
+    validity cone, which at level n holds nodes n..n_nodes-1-n.  sheet is
+    the driving noise; sheet.ref is its provenance tag."""
 
     config: LatticeConfig
     values: np.ndarray = field(repr=False)
     sheet: NoiseSheet = field(repr=False)
-
-    @property
-    def noise_ref(self) -> Union[str, tuple[str, ...]]:
-        """Provenance tag of the driving noise (NoiseSheet.ref), built when
-        read."""
-        return self.sheet.ref
 
 
 def calibrate_kernel(h: float, hurst: float) -> float:

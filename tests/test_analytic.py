@@ -191,7 +191,7 @@ def test_volterra_route_matches_closed_form():
         stepped = linear_white_second_moment_volterra(t, step=1e-3)
         assert stepped == pytest.approx(linear_white_second_moment(t), abs=1e-6)
     assert linear_white_second_moment(1.0) == pytest.approx(1.260592, abs=5e-7)
-    assert linear_white_second_moment_volterra(0.0) == 1.0
+    assert linear_white_second_moment_volterra(0.0, step=1e-3) == 1.0
 
 
 def test_volterra_step_refinement_second_order():

@@ -25,6 +25,7 @@ from fracwave.estimators import (
     run_tasks,
 )
 from fracwave.noise import STREAM, NoiseSpec, read_sheet, sample_sheet
+from fracwave.solver import SigmaSpec
 
 SMALL_CFG = """
 [experiment]
@@ -247,11 +248,34 @@ def test_config_rejections():
         ("finite", SMALL_CFG.replace(
             "kind = linear", "kind = tabulated\nknots = -1, 0, 1\nvalues = 0, nan, 2")),
         ("DEFAULT", "[DEFAULT]\nseed = 4\n" + SMALL_CFG),
+        # fields are read in declaration order: hurst's error comes first
+        ("could not convert string to float: 'x'", SMALL_CFG.replace(
+            "hurst = 0.5", "hurst = x").replace("seed = 3", "seed = 3\nchaos = maybe")),
     ]
     from fracwave.cli import ConfigError
     for fragment, text in bad:
         with pytest.raises(ConfigError, match=re.escape(fragment)):
             parse_config(text)
+
+
+@pytest.mark.parametrize("extra,changed", [
+    ("", {}),
+    ("\nx_half_width =", {}),
+    ("\nx_half_width =  ", {}),
+    ("\nnormalization = paper\nchaos = false\nx_half_width = 2.5",
+     {"normalization": "paper", "chaos": False, "x_half_width": 2.5}),
+], ids=["absent", "empty-width", "blank-width", "set"])
+def test_config_takes_its_defaults_from_the_plan(extra, changed):
+    # the keys a config may leave out are the plan's defaulted fields, and
+    # an absent key, or an empty x_half_width, parses to the plan that
+    # ExperimentPlan builds with that field left out
+    defaulted = {f.name for f in dataclasses.fields(estimators.ExperimentPlan)
+                 if f.default is not dataclasses.MISSING}
+    assert defaulted == {"normalization", "chaos", "x_half_width"}
+    plan = parse_config(SMALL_CFG.replace("seed = 3", "seed = 3" + extra)).plan
+    assert plan == estimators.ExperimentPlan(
+        hurst=0.5, sigma=SigmaSpec.linear(), h=0.25, times=(1.0,), radii=(1.0,),
+        replicas=60, seed=3, **changed)
 
 
 def test_config_error_exit_codes(tmp_path, capsys):

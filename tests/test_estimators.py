@@ -199,12 +199,9 @@ def test_chaos_stacks_fill_one_array_per_time():
 
 def test_ks_critical_value():
     # classical 99% point: sqrt(-ln(0.005)/2) = 1.6276
-    assert ks_critical(10_000, alpha=0.01) == pytest.approx(1.6276 / 100.0, abs=1e-5)
-    assert ks_critical(100, alpha=0.05) == pytest.approx(1.3581 / 10.0, abs=1e-4)
+    assert ks_critical(10_000) == pytest.approx(1.6276 / 100.0, abs=1e-5)
     with pytest.raises(ValueError):
         ks_critical(0)
-    with pytest.raises(ValueError):
-        ks_critical(100, alpha=1.5)
 
 
 def test_ks_critical_calibration_on_true_normals():
@@ -425,7 +422,7 @@ def test_window_outside_the_validity_cone_is_refused(reduction):
     cfg = LatticeConfig(h=0.25, t_max=1.0, x_half_width=2.0)
     if reduction == "window_averages":
         sheet = sample_sheet(NoiseSpec(hurst=0.5, dt=0.25, dx=0.25, n_time=cfg.n_steps,
-                                       n_space=cfg.n_cells, seed=3))
+                                       n_space=cfg.n_cells, seed=3), 0)
         fld = solve(cfg, sheet, SigmaSpec.linear())
 
         def reduce(t, radius):
@@ -1071,7 +1068,7 @@ def test_run_experiment_deterministic_across_calls():
     assert s1.g_samples.tobytes() == s2.g_samples.tobytes()
     assert summary_to_dict(s1, deterministic=True) == summary_to_dict(s2, deterministic=True)
     # wall time is the only volatile field
-    d1 = summary_to_dict(s1)
+    d1 = summary_to_dict(s1, deterministic=False)
     assert "wall_seconds" in d1
     assert "wall_seconds" not in summary_to_dict(s1, deterministic=True)
 

@@ -308,7 +308,7 @@ def test_stacks_are_refused_where_one_sheet_is_meant(tmp_path):
 
 def test_white_case_empirical_moments():
     spec = NoiseSpec(hurst=0.5, dt=0.25, dx=0.5, n_time=4000, n_space=16, seed=9)
-    sheet = sample_sheet(spec)
+    sheet = sample_sheet(spec, 0)
     flat = sheet.masses.ravel()
     n = flat.size
     var = flat.var()
@@ -324,8 +324,8 @@ def test_fractional_case_empirical_covariance():
     # n_time is odd, so the imaginary half of the last FFT pair is dropped:
     # the sheet is the one-row-longer sheet of the same seed less its last row
     spec = NoiseSpec(hurst=0.75, dt=0.5, dx=1.0, n_time=59999, n_space=16, seed=3)
-    x = sample_sheet(spec).masses
-    longer = sample_sheet(NoiseSpec(**{**spec.__dict__, "n_time": 60000})).masses
+    x = sample_sheet(spec, 0).masses
+    longer = sample_sheet(NoiseSpec(**{**spec.__dict__, "n_time": 60000}), 0).masses
     assert np.array_equal(x, longer[:-1])
     n = spec.n_time
     for lag in (0, 1, 3):
@@ -341,7 +341,7 @@ def test_fractional_block_variance_telescopes():
     # variance of a width-w block of cells is dt*(w*dx)^{2H}; this exercises
     # the long-range part of the synthesized correlation
     spec = NoiseSpec(hurst=0.8, dt=1.0, dx=0.5, n_time=60000, n_space=12, seed=8)
-    sheet = sample_sheet(spec)
+    sheet = sample_sheet(spec, 0)
     block = sheet.masses[:, :8].sum(axis=1)
     emp = float(block.var())
     target = 1.0 * (8 * 0.5) ** 1.6
@@ -352,7 +352,7 @@ def test_fractional_block_variance_telescopes():
 def test_rows_are_independent_in_time():
     # adjacent rows 2k, 2k+1 are the real and imaginary parts of one FFT
     spec = NoiseSpec(hurst=0.9, dt=1.0, dx=1.0, n_time=20000, n_space=4, seed=17)
-    sheet = sample_sheet(spec)
+    sheet = sample_sheet(spec, 0)
     col = sheet.masses[:, 2]
     corr = np.corrcoef(col[:-1], col[1:])[0, 1]
     assert abs(corr) < 4.0 / np.sqrt(spec.n_time)
@@ -360,7 +360,7 @@ def test_rows_are_independent_in_time():
 
 def test_region_mass_matches_slice():
     spec = NoiseSpec(hurst=0.6, dt=0.1, dx=0.1, n_time=10, n_space=12, seed=1)
-    sheet = sample_sheet(spec)
+    sheet = sample_sheet(spec, 0)
     assert region_mass(sheet, (2, 5), (3, 9)) == pytest.approx(
         float(sheet.masses[2:5, 3:9].sum()), abs=0.0
     )
@@ -410,7 +410,7 @@ def test_sheet_read_rejects_garbage(tmp_path):
 
 def test_sheet_read_rejects_truncated_body(tmp_path):
     spec = NoiseSpec(hurst=0.6, dt=0.1, dx=0.1, n_time=3, n_space=5, seed=0)
-    sheet = sample_sheet(spec)
+    sheet = sample_sheet(spec, 0)
     path = tmp_path / "cut.bin"
     write_sheet(sheet, path)
     data = path.read_bytes()

@@ -215,7 +215,7 @@ def test_batched_solve_matches_single_sheets_bit_for_bit(sigma):
         stacked = solve(cfg, sampled, sigma)
         assert stacked.values.shape == (3, cfg.n_steps + 1, cfg.n_nodes)
         sheets = [_sheet(cfg, hurst=hurst, seed=31, replica=r) for r in range(3)]
-        assert stacked.noise_ref == tuple(sheet.ref for sheet in sheets)
+        assert stacked.sheet.ref == tuple(sheet.ref for sheet in sheets)
         for b, sheet in enumerate(sheets):
             alone = solve(cfg, sheet, sigma)
             assert alone.values.shape == (cfg.n_steps + 1, cfg.n_nodes)
@@ -227,7 +227,7 @@ def test_batched_solve_matches_single_sheets_bit_for_bit(sigma):
         assert one.values[0].tobytes() == stacked.values[0].tobytes()
     # a hand-built stack of sheets of both laws: the law plays no part
     stacked = solve(cfg, NoiseSheet(spec=sampled.spec, masses=np.stack(masses)), sigma)
-    assert stacked.noise_ref == ("external",) * 6
+    assert stacked.sheet.ref == ("external",) * 6
     for b, alone in enumerate(singles):
         assert stacked.values[b].tobytes() == alone.values.tobytes()
 
@@ -252,7 +252,7 @@ def test_buffered_solves_equal_fresh_solves(sigma):
         fresh = solve(cfg, sheet, sigma)
         assert fld.values.shape == fresh.values.shape
         assert fld.values.tobytes() == fresh.values.tobytes()
-        assert fld.noise_ref == fresh.noise_ref == sheet.ref
+        assert fld.sheet.ref == fresh.sheet.ref == sheet.ref
     assert set(buffers) == {"pair", "values", "kick"}
 
 
@@ -282,14 +282,14 @@ def test_first_step_formula():
 def test_sheet_compatibility_errors():
     cfg = LatticeConfig(h=0.25, t_max=1.0, x_half_width=2.0)
     bad_step = sample_sheet(
-        NoiseSpec(hurst=0.5, dt=0.5, dx=0.25, n_time=4, n_space=16)
+        NoiseSpec(hurst=0.5, dt=0.5, dx=0.25, n_time=4, n_space=16), 0
     )
     with pytest.raises(ValueError, match="lattice step"):
         solve(cfg, bad_step, SigmaSpec.linear())
-    short = sample_sheet(NoiseSpec(hurst=0.5, dt=0.25, dx=0.25, n_time=2, n_space=16))
+    short = sample_sheet(NoiseSpec(hurst=0.5, dt=0.25, dx=0.25, n_time=2, n_space=16), 0)
     with pytest.raises(ValueError, match="rows"):
         solve(cfg, short, SigmaSpec.linear())
-    narrow = sample_sheet(NoiseSpec(hurst=0.5, dt=0.25, dx=0.25, n_time=4, n_space=8))
+    narrow = sample_sheet(NoiseSpec(hurst=0.5, dt=0.25, dx=0.25, n_time=4, n_space=8), 0)
     with pytest.raises(ValueError, match="cells"):
         solve(cfg, narrow, SigmaSpec.linear())
 
@@ -390,7 +390,7 @@ def test_noise_provenance_tag():
     sampled = _sheet(cfg, seed=9, replica=4)
     assert sampled.ref == f"{STREAM}:9:4"
     fld = solve(cfg, sampled, SigmaSpec.linear())
-    assert fld.noise_ref == f"{STREAM}:9:4"
+    assert fld.sheet.ref == f"{STREAM}:9:4"
     external = _zero_sheet(cfg)
     assert external.ref == "external"
-    assert picard_reference(cfg, external, SigmaSpec.linear(), 1)[0].noise_ref == "external"
+    assert picard_reference(cfg, external, SigmaSpec.linear(), 1)[0].sheet.ref == "external"

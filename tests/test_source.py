@@ -2,10 +2,10 @@
 fracwave module imports is used in that module (names listed in a module's
 __all__ are exempt, and so is __init__.py, whose imports are re-exports),
 every name a module exports is used by code that runs, so is every public
-member of an exported class and every default of any function or method,
-and the commands import only what they run: no module imports scipy
-anywhere, no command loads scipy or numpy.polynomial, and only rate loads
-numpy.ma."""
+member of an exported class and every default of any function or method
+(some call there sets it and some call leaves it), and the commands import
+only what they run: no module imports scipy anywhere, no command loads scipy
+or numpy.polynomial, and only rate loads numpy.ma."""
 
 import ast
 import json
@@ -134,10 +134,11 @@ def _callee(node: ast.AST):
     return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
 
 
-def _set_arguments(tree: ast.Module, positions: dict, keywords: set) -> None:
-    """Record what each call sets, by the callee's name: the most positional
-    arguments given (any number past a *args) and the keywords (all of
-    them for a **kwargs).  functools.partial(f, ...) sets f's arguments."""
+def _calls(tree: ast.Module):
+    """(callee name, positional arguments given, keywords given) of every
+    call, matched by the callee's name: any number of positional arguments
+    past a *args, and a None keyword for a **kwargs, which may set any.
+    functools.partial(f, ...) is a call of f with the arguments it binds."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -145,8 +146,23 @@ def _set_arguments(tree: ast.Module, positions: dict, keywords: set) -> None:
         if name == "partial" and args:
             name, args = _callee(args[0]), args[1:]
         given = math.inf if any(isinstance(a, ast.Starred) for a in args) else len(args)
-        positions[name] = max(positions.get(name, 0), given)
-        keywords |= {(name, kw.arg) for kw in node.keywords}
+        yield name, given, {kw.arg for kw in node.keywords}
+
+
+def _sets(call, param: str, pos) -> bool:
+    """Whether a call, (positional arguments given, keywords given), sets
+    the parameter."""
+    given, keywords = call
+    return bool({param, None} & keywords) or (pos is not None and pos < given)
+
+
+def _runner_calls() -> dict:
+    """The calls of the code that runs, by callee name."""
+    calls = {}
+    for p in RUNNERS:
+        for name, given, keywords in _calls(_parse(p)):
+            calls.setdefault(name, []).append((given, keywords))
+    return calls
 
 
 def test_every_default_is_set_by_code_that_runs():
@@ -154,17 +170,29 @@ def test_every_default_is_set_by_code_that_runs():
     by position, keyword or functools.partial, somewhere in the code that
     runs.  A knob that only unit tests turn is a second code path that no
     run takes: fix it, or let a run set it."""
-    positions, keywords = {}, set()
-    for p in RUNNERS:
-        _set_arguments(_parse(p), positions, keywords)
+    calls = _runner_calls()
     unset = [
         f"{p.stem}.{fn}({param})"
         for p in MODULES
         for fn, param, pos in _defaulted(_parse(p))
-        if not ({(fn, param), (fn, None)} & keywords
-                or (pos is not None and pos < positions.get(fn, 0)))
+        if not any(_sets(call, param, pos) for call in calls.get(fn, []))
     ]
     assert unset == []
+
+
+def test_every_default_is_relied_on_by_code_that_runs():
+    """A defaulted parameter of any function or method in src/ must be left
+    unset by some call in the code that runs.  A default that every run
+    overrides is a value no run takes: make the parameter required, or fix
+    it to the value the runs pass."""
+    calls = _runner_calls()
+    overridden = [
+        f"{p.stem}.{fn}({param})"
+        for p in MODULES
+        for fn, param, pos in _defaulted(_parse(p))
+        if all(_sets(call, param, pos) for call in calls.get(fn, []))
+    ]
+    assert overridden == []
 
 
 # Plans of the import-budget test: the simulate table calls
