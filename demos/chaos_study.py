@@ -14,8 +14,6 @@ linear in the driving noise).  Two facts to see numerically:
 Run:  python3 demos/chaos_study.py
 """
 
-import numpy as np
-
 from fracwave import (
     ExperimentPlan,
     MomentCurves,

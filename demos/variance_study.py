@@ -15,8 +15,6 @@ drift a shade positive at this resolution.  Halving h halves the drift.
 Run:  python3 demos/variance_study.py    (about a minute on one core)
 """
 
-import numpy as np
-
 from fracwave import (
     ExperimentPlan,
     MomentCurves,

@@ -75,12 +75,15 @@ __all__ = [
 ]
 
 _CHUNK = 256
-# Bytes of solution field solved as one stack.  run_replica_chunk stacks
-# (n_steps + 1) x n_nodes lattices up to this size: the 9 x 145-node
-# lattices of rate studies run 100 per stack, about twice as fast per
-# replica as one by one, while lattices over half a MiB (33 x 2113 nodes),
-# whose steps are already wide ufuncs and which ran slower stacked, run alone.
-_BATCH_BYTES = 1 << 20
+# Bytes of work buffers per stack: run_replica_chunk stacks as many sheets
+# as fit, counting every buffer the sampler and solver hold per sheet
+# (_stack_budget).  4 MiB runs 3 white-noise sheets (1.1 MB each) or 1
+# fractional sheet (2.2 MB) of a 33 x 2113-node lattice, and 190 of the
+# 9 x 145-node lattices of rate studies.  In interleaved 256-replica chunks
+# (2-CPU VM, 20 rounds) stacks of 2-4 sheets beat one sheet in 16-19 rounds
+# on both 33 x 2113 lattices; 3 white-noise sheets ran 11% faster, and 16
+# sheets, at five times the memory, little more.
+_BATCH_BYTES = 4 << 20
 _JACK_GROUPS = 100
 # fewest samples a KS distance is computed from
 KS_MIN_N = 100
@@ -508,20 +511,38 @@ def _block_moments(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stack_budget(plan: ExperimentPlan) -> tuple[int, int]:
+    """(sheets per stack, bytes per sheet) of run_replica_chunk, counting
+    every work buffer sample_sheet and solve hold for one sheet of a stack
+    against _BATCH_BYTES: the normals, and at H > 1/2 the masses
+    de-interleaved from them; the values of every level, the pair row and
+    the kick row."""
+    cfg, spec = plan.lattice(), plan.noise_spec()
+    rows = 2 * ((spec.n_time + 1) // 2)  # the embedding draws rows in pairs
+    noise = (spec.n_time * spec.n_space if spec.hurst == 0.5  # normals, scaled in place
+             else 2 * rows * spec.n_space + rows * spec.n_space)  # complex normals, masses
+    floats = noise + (cfg.n_steps + 1) * cfg.n_nodes + 2 * cfg.n_nodes
+    return max(1, _BATCH_BYTES // (8 * floats)), 8 * floats
+
+
 def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int],
                       buffers: Optional[dict] = None) -> ChunkResult:
     """Solve and reduce the given replicas, ids increasing.  Pure in (plan, ids).
 
-    The replicas run in stacks whose solution field fits _BATCH_BYTES: one
-    sample_sheet call draws a stack's sheets into one buffer and one solve
-    runs them all.  A lattice larger than half of it runs as a stack of one,
-    sampled and solved as a single sheet, so that its reductions work on
-    scalars, not length-1 arrays.  Every stack reuses one set of work
-    buffers (see noise.sample_sheet), allocated for the first (largest)
-    stack; the last, shorter one uses a prefix of them.  A caller that
-    passes its own buffers dict keeps them for its next chunk too: freed
-    between chunks, the memory would go back to the system and fault in
-    again.
+    The replicas run in stacks whose work buffers fit _BATCH_BYTES: the
+    normals (and at H > 1/2 the de-interleaved masses) of sample_sheet, and
+    the values, pair row and kick row of solve, all counted per sheet by
+    _stack_budget.  That is 3 sheets per stack on the 33 x 2113-node
+    white-noise lattice, 1 on the fractional one and 190 on the 9 x 145-node
+    rate lattice.  One sample_sheet call draws a stack's sheets into one
+    buffer and one solve runs them all.  A sheet larger than half of the
+    budget runs as a stack of one, sampled and solved as a single sheet, so
+    that its reductions work on scalars, not length-1 arrays.  Every stack
+    reuses one set of work buffers (see noise.sample_sheet), allocated for
+    the first (largest) stack; the last, shorter one uses a prefix of
+    them.  A caller that passes its own buffers dict keeps them for its
+    next chunk too: freed between chunks, the memory would go back to the
+    system and fault in again.
 
     Block k holds ids 256k .. min(256k + 256, M) - 1.  The chunk reduces
     each whole block it holds to its moments, and ships the rows of a block
@@ -536,7 +557,7 @@ def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int],
                          f"{np.array2string(ids, threshold=8)} [plan {plan_hash(plan)[:12]}]")
     cfg = plan.lattice()
     spec = plan.noise_spec()
-    batch = max(1, _BATCH_BYTES // (8 * (cfg.n_steps + 1) * cfg.n_nodes))
+    batch, _ = _stack_budget(plan)
     stacks = _chaos_stacks(cfg, plan.times, plan.radii) if plan.chaos else None
 
     g = np.empty((ids.size, len(plan.times), len(plan.radii)))

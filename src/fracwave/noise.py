@@ -4,11 +4,12 @@ The driving field W has independent rows in time; within a row, cell masses
 form a stationary Gaussian vector whose covariance is the second difference
 of |x|^{2H} (fractional increments with Hurst index H).  H = 1/2 reduces to
 space-time white noise.  Rows are sampled exactly with the minimal circulant
-(FFT) embedding of size 2*n_space, two rows per complex FFT, so statistical
-tests downstream see the true lattice law, not an approximation.  STREAM
-names the version of the mapping from (seed, replica) to sheets: each
-replica draws its normals from an SFC64 seeded by a counter-based Philox
-keyed with (seed, replica) (see _replica_rng).
+(FFT) embedding of size 2*n_space, two rows per complex FFT run in place in
+the normals' buffer, so statistical tests downstream see the true lattice
+law, not an approximation.  STREAM names the version of the mapping from
+(seed, replica) to sheets: each replica draws its normals from an SFC64
+seeded by a counter-based Philox keyed with (seed, replica) (see
+_replica_rng).
 
 A sheet is one replica's (n_time, n_space) masses or a stack of replicas'
 sheets along a leading axis, (B, n_time, n_space); sample_sheet draws a
@@ -248,7 +249,9 @@ def sample_sheet(spec: NoiseSpec, replica: Union[int, Sequence[int]], *,
     embedding of size 2*n_space.  The real and imaginary parts of one FFT of
     sqrt(lambda)*(z1 + i*z2) are two independent rows with that covariance
     (Davies & Harte 1987, Wood & Chan 1994): rows 2k and 2k+1; the spare
-    row of an odd n_time is dropped.
+    row of an odd n_time is dropped.  The FFT runs in place in the buffer
+    of the normals, which hold the interleaved real and imaginary parts;
+    the rows are then de-interleaved into the masses.
 
     A sequence of replica ids draws a stack, masses of shape (len(ids),
     n_time, n_space): each replica's normals go from its own stream into
@@ -256,9 +259,10 @@ def sample_sheet(spec: NoiseSpec, replica: Union[int, Sequence[int]], *,
     H > 1/2, transformed) at once.  Every step is elementwise or row by row,
     so masses[b] equals, bit for bit, the sheet of ids[b] drawn alone.
 
-    buffers, a dict, holds the normals and the masses between calls: the
-    sheet's masses are then a view into it, valid until the next call given
-    the same dict.  Without it every call allocates afresh.
+    buffers, a dict, holds the normals (with the FFT's output at H > 1/2)
+    and the masses between calls: the sheet's masses are then a view into
+    it, valid until the next call given the same dict.  Without it every
+    call allocates afresh.
     """
     single = np.ndim(replica) == 0
     ids = (int(replica),) if single else tuple(int(r) for r in replica)
@@ -283,7 +287,7 @@ def sample_sheet(spec: NoiseSpec, replica: Union[int, Sequence[int]], *,
         scale = np.sqrt(spec.dt) * spec.dx**spec.hurst / np.sqrt(embed)
         xi = normals((pairs, embed, 2)).view(np.complex128)[..., 0]
         xi *= np.sqrt(lam) * scale
-        synth = np.fft.fft(xi, axis=-1)[..., : spec.n_space]
+        synth = np.fft.fft(xi, axis=-1, out=xi)[..., : spec.n_space]
         masses = _buffer(buffers, "masses", (len(ids), 2 * pairs, spec.n_space))
         masses[:, 0::2] = synth.real
         masses[:, 1::2] = synth.imag

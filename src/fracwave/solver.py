@@ -14,9 +14,11 @@ discrete cone-mass variance fixes kappa = 1/2 for every step size and Hurst
 index: that is KAPPA, and calibrate_kernel performs the count.
 
 solve runs one sheet or a stacked sheet (replica axis first) through the
-same update, written level by level in place.  Values outside the shrinking
-interior cone of the spatial window are never defined; they are stored as
-NaN and never read by the recursion.
+same update, written level by level in place; the pair masses of a level
+are built into one row just before it, so a sheet's working set is its
+values and two rows.  Values outside the shrinking interior cone of the
+spatial window are never defined; they are stored as NaN and never read by
+the recursion.
 """
 
 from __future__ import annotations
@@ -257,34 +259,36 @@ def solve(config: LatticeConfig, sheet: NoiseSheet, sigma: SigmaSpec, *,
     The work runs level-major: level n of all replicas is one contiguous
     row, and each step of the update is one ufunc call over it, written in
     place in the order u[n, j+1] + u[n, j-1] - u[n-1, j] + sigma * mass,
-    gaps between the replicas' cones included.  The pair masses carry
-    KAPPA (a power of two, so sigma * (KAPPA * mass) rounds as
-    (KAPPA * sigma) * mass) and NaN at the two end nodes, which have no dual
-    cell: level 1 is NaN there, and every node outside the cone reads one
-    outside the cone at the level below, so NaN fills exactly those nodes;
-    the nodes of a level row beyond its first and last update (the outer
-    edges of the stack) are set to NaN directly.
+    gaps between the replicas' cones included.  The pair masses come one
+    row per level, built into the same row before each step: the sum of
+    the row's two cell slices, then times KAPPA (a power of two, so
+    sigma * (KAPPA * mass) rounds as (KAPPA * sigma) * mass).  The row is
+    NaN at the two end nodes, which have no dual cell: level 1 is NaN
+    there, and every node outside the cone reads one outside the cone at
+    the level below, so NaN fills exactly those nodes; the nodes of a level
+    row beyond its first and last update (the outer edges of the stack) are
+    set to NaN directly.
 
-    buffers, a dict, holds the pair masses and the values between calls
-    (see noise.sample_sheet): the field's values are then a view into it,
-    valid until the next call given the same dict.  Without it every call
-    allocates afresh.
+    buffers, a dict, holds the pair row, the kick row (sigma * mass) and
+    the values between calls (see noise.sample_sheet): the field's values
+    are then a view into it, valid until the next call given the same dict.
+    Without it every call allocates afresh.
     """
     _check_sheet(config, sheet)
     n_steps, n_nodes = config.n_steps, config.n_nodes
     w = sheet.masses
     lead = w.shape[:-2]  # () for one sheet, (B,) for a stack
-    # pair[n, ..., j] = KAPPA * mass of node j's dual cell in row n
-    pair = _buffer(buffers, "pair", (n_steps,) + lead + (n_nodes,))
-    pair[..., 0] = pair[..., -1] = np.nan
-    np.add(w[..., :n_steps, :-1], w[..., :n_steps, 1:], out=np.moveaxis(pair, 0, -2)[..., 1:-1])
-    pair *= KAPPA
     u = _buffer(buffers, "values", (n_steps + 1,) + lead + (n_nodes,))
     u[0] = 1.0
+    # pair[..., j] = KAPPA * mass of node j's dual cell in the current row
+    pair = _buffer(buffers, "pair", lead + (n_nodes,))
+    pair[..., 0] = pair[..., -1] = np.nan
     # one row per level: replica b's node j sits at b * n_nodes + j
-    flat, mass = u.reshape(n_steps + 1, -1), pair.reshape(n_steps, -1)
-    kick = _buffer(buffers, "kick", (flat.shape[1],))
+    flat, mass = u.reshape(n_steps + 1, -1), pair.reshape(-1)
+    kick = _buffer(buffers, "kick", mass.shape)
     for n in range(n_steps):
+        inner = np.add(w[..., n, :-1], w[..., n, 1:], out=pair[..., 1:-1])
+        inner *= KAPPA
         # nodes n+1 .. n_nodes-2-n of every replica, and the gaps between
         lo, hi = n + 1, flat.shape[1] - 1 - n
         flat[n + 1, :lo] = flat[n + 1, hi:] = np.nan
@@ -294,7 +298,7 @@ def solve(config: LatticeConfig, sheet: NoiseSheet, sigma: SigmaSpec, *,
             level *= 0.5  # the half-sum start: zero initial velocity
         else:
             level -= flat[n - 1, lo:hi]
-        level += sigma.times(flat[n, lo:hi], mass[n, lo:hi], kick[: hi - lo])
+        level += sigma.times(flat[n, lo:hi], mass[lo:hi], kick[: hi - lo])
     return SolutionField(config=config, values=np.moveaxis(u, 0, -2), sheet=sheet)
 
 

@@ -28,7 +28,6 @@ from fracwave.estimators import (
     ExperimentPlan,
     first_chaos_weights,
     functional_cov_check,
-    ks_critical,
     merge_chunks,
     resolve_threads,
     run_experiment,

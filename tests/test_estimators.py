@@ -454,8 +454,7 @@ def _rate_plan(replicas=1):
 
 
 def _stack_size(plan):
-    cfg = plan.lattice()
-    return estimators._BATCH_BYTES // (8 * (cfg.n_steps + 1) * cfg.n_nodes)
+    return estimators._stack_budget(plan)[0]
 
 
 @pytest.mark.parametrize("ids", ["across_stacks", "one_replica"])
@@ -498,19 +497,27 @@ def test_chunk_refuses_ids_that_do_not_increase(ids, named):
 
 @pytest.mark.parametrize("lattice", ["rate", "wide"])
 def test_chunk_stacks_share_one_buffer(lattice, monkeypatch):
-    # a chunk's stacks differ in size (100, 100, 56 on the 9 x 145-node rate
-    # lattice; stacks of one on 33 x 2113 nodes) yet go through one set of
-    # buffers; every row must keep the bytes of a fresh per-sheet solve
+    # a chunk's stacks differ in size (full stacks, then a short tail) yet go
+    # through one set of buffers; every row must keep the bytes of a fresh
+    # per-sheet solve.  The wide case runs 2s + 1 replicas of a 33 x 2113-node
+    # lattice, s its stack size, at H = 3/4 and at H = 1/2
     if lattice == "rate":
-        plan = ExperimentPlan(hurst=0.5, sigma=SigmaSpec.affine_sine(1.0, 0.5), h=0.125,
-                              times=(0.5, 1.0), radii=(1.0, 2.0, 4.0, 8.0), replicas=256, seed=5)
-        ids, sizes = range(256), [100, 100, 56]
+        plans = [ExperimentPlan(hurst=0.5, sigma=SigmaSpec.affine_sine(1.0, 0.5), h=0.125,
+                                times=(0.5, 1.0), radii=(1.0, 2.0, 4.0, 8.0), replicas=256, seed=5)]
     else:
-        plan = ExperimentPlan(hurst=0.75, sigma=SigmaSpec.linear(), h=1 / 32, times=(0.5, 1.0),
-                              radii=(8.0, 16.0, 32.0), replicas=3, seed=5)
-        ids, sizes = range(3), [1, 1, 1]
+        wide = ExperimentPlan(hurst=0.75, sigma=SigmaSpec.linear(), h=1 / 32, times=(0.5, 1.0),
+                              radii=(8.0, 16.0, 32.0), replicas=1, seed=5)
+        plans = [replace(wide, hurst=hurst, replicas=2 * _stack_size(replace(wide, hurst=hurst)) + 1)
+                 for hurst in (0.75, 0.5)]
+    for plan in plans:
+        _check_stacks_share_one_buffer(plan, monkeypatch)
+
+
+def _check_stacks_share_one_buffer(plan, monkeypatch):
     cfg = plan.lattice()
-    assert (cfg.n_steps + 1, cfg.n_nodes) == ((9, 145) if lattice == "rate" else (33, 2113))
+    ids, stack = range(plan.replicas), _stack_size(plan)
+    sizes = [min(stack, plan.replicas - k) for k in range(0, plan.replicas, stack)]
+    assert (cfg.n_steps + 1, cfg.n_nodes) in ((9, 145), (33, 2113))
     seen = []
     solve_ = estimators.solve
 
@@ -522,6 +529,7 @@ def test_chunk_stacks_share_one_buffer(lattice, monkeypatch):
         return fld
     monkeypatch.setattr(estimators, "solve", recorded)
     res = run_replica_chunk(plan, ids)
+    monkeypatch.setattr(estimators, "solve", solve_)
     assert [size for size, _, _ in seen] == sizes
     assert len({addr for _, addr, _ in seen}) == len({addr for _, _, addr in seen}) == 1
     stacks = estimators._chaos_stacks(cfg, plan.times, plan.radii)
@@ -542,6 +550,31 @@ def test_chunk_stacks_share_one_buffer(lattice, monkeypatch):
     for other in again:
         assert other.g.tobytes() == res.g.tobytes() and other.i1.tobytes() == res.i1.tobytes()
         assert other.sigma_pieces[0][2].tobytes() == moments.tobytes()
+
+
+@pytest.mark.parametrize("hurst", [0.5, 0.75])
+def test_warm_chunk_allocates_less_than_a_sheet(hurst):
+    # the 33 x 2113-node lattices of the white-noise and fractional
+    # benchmark plans: once a buffers dict holds a chunk's stacks, the next
+    # chunk allocates less than one sheet's masses, so no per-stack pair
+    # array or FFT output is back, and the dict holds exactly the bytes the
+    # stack budget counts.  The chaos weights, built once per chunk, are
+    # left out: they are no part of a stack's working set
+    plan = ExperimentPlan(hurst=hurst, sigma=SigmaSpec.linear(), h=1 / 32, times=(0.5, 1.0),
+                          radii=(8.0, 16.0, 32.0), replicas=7, seed=5, chaos=False)
+    spec = plan.noise_spec()
+    stack, sheet_bytes = estimators._stack_budget(plan)
+    assert (stack, spec.n_time, spec.n_space) == ((3, 32, 2112) if hurst == 0.5 else (1, 32, 2112))
+    buffers = {}
+    run_replica_chunk(plan, range(plan.replicas), buffers=buffers)
+    tracemalloc.start()
+    try:
+        run_replica_chunk(plan, range(plan.replicas), buffers=buffers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * spec.n_time * spec.n_space
+    assert sum(buf.nbytes for buf in buffers.values()) == stack * sheet_bytes
 
 
 def test_run_experiment_keeps_one_buffer_across_chunks(monkeypatch):

@@ -1,11 +1,12 @@
-"""Source hygiene that no linter in the toolchain checks: every name a
-fracwave module imports is used in that module (names listed in a module's
+"""Source hygiene that no linter in the toolchain checks: every name a file
+of code that runs imports is used in that file (names listed in a module's
 __all__ are exempt, and so is __init__.py, whose imports are re-exports),
-every name a module exports is used by code that runs, so is every public
-member of an exported class and every default of any function or method
-(some call there sets it and some call leaves it), and the commands import
-only what they run: no module imports scipy anywhere, no command loads scipy
-or numpy.polynomial, and only rate loads numpy.ma."""
+every name a module exports is read by code that runs (an import is not a
+read), so is every public member of an exported class, and every default
+of any function or method is set by some call there and left by another;
+and the commands import only what they run: no module imports scipy
+anywhere, no command loads scipy or numpy.polynomial, and only rate loads
+numpy.ma."""
 
 import ast
 import json
@@ -51,22 +52,15 @@ def _unused_imports(path: Path) -> list[str]:
 
 def test_no_unused_imports():
     assert len(MODULES) >= 5
-    unused = {p.name: _unused_imports(p) for p in MODULES}
+    unused = {str(p.relative_to(ROOT)): _unused_imports(p) for p in RUNNERS}
     assert {name: names for name, names in unused.items() if names} == {}
 
 
 def _referenced(tree: ast.Module) -> set[str]:
-    """Names the code reads: bare names, attributes and from-imports (the
-    strings of __all__ and the names a def or class binds are not reads)."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            names |= {alias.name for alias in node.names}
-    return names
+    """Names the code reads: bare names and attributes (the strings of
+    __all__, the names an import or a def or class binds are not reads)."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
 
 
 def _loaded_attributes(tree: ast.Module) -> set[str]:
