@@ -287,8 +287,8 @@ def solve(config: LatticeConfig, sheet: NoiseSheet, sigma: SigmaSpec, *,
     flat, mass = u.reshape(n_steps + 1, -1), pair.reshape(-1)
     kick = _buffer(buffers, "kick", mass.shape)
     for n in range(n_steps):
-        inner = np.add(w[..., n, :-1], w[..., n, 1:], out=pair[..., 1:-1])
-        inner *= KAPPA
+        np.add(w[..., n, :-1], w[..., n, 1:], out=pair[..., 1:-1])
+        mass *= KAPPA  # the whole row in one contiguous pass: NaN stays NaN
         # nodes n+1 .. n_nodes-2-n of every replica, and the gaps between
         lo, hi = n + 1, flat.shape[1] - 1 - n
         flat[n + 1, :lo] = flat[n + 1, hi:] = np.nan
