@@ -42,8 +42,9 @@ import numpy as np
 
 from . import analytic
 from .analytic import MomentCurves
-from .noise import STREAM, NoiseSpec, _check_hurst, _check_key, sample_sheet
-from .solver import KAPPA, LatticeConfig, LatticeError, SigmaSpec, SolutionField, _snap_to_grid, solve
+from .noise import STREAM, NoiseSpec, _check_hurst, _check_key, _sheet_floats, sample_sheet
+from .solver import (KAPPA, LatticeConfig, LatticeError, SigmaSpec, SolutionField, _field_floats,
+                     _snap_to_grid, solve)
 
 __all__ = [
     "ExperimentPlan",
@@ -75,15 +76,18 @@ __all__ = [
 ]
 
 _CHUNK = 256
-# Bytes of work buffers per stack: run_replica_chunk stacks as many sheets
-# as fit, counting every buffer the sampler and solver hold per sheet
-# (_stack_budget).  4 MiB runs 3 white-noise sheets (1.1 MB each) or 1
-# fractional sheet (2.2 MB) of a 33 x 2113-node lattice, and 190 of the
-# 9 x 145-node lattices of rate studies.  In interleaved 256-replica chunks
-# (2-CPU VM, 20 rounds) stacks of 2-4 sheets beat one sheet in 16-19 rounds
-# on both 33 x 2113 lattices; 3 white-noise sheets ran 11% faster, and 16
-# sheets, at five times the memory, little more.
+# Sheets per stack: run_replica_chunk stacks as many as fit _BATCH_BYTES of
+# work buffers, counting every buffer the sampler and solver hold per sheet
+# (_stack_budget), and at most _BATCH_SHEETS.  4 MiB runs 3 white-noise
+# sheets (1.1 MB each) or 1 fractional sheet (2.2 MB) of a 33 x 2113-node
+# lattice.  In interleaved 256-replica chunks (2-CPU VM, 20 rounds) stacks
+# of 2-4 sheets beat one sheet in 16-19 rounds on both 33 x 2113 lattices;
+# 3 white-noise sheets ran 11% faster, and 16 sheets, at five times the
+# memory, little more.  The 9 x 145-node lattices of rate studies would fit
+# 190 and run 100: in process their time is flat from 47 to 256 per stack,
+# and in pooled rate runs on 2 workers stacks of 190 ran 8% slower.
 _BATCH_BYTES = 4 << 20
+_BATCH_SHEETS = 100
 _JACK_GROUPS = 100
 # fewest samples a KS distance is computed from
 KS_MIN_N = 100
@@ -512,17 +516,12 @@ def _block_moments(rows: np.ndarray) -> np.ndarray:
 
 
 def _stack_budget(plan: ExperimentPlan) -> tuple[int, int]:
-    """(sheets per stack, bytes per sheet) of run_replica_chunk, counting
-    every work buffer sample_sheet and solve hold for one sheet of a stack
-    against _BATCH_BYTES: the normals, and at H > 1/2 the masses
-    de-interleaved from them; the values of every level, the pair row and
-    the kick row."""
-    cfg, spec = plan.lattice(), plan.noise_spec()
-    rows = 2 * ((spec.n_time + 1) // 2)  # the embedding draws rows in pairs
-    noise = (spec.n_time * spec.n_space if spec.hurst == 0.5  # normals, scaled in place
-             else 2 * rows * spec.n_space + rows * spec.n_space)  # complex normals, masses
-    floats = noise + (cfg.n_steps + 1) * cfg.n_nodes + 2 * cfg.n_nodes
-    return max(1, _BATCH_BYTES // (8 * floats)), 8 * floats
+    """(sheets per stack, bytes per sheet) of run_replica_chunk: every work
+    buffer that sample_sheet and solve hold for one sheet of a stack, each
+    counted by the module that allocates it, against _BATCH_BYTES; at most
+    _BATCH_SHEETS sheets."""
+    floats = _sheet_floats(plan.noise_spec()) + _field_floats(plan.lattice())
+    return max(1, min(_BATCH_SHEETS, _BATCH_BYTES // (8 * floats))), 8 * floats
 
 
 def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int],
@@ -532,15 +531,15 @@ def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int],
     The replicas run in stacks whose work buffers fit _BATCH_BYTES: the
     normals (and at H > 1/2 the de-interleaved masses) of sample_sheet, and
     the values, pair row and kick row of solve, all counted per sheet by
-    _stack_budget.  That is 3 sheets per stack on the 33 x 2113-node
-    white-noise lattice, 1 on the fractional one and 190 on the 9 x 145-node
-    rate lattice.  One sample_sheet call draws a stack's sheets into one
-    buffer and one solve runs them all.  A sheet larger than half of the
-    budget runs as a stack of one, sampled and solved as a single sheet, so
-    that its reductions work on scalars, not length-1 arrays.  Every stack
-    reuses one set of work buffers (see noise.sample_sheet), allocated for
-    the first (largest) stack; the last, shorter one uses a prefix of
-    them.  A caller that passes its own buffers dict keeps them for its
+    _stack_budget, and at most _BATCH_SHEETS of them.  That is 3 sheets per
+    stack on the 33 x 2113-node white-noise lattice, 1 on the fractional one
+    and 100 on the 9 x 145-node rate lattice.  One sample_sheet call draws
+    a stack's sheets into one buffer and one solve runs them all.  A sheet
+    larger than half of the budget runs as a stack of one, sampled and
+    solved as a single sheet, so that its reductions work on scalars, not
+    length-1 arrays.  Every stack reuses one set of work buffers (see
+    noise.sample_sheet), allocated for the first (largest) stack; the last,
+    shorter one uses a prefix of them.  A caller that passes its own buffers dict keeps them for its
     next chunk too: freed between chunks, the memory would go back to the
     system and fault in again.
 

@@ -297,6 +297,17 @@ def sample_sheet(spec: NoiseSpec, replica: Union[int, Sequence[int]], *,
     return NoiseSheet(spec=spec, masses=masses, replica=ids)
 
 
+def _sheet_floats(spec: NoiseSpec) -> int:
+    """Floats that sample_sheet's buffers hold per sheet of a stack: the
+    normals, scaled in place at H = 1/2; at H > 1/2 the complex normals of
+    the row pairs (two floats a cell, transformed in place) and the masses
+    de-interleaved from them."""
+    if spec.hurst == 0.5:
+        return spec.n_time * spec.n_space
+    rows = 2 * ((spec.n_time + 1) // 2)
+    return 2 * rows * spec.n_space + rows * spec.n_space
+
+
 def region_mass(sheet: NoiseSheet, rows: tuple[int, int], cols: tuple[int, int]) -> float:
     """Total noise mass of the index rectangle [rows) x [cols)."""
     _single(sheet, "region_mass")

@@ -302,6 +302,12 @@ def solve(config: LatticeConfig, sheet: NoiseSheet, sigma: SigmaSpec, *,
     return SolutionField(config=config, values=np.moveaxis(u, 0, -2), sheet=sheet)
 
 
+def _field_floats(config: LatticeConfig) -> int:
+    """Floats that solve's buffers hold per sheet of a stack: the values of
+    every level, the pair row and the kick row."""
+    return (config.n_steps + 1) * config.n_nodes + 2 * config.n_nodes
+
+
 def picard_reference(config: LatticeConfig, sheet: NoiseSheet, sigma: SigmaSpec,
                      iterations: int) -> tuple[SolutionField, list[float]]:
     """Fixed-point reference solver: direct quadrature of the integral form.

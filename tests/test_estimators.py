@@ -448,7 +448,7 @@ def test_constant_sigma_average_equals_first_chaos():
 
 
 def _rate_plan(replicas=1):
-    # the lattice shape of a rate study: a few hundred of them fit one stack
+    # the lattice shape of a rate study: they run 100 to a stack
     return ExperimentPlan(hurst=0.75, sigma=SigmaSpec.affine_sine(1.0, 0.5), h=0.125,
                           times=(0.5, 1.0), radii=(1.0, 2.0), replicas=replicas, seed=41)
 
@@ -500,24 +500,26 @@ def test_chunk_stacks_share_one_buffer(lattice, monkeypatch):
     # a chunk's stacks differ in size (full stacks, then a short tail) yet go
     # through one set of buffers; every row must keep the bytes of a fresh
     # per-sheet solve.  The wide case runs 2s + 1 replicas of a 33 x 2113-node
-    # lattice, s its stack size, at H = 3/4 and at H = 1/2
+    # lattice, s its stack size, at H = 3/4 and at H = 1/2.  Each case
+    # names its lattice and the stack sizes the budget must give it
     if lattice == "rate":
-        plans = [ExperimentPlan(hurst=0.5, sigma=SigmaSpec.affine_sine(1.0, 0.5), h=0.125,
-                                times=(0.5, 1.0), radii=(1.0, 2.0, 4.0, 8.0), replicas=256, seed=5)]
+        cases = [(ExperimentPlan(hurst=0.5, sigma=SigmaSpec.affine_sine(1.0, 0.5), h=0.125,
+                                 times=(0.5, 1.0), radii=(1.0, 2.0, 4.0, 8.0), replicas=256, seed=5),
+                  (9, 145), [100, 100, 56])]
     else:
         wide = ExperimentPlan(hurst=0.75, sigma=SigmaSpec.linear(), h=1 / 32, times=(0.5, 1.0),
                               radii=(8.0, 16.0, 32.0), replicas=1, seed=5)
-        plans = [replace(wide, hurst=hurst, replicas=2 * _stack_size(replace(wide, hurst=hurst)) + 1)
-                 for hurst in (0.75, 0.5)]
-    for plan in plans:
-        _check_stacks_share_one_buffer(plan, monkeypatch)
+        cases = [(replace(wide, hurst=hurst, replicas=2 * _stack_size(replace(wide, hurst=hurst)) + 1),
+                  (33, 2113), sizes) for hurst, sizes in ((0.75, [1, 1, 1]), (0.5, [3, 3, 1]))]
+    for plan, shape, sizes in cases:
+        _check_stacks_share_one_buffer(plan, shape, sizes, monkeypatch)
 
 
-def _check_stacks_share_one_buffer(plan, monkeypatch):
+def _check_stacks_share_one_buffer(plan, shape, sizes, monkeypatch):
     cfg = plan.lattice()
     ids, stack = range(plan.replicas), _stack_size(plan)
-    sizes = [min(stack, plan.replicas - k) for k in range(0, plan.replicas, stack)]
-    assert (cfg.n_steps + 1, cfg.n_nodes) in ((9, 145), (33, 2113))
+    assert [min(stack, plan.replicas - k) for k in range(0, plan.replicas, stack)] == sizes
+    assert (cfg.n_steps + 1, cfg.n_nodes) == shape
     seen = []
     solve_ = estimators.solve
 
@@ -579,7 +581,8 @@ def test_warm_chunk_allocates_less_than_a_sheet(hurst):
 
 def test_run_experiment_keeps_one_buffer_across_chunks(monkeypatch):
     # the chunks of a run share one buffers dict per process, so the
-    # memory of one chunk's stacks serves the next instead of faulting in
+    # memory of one chunk's stacks serves the next instead of faulting in.
+    # Two whole chunks run in stacks of 100, 100 and 56, the last in one
     plan = _rate_plan(replicas=2 * estimators._CHUNK + 1)
     addresses = []
     solve_ = estimators.solve
@@ -590,7 +593,7 @@ def test_run_experiment_keeps_one_buffer_across_chunks(monkeypatch):
         return fld
     monkeypatch.setattr(estimators, "solve", recorded)
     summary = run_experiment(plan, threads=1)
-    assert len(addresses) == 3 and len(set(addresses)) == 1
+    assert len(addresses) == 7 and len(set(addresses)) == 1
     assert summary.g_samples.tobytes() == run_replica_chunk(plan, range(plan.replicas)).g.tobytes()
 
 
