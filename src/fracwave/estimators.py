@@ -539,9 +539,9 @@ def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int],
     solved as a single sheet, so that its reductions work on scalars, not
     length-1 arrays.  Every stack reuses one set of work buffers (see
     noise.sample_sheet), allocated for the first (largest) stack; the last,
-    shorter one uses a prefix of them.  A caller that passes its own buffers dict keeps them for its
-    next chunk too: freed between chunks, the memory would go back to the
-    system and fault in again.
+    shorter one uses a prefix of them.  A caller that passes its own
+    buffers dict keeps them for its next chunk too: freed between chunks,
+    the memory would go back to the system and fault in again.
 
     Block k holds ids 256k .. min(256k + 256, M) - 1.  The chunk reduces
     each whole block it holds to its moments, and ships the rows of a block
