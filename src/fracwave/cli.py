@@ -504,7 +504,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("config")
     run.add_argument("--threads", type=int, default=None,
-                     help="worker processes (0 or unset: FRACWAVE_THREADS, else one per CPU)")
+                     help="worker processes (0 or unset: FRACWAVE_THREADS, else one per CPU "
+                          "this process may run on)")
 
     p_sim = sub.add_parser("simulate", parents=[run],
                            help="run the experiment described by a config file")

@@ -85,7 +85,10 @@ _CHUNK = 256
 # 3 white-noise sheets ran 11% faster, and 16 sheets, at five times the
 # memory, little more.  The 9 x 145-node lattices of rate studies would fit
 # 190 and run 100: in process their time is flat from 47 to 256 per stack,
-# and in pooled rate runs on 2 workers stacks of 190 ran 8% slower.
+# and in pooled rate runs on 2 workers stacks of 190 ran 8% slower.  The
+# first-chaos weights are not counted: they are one array per time for the
+# whole run, built once per buffers dict ahead of the stacks and kept in it
+# (2.16 MB on the white-noise lattice).
 _BATCH_BYTES = 4 << 20
 _BATCH_SHEETS = 100
 _JACK_GROUPS = 100
@@ -241,9 +244,8 @@ def first_chaos_weights(cfg: LatticeConfig, t: float, radius: float, kappa: floa
     w[[n_t + left, n_t + right]] = 0.5
     cum = np.concatenate([[0.0], np.cumsum(w)])
     rows = np.lib.stride_tricks.sliding_window_view(cum, cfg.n_cells)  # rows[s] = cum[s:]
-    q = np.arange(n_t - 1, -1, -1)
-    weights = rows[n_t + 2 + q]
-    weights -= rows[n_t - q]
+    # row m, depth q = n_t - 1 - m: rows[2 n_t + 1 - m] - rows[1 + m], two basic-slice views
+    weights = np.subtract(rows[2 * n_t + 1: n_t + 1: -1], rows[1: n_t + 1])
     weights *= kappa * cfg.h
     return weights
 
@@ -534,14 +536,23 @@ def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int],
     _stack_budget, and at most _BATCH_SHEETS of them.  That is 3 sheets per
     stack on the 33 x 2113-node white-noise lattice, 1 on the fractional one
     and 100 on the 9 x 145-node rate lattice.  One sample_sheet call draws
-    a stack's sheets into one buffer and one solve runs them all.  A sheet
-    larger than half of the budget runs as a stack of one, sampled and
-    solved as a single sheet, so that its reductions work on scalars, not
-    length-1 arrays.  Every stack reuses one set of work buffers (see
+    a stack's sheets into one buffer and one solve runs them all.  Every
+    stack of one replica is sampled and solved as a single sheet, so that
+    its reductions work on scalars, not length-1 arrays: every stack of a
+    sheet larger than half of the budget, and any one-replica tail, such
+    as the last replica of a 256-replica white-noise chunk
+    (256 = 85 * 3 + 1).  Every stack reuses one set of work buffers (see
     noise.sample_sheet), allocated for the first (largest) stack; the last,
     shorter one uses a prefix of them.  A caller that passes its own
     buffers dict keeps them for its next chunk too: freed between chunks,
     the memory would go back to the system and fault in again.
+
+    With chaos on, the first-chaos weights (_chaos_stacks) are built before
+    the first stack is sampled and kept in buffers["chaos"], keyed by the
+    lattice, times and radii: a later chunk of the same plan reuses them,
+    and a plan with another key drops them and builds its own.  So a dict
+    that lives for a run, as run_experiment gives each worker, builds them
+    once per worker.
 
     Block k holds ids 256k .. min(256k + 256, M) - 1.  The chunk reduces
     each whole block it holds to its moments, and ships the rows of a block
@@ -557,12 +568,18 @@ def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int],
     cfg = plan.lattice()
     spec = plan.noise_spec()
     batch, _ = _stack_budget(plan)
-    stacks = _chaos_stacks(cfg, plan.times, plan.radii) if plan.chaos else None
+    buffers = {} if buffers is None else buffers
+    stacks = None
+    if plan.chaos:
+        key = (cfg, plan.times, plan.radii)
+        if buffers.get("chaos", (None,))[0] != key:
+            buffers.pop("chaos", None)  # another plan's weights go before these are built
+            buffers["chaos"] = (key, _chaos_stacks(cfg, plan.times, plan.radii))
+        stacks = buffers["chaos"][1]
 
     g = np.empty((ids.size, len(plan.times), len(plan.radii)))
     i1 = np.empty_like(g) if plan.chaos else None
     sig_c = np.empty((ids.size, cfg.n_steps + 1))
-    buffers = {} if buffers is None else buffers
     try:
         for start in range(0, ids.size, batch):
             part = ids[start: start + batch]
@@ -879,8 +896,10 @@ def summarize(plan: ExperimentPlan, merged: ChunkResult, wall_seconds: float,
 
 
 def resolve_threads(threads: Optional[int] = None) -> int:
-    """Explicit argument, else FRACWAVE_THREADS, else one per CPU.  0 means
-    auto; a FRACWAVE_THREADS that is no integer >= 0 raises ValueError."""
+    """Explicit argument, else FRACWAVE_THREADS, else one per CPU this
+    process may run on (its affinity mask where the platform has one, else
+    os.cpu_count()).  0 means auto; a FRACWAVE_THREADS that is no integer
+    >= 0 raises ValueError."""
     if threads is not None and threads > 0:
         return threads
     env = os.environ.get("FRACWAVE_THREADS", "").strip()
@@ -893,6 +912,8 @@ def resolve_threads(threads: Optional[int] = None) -> int:
             raise ValueError(f"FRACWAVE_THREADS must be >= 0 (0 = auto), got {env!r}")
         if val > 0:
             return val
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -953,7 +974,8 @@ def run_experiment(plan: ExperimentPlan, threads: Optional[int] = None,
     start = time.perf_counter()
     workers = resolve_threads(threads)
     ids = [range(i, min(i + _CHUNK, plan.replicas)) for i in range(0, plan.replicas, _CHUNK)]
-    # one buffers dict per process: each worker inherits its own copy
+    # one buffers dict per process, for the stacks and the chaos weights: each
+    # worker inherits its own copy
     results = pool_map(functools.partial(run_replica_chunk, buffers={}), (plan,), ids, workers)
     merged = merge_chunks(*results)
     del results  # the merge keeps the sigma moments; the chunks' g and i1 rows go

@@ -5,9 +5,12 @@ statistics against the analytic module on small ensembles."""
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -554,17 +557,21 @@ def _check_stacks_share_one_buffer(plan, shape, sizes, monkeypatch):
         assert other.sigma_pieces[0][2].tobytes() == moments.tobytes()
 
 
-@pytest.mark.parametrize("hurst", [0.5, 0.75])
-def test_warm_chunk_allocates_less_than_a_sheet(hurst):
+@pytest.mark.parametrize("hurst,chaos", [(0.5, False), (0.75, False), (0.5, True), (0.75, True)],
+                         ids=["0.5", "0.75", "0.5-chaos", "0.75-chaos"])
+def test_warm_chunk_allocates_less_than_a_sheet(hurst, chaos):
     # the 33 x 2113-node lattices of the white-noise and fractional
-    # benchmark plans: once a buffers dict holds a chunk's stacks, the next
-    # chunk allocates less than one sheet's masses, so no per-stack pair
-    # array or FFT output is back, and the dict holds exactly the bytes the
-    # stack budget counts.  The chaos weights, built once per chunk, are
-    # left out: they are no part of a stack's working set
+    # benchmark plans: once a buffers dict holds a chunk's stacks and, with
+    # chaos on, the plan's first-chaos weights, the next chunk allocates
+    # less than one sheet's masses, so no per-stack pair array or FFT
+    # output is back and the weights are not built again.  The dict holds
+    # exactly the bytes the stack budget counts plus those of the weights,
+    # one row per radius and per cell of each time's levels
     plan = ExperimentPlan(hurst=hurst, sigma=SigmaSpec.linear(), h=1 / 32, times=(0.5, 1.0),
-                          radii=(8.0, 16.0, 32.0), replicas=7, seed=5, chaos=False)
+                          radii=(8.0, 16.0, 32.0), replicas=7, seed=5, chaos=chaos)
     spec = plan.noise_spec()
+    cfg = plan.lattice()
+    weights = 8 * len(plan.radii) * cfg.n_cells * sum(map(cfg.time_index, plan.times)) if chaos else 0
     stack, sheet_bytes = estimators._stack_budget(plan)
     assert (stack, spec.n_time, spec.n_space) == ((3, 32, 2112) if hurst == 0.5 else (1, 32, 2112))
     buffers = {}
@@ -576,7 +583,25 @@ def test_warm_chunk_allocates_less_than_a_sheet(hurst):
     finally:
         tracemalloc.stop()
     assert peak < 8 * spec.n_time * spec.n_space
+    assert sum(w.nbytes for w in buffers.pop("chaos", (None, []))[1]) == weights
     assert sum(buf.nbytes for buf in buffers.values()) == stack * sheet_bytes
+
+
+def test_chunk_weights_follow_the_plan():
+    # one buffers dict runs plans that differ only in radii, then only in
+    # times, then in h; the lattice of the first two pairs is the same, so
+    # weights kept for the lattice alone would be wrong.  Each plan gets the
+    # bytes of a fresh dict
+    base = ExperimentPlan(hurst=0.75, sigma=SigmaSpec.affine_sine(1.0, 0.5), h=0.125,
+                          times=(0.5, 1.0), radii=(1.0, 2.0), replicas=5, seed=41, x_half_width=3.0)
+    buffers = {}
+    for other in (replace(base, radii=(1.0, 1.5)), replace(base, times=(0.75, 1.0)),
+                  replace(base, h=0.25)):
+        for plan in (base, other):
+            fresh = run_replica_chunk(plan, range(plan.replicas))
+            res = run_replica_chunk(plan, range(plan.replicas), buffers=buffers)
+            assert res.g.tobytes() == fresh.g.tobytes()
+            assert res.i1.tobytes() == fresh.i1.tobytes()
 
 
 def test_run_experiment_keeps_one_buffer_across_chunks(monkeypatch):
@@ -630,8 +655,11 @@ def test_chunk_calls_the_traced_seams(monkeypatch):
     assert calls["_embedding_spectrum"] == [2 * plan.lattice().n_cells]  # once per stack
 
     counted(estimators, "merge_chunks", record=len)
+    calls["first_chaos_weights"] = 0
     summary = run_experiment(plan, threads=1)
     assert calls["merge_chunks"] == [3]  # one merge of all three chunks
+    # the run's one buffers dict keeps the weights: built once, not per chunk
+    assert calls["first_chaos_weights"] == len(plan.times) * len(plan.radii)
     assert summary.g_samples.shape[0] == plan.replicas
 
 
@@ -1218,8 +1246,9 @@ def test_resolve_threads_env(monkeypatch):
     monkeypatch.setenv("FRACWAVE_THREADS", "bogus")
     with pytest.raises(ValueError):
         resolve_threads(None)
-    monkeypatch.setenv("FRACWAVE_THREADS", "0")  # auto
-    assert resolve_threads(None) == (os.cpu_count() or 1)
+    monkeypatch.setenv("FRACWAVE_THREADS", "0")  # auto: the CPUs this process may run on
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    assert resolve_threads(None) == resolve_threads(0) == cpus
     for negative in ("-1", "-3"):
         monkeypatch.setenv("FRACWAVE_THREADS", negative)
         with pytest.raises(ValueError, match="FRACWAVE_THREADS must be >= 0"):
@@ -1227,6 +1256,23 @@ def test_resolve_threads_env(monkeypatch):
     assert resolve_threads(2) == 2  # an explicit count does not read it
     monkeypatch.delenv("FRACWAVE_THREADS")
     assert resolve_threads(None) >= 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity mask here")
+def test_auto_threads_count_the_cpus_of_the_affinity_mask():
+    # a process pinned to one CPU, as taskset or a cpuset pins it, starts
+    # one worker, not one per CPU of the machine.  The child pins itself,
+    # so no other process is touched
+    script = ("import os\n"
+              "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+              "from fracwave.estimators import resolve_threads\n"
+              "print(resolve_threads(None), resolve_threads(0))\n")
+    env = {k: v for k, v in os.environ.items() if k != "FRACWAVE_THREADS"}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.split() == ["1", "1"]
 
 
 def test_summary_dict_schema(white_linear_summary):
