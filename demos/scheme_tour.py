@@ -19,9 +19,11 @@ from fracwave import (
     NoiseSpec,
     SigmaSpec,
     calibrate_kernel,
+    first_chaos_weights,
     picard_reference,
     sample_sheet,
     solve,
+    window_averages,
 )
 
 cfg = LatticeConfig(h=0.25, t_max=2.0, x_half_width=4.0)
@@ -50,6 +52,14 @@ fld_c = solve(cfg, sheet, SigmaSpec.constant(1.0))
 ref_c, _ = picard_reference(cfg, sheet, SigmaSpec.constant(1.0), iterations=1)
 gap = np.nanmax(np.abs(fld_c.values - ref_c.values))
 print(f"constant sigma: scheme vs one-sweep reference, max gap {gap:.3e}")
+# The spatial average over [-R, R] is then linear in the noise too: it is
+# its own first-chaos projection, the chaos weights dotted with the sheet.
+t_obs, radius = cfg.t_max, 2.0
+avg = window_averages(fld_c, (t_obs,), (radius,))[0, 0]
+w = first_chaos_weights(cfg, t_obs, radius, KAPPA)
+chaos = float(np.vdot(w, sheet.masses[: w.shape[0]]))
+print(f"constant sigma: spatial average at t = {t_obs}, R = {radius}: {avg:.12f}, "
+      f"its first chaos {chaos:.12f}")
 
 # --- fixed-point iteration, and cross-validation of the scheme ------------
 # For state-dependent sigma the two integrators discretize the integral

@@ -77,19 +77,18 @@ __all__ = [
 
 _CHUNK = 256
 # Sheets per stack: run_replica_chunk stacks as many as fit _BATCH_BYTES of
-# work buffers, counting every buffer the sampler and solver hold per sheet
-# (_stack_budget), and at most _BATCH_SHEETS.  4 MiB runs 3 white-noise
-# sheets (1.1 MB each) or 1 fractional sheet (2.2 MB) of a 33 x 2113-node
-# lattice.  In interleaved 256-replica chunks (2-CPU VM, 20 rounds) stacks
-# of 2-4 sheets beat one sheet in 16-19 rounds on both 33 x 2113 lattices;
-# 3 white-noise sheets ran 11% faster, and 16 sheets, at five times the
-# memory, little more.  The 9 x 145-node lattices of rate studies would fit
-# 190 and run 100: in process their time is flat from 47 to 256 per stack,
-# and in pooled rate runs on 2 workers stacks of 190 ran 8% slower.  The
-# first-chaos weights are not counted: they are one array per time for the
-# whole run, built once per buffers dict ahead of the stacks and kept in it
-# (2.16 MB on the white-noise lattice).
-_BATCH_BYTES = 4 << 20
+# work buffers, at most _BATCH_SHEETS.  A sheet's buffers (_stack_budget) are
+# its sampler's floats and five level rows: 0.63 MB white, 1.71 MB fractional
+# on a 33 x 2113-node lattice, 2.33 MB white on 65 x 4225.  2 MiB stacks them
+# 3, 1 and 1, as 4 MiB did when the solver stored every level.  In interleaved
+# 256-replica chunks (2-CPU VM, 20 rounds) stacks of 2-4 sheets beat one sheet
+# in 16-19 rounds on both 33 x 2113 lattices; 3 white-noise sheets ran 11%
+# faster, and 16, at five times the memory, at most 6% more.  The 9 x 145-node
+# rate lattices run 100: in process their time is flat from 47 to 256 per
+# stack, and in pooled rate runs on 2 workers stacks of 190 ran 8% slower.  The
+# first-chaos weights are not counted: one array per time for the whole run,
+# kept in the buffers dict (2.16 MB on the white-noise lattice).
+_BATCH_BYTES = 2 << 20
 _BATCH_SHEETS = 100
 _JACK_GROUPS = 100
 # fewest samples a KS distance is computed from
@@ -207,22 +206,24 @@ def _window(cfg: LatticeConfig, t: float, radius: float) -> tuple[int, int, int]
 
 
 def window_averages(fld: SolutionField, times: Sequence[float], radii: Sequence[float]) -> np.ndarray:
-    """Trapezoid integrals of u(t, .) - 1 over [-radius, radius], for every
-    (t, radius) pair.
-
-    Shape fld.values.shape[:-2] + (len(times), len(radii)): a field solved
-    from a stack gives one row per replica.  End nodes carry half weight.
-    Raises if any needed node is outside the validity cone at its level.
-    """
+    """Trapezoid integrals of u(t, .) - 1 over [-radius, radius], end nodes
+    at half weight, for every (t, radius) pair: shape fld.values.shape[:-2]
+    + (len(times), len(radii)), one row per replica of a stacked field.
+    Raises if any needed node is outside the validity cone at its level."""
     cfg = fld.config
     out = np.empty(fld.values.shape[:-2] + (len(times), len(radii)))
     for it, t in enumerate(times):
-        row = fld.values[..., cfg.time_index(t), :] - 1.0
-        for ir, radius in enumerate(radii):
-            _, left, right = _window(cfg, t, radius)
-            seg = row[..., left: right + 1]
-            out[..., it, ir] = cfg.h * (np.add.reduce(seg, axis=-1) - 0.5 * (seg[..., 0] + seg[..., -1]))
+        _window_sums(cfg, fld.values[..., cfg.time_index(t), :], t, radii, out[..., it, :])
     return out
+
+
+def _window_sums(cfg: LatticeConfig, u: np.ndarray, t: float, radii, out: np.ndarray) -> None:
+    """window_averages of the level u of time t, into out[..., radius]: the one row reducer."""
+    row = u - 1.0
+    for ir, radius in enumerate(radii):
+        _, left, right = _window(cfg, t, radius)
+        seg = row[..., left: right + 1]
+        out[..., ir] = cfg.h * (np.add.reduce(seg, axis=-1) - 0.5 * (seg[..., 0] + seg[..., -1]))
 
 
 def first_chaos_weights(cfg: LatticeConfig, t: float, radius: float, kappa: float) -> np.ndarray:
@@ -530,29 +531,22 @@ def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int],
                       buffers: Optional[dict] = None) -> ChunkResult:
     """Solve and reduce the given replicas, ids increasing.  Pure in (plan, ids).
 
-    The replicas run in stacks whose work buffers fit _BATCH_BYTES: the
-    normals (and at H > 1/2 the de-interleaved masses) of sample_sheet, and
-    the values, pair row and kick row of solve, all counted per sheet by
-    _stack_budget, and at most _BATCH_SHEETS of them.  That is 3 sheets per
-    stack on the 33 x 2113-node white-noise lattice, 1 on the fractional one
-    and 100 on the 9 x 145-node rate lattice.  One sample_sheet call draws
-    a stack's sheets into one buffer and one solve runs them all.  Every
-    stack of one replica is sampled and solved as a single sheet, so that
-    its reductions work on scalars, not length-1 arrays: every stack of a
-    sheet larger than half of the budget, and any one-replica tail, such
-    as the last replica of a 256-replica white-noise chunk
-    (256 = 85 * 3 + 1).  Every stack reuses one set of work buffers (see
-    noise.sample_sheet), allocated for the first (largest) stack; the last,
-    shorter one uses a prefix of them.  A caller that passes its own
-    buffers dict keeps them for its next chunk too: freed between chunks,
-    the memory would go back to the system and fault in again.
+    The replicas run in stacks whose work buffers fit _BATCH_BYTES (the
+    normals, and at H > 1/2 the masses, of sample_sheet; the level rows,
+    pair row and kick row of solve; each counted per sheet by
+    _stack_budget), at most _BATCH_SHEETS: 3 sheets on the 33 x 2113-node
+    white-noise lattice, 1 on the fractional one, 100 on the 9 x 145-node
+    rate lattice.  One sample_sheet call draws a stack, of one replica too,
+    and one solve runs it, in one set of work buffers sized by the first
+    stack; a caller's own buffers dict serves its next chunk too, which
+    saves faulting the memory in again.  No field is stored: solve hands
+    each level on as it makes it, and the chunk keeps every level's window
+    centre (sigma is applied to a stack's at once) and reduces the levels
+    of plan.times (_window_sums).
 
     With chaos on, the first-chaos weights (_chaos_stacks) are built before
-    the first stack is sampled and kept in buffers["chaos"], keyed by the
-    lattice, times and radii: a later chunk of the same plan reuses them,
-    and a plan with another key drops them and builds its own.  So a dict
-    that lives for a run, as run_experiment gives each worker, builds them
-    once per worker.
+    the first stack and kept in buffers["chaos"], keyed by the lattice,
+    times and radii (another key rebuilds them): once per worker in a run.
 
     Block k holds ids 256k .. min(256k + 256, M) - 1.  The chunk reduces
     each whole block it holds to its moments, and ships the rows of a block
@@ -580,17 +574,19 @@ def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int],
     g = np.empty((ids.size, len(plan.times), len(plan.radii)))
     i1 = np.empty_like(g) if plan.chaos else None
     sig_c = np.empty((ids.size, cfg.n_steps + 1))
+    at_time = {cfg.time_index(t): it for it, t in enumerate(plan.times)}
     try:
         for start in range(0, ids.size, batch):
-            part = ids[start: start + batch]
-            sheet = sample_sheet(spec, int(part[0]) if part.size == 1 else part, buffers=buffers)
-            fld = solve(cfg, sheet, plan.sigma, buffers=buffers)
-            rows = slice(start, start + part.size)
-            g[rows] = window_averages(fld, plan.times, plan.radii)
-            sig_c[rows] = plan.sigma(fld.values[..., cfg.center_index])
+            rows = slice(start, start + batch)
+            def reduce_level(n, u):  # each level of the stack, as solve makes it
+                sig_c[rows, n] = u[:, cfg.center_index]
+                if (it := at_time.get(n)) is not None:
+                    _window_sums(cfg, u, plan.times[it], plan.radii, g[rows, it])
+            sheet = sample_sheet(spec, ids[rows], buffers=buffers)
+            solve(cfg, sheet, plan.sigma, buffers=buffers, each_level=reduce_level)
+            sig_c[rows] = plan.sigma(sig_c[rows])
             if stacks is not None:
-                masses = sheet.masses.reshape((-1,) + sheet.masses.shape[-2:])
-                for k, sheet_masses in enumerate(masses):
+                for k, sheet_masses in enumerate(sheet.masses):
                     i1[start + k] = _chaos_samples(stacks, sheet_masses)
     except Exception as exc:
         where = f"plan {plan_hash(plan)[:12]}, replicas {ids.min()}..{ids.max()}"

@@ -13,12 +13,10 @@ its rows exactly.  Matching the resulting variance against one quarter of the
 discrete cone-mass variance fixes kappa = 1/2 for every step size and Hurst
 index: that is KAPPA, and calibrate_kernel performs the count.
 
-solve runs one sheet or a stacked sheet (replica axis first) through the
-same update, written level by level in place; the pair masses of a level
-are built into one row just before it, so a sheet's working set is its
-values and two rows.  Values outside the shrinking interior cone of the
-spatial window are never defined; they are stored as NaN and never read by
-the recursion.
+solve runs one sheet or a stack (replica axis first) level by level in
+place, and stores every level or keeps three and hands each on as it is
+made.  Values outside the shrinking interior cone of the spatial window
+are never defined; they are stored as NaN and never read by the recursion.
 """
 
 from __future__ import annotations
@@ -43,6 +41,7 @@ __all__ = [
 ]
 
 _LATTICE_TOL = 1e-9
+_RING = 3  # level rows solve keeps when it hands levels on: u[n-1], u[n], u[n+1]
 # Kernel constant of the update.  For constant sigma the value at a node is
 # 1 + kappa * (sum of the cone's cell masses): impulses carry weight 1 on the
 # checkerboard and the dual cells of the active nodes tile each cone row.  Its
@@ -191,12 +190,11 @@ class LatticeConfig:
 
 @dataclass
 class SolutionField:
-    """Solved field on the lattice: values[..., n, j] = u(n*h, -x_half_width + j*h).
-
-    A field solved from a stack of sheets has a leading replica axis
-    (values[b] is replica b).  NaN marks nodes outside the interior
+    """Solved field on the lattice: values[..., n, j] = u(n*h, -x_half_width + j*h),
+    values[b] replica b of a stack.  NaN marks nodes outside the interior
     validity cone, which at level n holds nodes n..n_nodes-1-n.  sheet is
-    the driving noise; sheet.ref is its provenance tag."""
+    the driving noise; sheet.ref is its provenance tag.  A solve that hands
+    its levels on returns its ring instead (see solve)."""
 
     config: LatticeConfig
     values: np.ndarray = field(repr=False)
@@ -243,34 +241,35 @@ def _check_sheet(config: LatticeConfig, sheet: NoiseSheet) -> None:
 
 
 def solve(config: LatticeConfig, sheet: NoiseSheet, sigma: SigmaSpec, *,
-          buffers: Optional[dict] = None) -> SolutionField:
+          buffers: Optional[dict] = None, each_level=None) -> SolutionField:
     """Run the scheme over the whole lattice, for one sheet or a stack.
 
     The noise attached to node j at level n is the mass of the two cells
     [x_j - h, x_j + h) in time row n, scaled by KAPPA.  sigma is evaluated
-    on the previous level (the update stays adapted).
-
-    A stacked sheet is solved along its replica axis: values has shape
-    (B, n_steps + 1, n_nodes) and values[b] is the field driven by sheet b.
-    Every update is elementwise along the replica axis, so values[b]
-    equals, bit for bit and NaN for NaN, the values of solving sheet b
-    alone; a single sheet gives values of shape (n_steps + 1, n_nodes).
+    on the previous level (the update stays adapted).  A stacked sheet is
+    solved along its replica axis, every update elementwise along it:
+    values[b], shaped as a single sheet's (n_steps + 1, n_nodes), equals
+    bit for bit and NaN for NaN the values of solving sheet b alone.
 
     The work runs level-major: level n of all replicas is one contiguous
-    row, and each step of the update is one ufunc call over it, written in
-    place in the order u[n, j+1] + u[n, j-1] - u[n-1, j] + sigma * mass,
-    gaps between the replicas' cones included.  The pair masses come one
-    row per level, built into the same row before each step: the sum of
-    the row's two cell slices, then times KAPPA (a power of two, so
-    sigma * (KAPPA * mass) rounds as (KAPPA * sigma) * mass).  The row is
-    NaN at the two end nodes, which have no dual cell: level 1 is NaN
-    there, and every node outside the cone reads one outside the cone at
-    the level below, so NaN fills exactly those nodes; the nodes of a level
-    row beyond its first and last update (the outer edges of the stack) are
-    set to NaN directly.
+    row, row n % ring of a ring of level rows, and each step of the update
+    is one ufunc call over it, written in place in the order
+    u[n, j+1] + u[n, j-1] - u[n-1, j] + sigma * mass, gaps between the
+    replicas' cones included.  The pair masses come one row per level,
+    built into the same row before each step: the sum of the row's two
+    cell slices, then times KAPPA (a power of two, so sigma * (KAPPA *
+    mass) rounds as (KAPPA * sigma) * mass).  The row is NaN at the two end
+    nodes, which have no dual cell: level 1 is NaN there, and every node
+    outside the cone reads one outside the cone at the level below, so NaN
+    fills exactly those nodes; the nodes of a level row beyond its first
+    and last update (the outer edges of the stack) are set to NaN directly.
+
+    Without each_level the ring holds every level.  Given it, the ring holds
+    three, each_level(n, u) gets every level as it is made (u is values[...,
+    n, :], valid during the call only), and the field returned is the ring.
 
     buffers, a dict, holds the pair row, the kick row (sigma * mass) and
-    the values between calls (see noise.sample_sheet): the field's values
+    the ring between calls (see noise.sample_sheet): the field's values
     are then a view into it, valid until the next call given the same dict.
     Without it every call allocates afresh.
     """
@@ -278,34 +277,39 @@ def solve(config: LatticeConfig, sheet: NoiseSheet, sigma: SigmaSpec, *,
     n_steps, n_nodes = config.n_steps, config.n_nodes
     w = sheet.masses
     lead = w.shape[:-2]  # () for one sheet, (B,) for a stack
-    u = _buffer(buffers, "values", (n_steps + 1,) + lead + (n_nodes,))
+    ring = n_steps + 1 if each_level is None else _RING
+    u = _buffer(buffers, "values", (ring,) + lead + (n_nodes,))
     u[0] = 1.0
     # pair[..., j] = KAPPA * mass of node j's dual cell in the current row
     pair = _buffer(buffers, "pair", lead + (n_nodes,))
     pair[..., 0] = pair[..., -1] = np.nan
     # one row per level: replica b's node j sits at b * n_nodes + j
-    flat, mass = u.reshape(n_steps + 1, -1), pair.reshape(-1)
+    flat, mass = u.reshape(ring, -1), pair.reshape(-1)
     kick = _buffer(buffers, "kick", mass.shape)
+    if each_level is not None:
+        each_level(0, u[0])
     for n in range(n_steps):
+        new, now, old = flat[(n + 1) % ring], flat[n % ring], flat[(n - 1) % ring]
         np.add(w[..., n, :-1], w[..., n, 1:], out=pair[..., 1:-1])
         mass *= KAPPA  # the whole row in one contiguous pass: NaN stays NaN
         # nodes n+1 .. n_nodes-2-n of every replica, and the gaps between
         lo, hi = n + 1, flat.shape[1] - 1 - n
-        flat[n + 1, :lo] = flat[n + 1, hi:] = np.nan
-        level = flat[n + 1, lo:hi]
-        np.add(flat[n, lo + 1: hi + 1], flat[n, lo - 1: hi - 1], out=level)
+        new[:lo] = new[hi:] = np.nan
+        level = new[lo:hi]
+        np.add(now[lo + 1: hi + 1], now[lo - 1: hi - 1], out=level)
         if n == 0:
             level *= 0.5  # the half-sum start: zero initial velocity
         else:
-            level -= flat[n - 1, lo:hi]
-        level += sigma.times(flat[n, lo:hi], mass[lo:hi], kick[: hi - lo])
+            level -= old[lo:hi]
+        level += sigma.times(now[lo:hi], mass[lo:hi], kick[: hi - lo])
+        if each_level is not None:
+            each_level(n + 1, u[(n + 1) % ring])
     return SolutionField(config=config, values=np.moveaxis(u, 0, -2), sheet=sheet)
 
 
 def _field_floats(config: LatticeConfig) -> int:
-    """Floats that solve's buffers hold per sheet of a stack: the values of
-    every level, the pair row and the kick row."""
-    return (config.n_steps + 1) * config.n_nodes + 2 * config.n_nodes
+    """Floats per sheet of solve's buffers when it hands levels on: ring, pair and kick rows."""
+    return (_RING + 2) * config.n_nodes
 
 
 def picard_reference(config: LatticeConfig, sheet: NoiseSheet, sigma: SigmaSpec,

@@ -25,8 +25,9 @@ SIGMAS = {
     "affine_sine": SigmaSpec.affine_sine(1.0, 0.5),
     "tabulated": SigmaSpec.tabulated([-1.0, 0.0, 2.0], [0.5, 1.0, 0.2]),
 }
-# (h, t, radii, x_half_width, replicas): 9 x 49 nodes run in stacks of
-# up to 256 replicas; 33 x 2049 nodes (and 32 x 2049) run one by one
+# (h, t, radii, x_half_width, replicas): 9 x 49 nodes (and 8 x 49) run in
+# stacks of up to 100 replicas; 33 x 2049 nodes (and 32 x 2049) run as one
+# stack of 3 at H = 1/2 and one sheet per stack at H = 3/4
 SMALL = (0.125, 1.0, (1.0, 2.0), 3.0, 300)
 LARGE = (1 / 64, 0.5, (1.0,), 16.0, 3)
 

@@ -566,7 +566,9 @@ def test_warm_chunk_allocates_less_than_a_sheet(hurst, chaos):
     # less than one sheet's masses, so no per-stack pair array or FFT
     # output is back and the weights are not built again.  The dict holds
     # exactly the bytes the stack budget counts plus those of the weights,
-    # one row per radius and per cell of each time's levels
+    # one row per radius and per cell of each time's levels, and the budget
+    # counts no more than the sampler's floats and five level-sized rows:
+    # no buffer of every level is back either
     plan = ExperimentPlan(hurst=hurst, sigma=SigmaSpec.linear(), h=1 / 32, times=(0.5, 1.0),
                           radii=(8.0, 16.0, 32.0), replicas=7, seed=5, chaos=chaos)
     spec = plan.noise_spec()
@@ -574,6 +576,7 @@ def test_warm_chunk_allocates_less_than_a_sheet(hurst, chaos):
     weights = 8 * len(plan.radii) * cfg.n_cells * sum(map(cfg.time_index, plan.times)) if chaos else 0
     stack, sheet_bytes = estimators._stack_budget(plan)
     assert (stack, spec.n_time, spec.n_space) == ((3, 32, 2112) if hurst == 0.5 else (1, 32, 2112))
+    assert sheet_bytes <= 8 * (noise._sheet_floats(spec) + 5 * cfg.n_nodes)
     buffers = {}
     run_replica_chunk(plan, range(plan.replicas), buffers=buffers)
     tracemalloc.start()
@@ -585,6 +588,25 @@ def test_warm_chunk_allocates_less_than_a_sheet(hurst, chaos):
     assert peak < 8 * spec.n_time * spec.n_space
     assert sum(w.nbytes for w in buffers.pop("chaos", (None, []))[1]) == weights
     assert sum(buf.nbytes for buf in buffers.values()) == stack * sheet_bytes
+
+
+@pytest.mark.parametrize("ensemble", ["B", "F"])
+def test_tier1_lattices_run_one_sheet_per_stack(ensemble):
+    # the budget keeps the stack sizes it gave when the solver stored every
+    # level: one sheet per stack on ensemble B's 65 x 4225-node white-noise
+    # lattice (D's too) and on F's 33 x 2113-node fractional one, whose
+    # sheets hold no more than the sampler's floats and five level rows
+    if ensemble == "B":
+        plan = ExperimentPlan(hurst=0.5, sigma=SigmaSpec.linear(), h=1 / 64, times=(1.0,),
+                              radii=(4.0, 8.0, 16.0, 32.0), replicas=1, seed=5)
+    else:
+        plan = ExperimentPlan(hurst=0.75, sigma=SigmaSpec.constant(1.0), h=1 / 32,
+                              times=(0.5, 1.0), radii=(32.0,), replicas=1, seed=5, chaos=False)
+    cfg = plan.lattice()
+    stack, sheet_bytes = estimators._stack_budget(plan)
+    assert (cfg.n_steps + 1, cfg.n_nodes) == ((65, 4225) if ensemble == "B" else (33, 2113))
+    assert stack == 1
+    assert sheet_bytes <= 8 * (noise._sheet_floats(plan.noise_spec()) + 5 * cfg.n_nodes)
 
 
 def test_chunk_weights_follow_the_plan():

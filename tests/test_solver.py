@@ -256,6 +256,36 @@ def test_buffered_solves_equal_fresh_solves(sigma):
     assert set(buffers) == {"pair", "values", "kick"}
 
 
+@pytest.mark.parametrize("hurst", [0.5, 0.75])
+@pytest.mark.parametrize("sigma", [
+    SigmaSpec.constant(1.3),
+    SigmaSpec.linear(),
+    SigmaSpec.affine_sine(1.0, 0.5),
+    SigmaSpec.tabulated([-1.0, 0.0, 2.0], [0.5, 1.0, 0.2]),
+], ids=lambda s: s.kind)
+def test_levels_handed_on_equal_the_collected_field(sigma, hurst):
+    # given each_level, solve hands on every level as it makes it and keeps
+    # a ring of three; each level must carry the bytes of the same level of
+    # the whole field that solve collects without it, NaN layout included,
+    # for one sheet and for a stack, and the ring must end on the last three
+    cfg = LatticeConfig(h=0.125, t_max=1.0, x_half_width=3.0)
+    spec = _sheet(cfg, hurst=hurst, seed=31).spec
+    for replica in (4, [0, 1, 2]):
+        sheet = sample_sheet(spec, replica)
+        whole = solve(cfg, sheet, sigma)
+        seen, buffers = [], {}
+        ring = solve(cfg, sheet, sigma, buffers=buffers,
+                     each_level=lambda n, u: seen.append((n, u.copy())))
+        assert [n for n, _ in seen] == list(range(cfg.n_steps + 1))
+        for n, u in seen:
+            assert u.shape == whole.values[..., n, :].shape
+            assert u.tobytes() == whole.values[..., n, :].tobytes()
+        assert ring.values.shape == whole.values.shape[:-2] + (3, cfg.n_nodes)
+        assert buffers["values"].size == ring.values.size
+        for n in range(cfg.n_steps - 2, cfg.n_steps + 1):
+            assert ring.values[..., n % 3, :].tobytes() == whole.values[..., n, :].tobytes()
+
+
 def test_unbuffered_solves_never_alias():
     cfg = LatticeConfig(h=0.125, t_max=1.0, x_half_width=3.0)
     sheet = sample_sheet(_sheet(cfg, seed=31).spec, [0, 1])
