@@ -86,8 +86,8 @@ _CHUNK = 256
 # faster, and 16, at five times the memory, at most 6% more.  The 9 x 145-node
 # rate lattices run 100: in process their time is flat from 47 to 256 per
 # stack, and in pooled rate runs on 2 workers stacks of 190 ran 8% slower.  The
-# first-chaos weights are not counted: one array per time for the whole run,
-# kept in the buffers dict (2.16 MB on the white-noise lattice).
+# first-chaos weights are not counted: one band per (t, R) for the whole run,
+# kept in the buffers dict (1.05 MB on the white-noise lattice).
 _BATCH_BYTES = 2 << 20
 _BATCH_SHEETS = 100
 _JACK_GROUPS = 100
@@ -251,25 +251,24 @@ def first_chaos_weights(cfg: LatticeConfig, t: float, radius: float, kappa: floa
     return weights
 
 
-def _chaos_stacks(cfg: LatticeConfig, times, radii) -> list[np.ndarray]:
-    """Per time, the flattened first-chaos weights of every radius, one row each."""
-    stacks = []
-    for t in times:
-        w = np.empty((len(radii), cfg.time_index(t) * cfg.n_cells))
-        for k, r in enumerate(radii):
-            w[k] = first_chaos_weights(cfg, t, r, KAPPA).ravel()
-        stacks.append(w)
-    return stacks
+def _chaos_stacks(cfg: LatticeConfig, times, radii) -> list[list[tuple[int, np.ndarray]]]:
+    """Per time and radius, (first cell, weights) of the window's cone |y| <= radius + t:
+    the weights of the smallest lattice that holds the cone, equal to cfg's
+    there bit for bit; cfg's are zero on every other cell."""
+    def band(t, r):
+        crop = LatticeConfig(cfg.h, t, r + t)
+        return cfg.center_index - crop.center_index, first_chaos_weights(crop, t, r, KAPPA)
+    return [[band(t, r) for r in radii] for t in times]
 
 
-def _chaos_samples(stacks: list[np.ndarray], masses: np.ndarray) -> np.ndarray:
-    """First-chaos samples of one sheet, shape (n_times, n_radii): one gemv
-    per time over the rows of the sheet that reach it.  A gemm over a stack
-    of sheets would sum in another order and change the last bits."""
-    out = np.empty((len(stacks), stacks[0].shape[0]))
-    for it, w in enumerate(stacks):
-        out[it] = w @ masses[: w.shape[1] // masses.shape[1]].ravel()
-    return out
+def _chaos_samples(bands: list, masses: np.ndarray, out: np.ndarray) -> None:
+    """First-chaos samples of a stack of sheets into out[sheet, time, radius]: per
+    band, a dot product per sheet and level over its cells, summed over levels.
+    Each sheet gets the bits it has alone, which np.einsum over a stack would not."""
+    for it, row in enumerate(bands):
+        for ir, (off, band) in enumerate(row):
+            cone = masses[..., : band.shape[0], off: off + band.shape[1]]
+            out[..., it, ir] = np.add.reduce(np.vecdot(cone, band), axis=-1)
 
 
 def _check_ks_size(n: int) -> None:
@@ -544,9 +543,10 @@ def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int],
     centre (sigma is applied to a stack's at once) and reduces the levels
     of plan.times (_window_sums).
 
-    With chaos on, the first-chaos weights (_chaos_stacks) are built before
+    With chaos on, the first-chaos bands (_chaos_stacks) are built before
     the first stack and kept in buffers["chaos"], keyed by the lattice,
     times and radii (another key rebuilds them): once per worker in a run.
+    _chaos_samples applies them to a stack, each sheet's bits as alone.
 
     Block k holds ids 256k .. min(256k + 256, M) - 1.  The chunk reduces
     each whole block it holds to its moments, and ships the rows of a block
@@ -563,31 +563,31 @@ def run_replica_chunk(plan: ExperimentPlan, replica_ids: Sequence[int],
     spec = plan.noise_spec()
     batch, _ = _stack_budget(plan)
     buffers = {} if buffers is None else buffers
-    stacks = None
+    bands = None
     if plan.chaos:
         key = (cfg, plan.times, plan.radii)
         if buffers.get("chaos", (None,))[0] != key:
             buffers.pop("chaos", None)  # another plan's weights go before these are built
             buffers["chaos"] = (key, _chaos_stacks(cfg, plan.times, plan.radii))
-        stacks = buffers["chaos"][1]
+        bands = buffers["chaos"][1]
 
     g = np.empty((ids.size, len(plan.times), len(plan.radii)))
     i1 = np.empty_like(g) if plan.chaos else None
     sig_c = np.empty((ids.size, cfg.n_steps + 1))
     at_time = {cfg.time_index(t): it for it, t in enumerate(plan.times)}
+    center = cfg.center_index
     try:
         for start in range(0, ids.size, batch):
             rows = slice(start, start + batch)
             def reduce_level(n, u):  # each level of the stack, as solve makes it
-                sig_c[rows, n] = u[:, cfg.center_index]
+                sig_c[rows, n] = u[:, center]
                 if (it := at_time.get(n)) is not None:
                     _window_sums(cfg, u, plan.times[it], plan.radii, g[rows, it])
             sheet = sample_sheet(spec, ids[rows], buffers=buffers)
             solve(cfg, sheet, plan.sigma, buffers=buffers, each_level=reduce_level)
             sig_c[rows] = plan.sigma(sig_c[rows])
-            if stacks is not None:
-                for k, sheet_masses in enumerate(sheet.masses):
-                    i1[start + k] = _chaos_samples(stacks, sheet_masses)
+            if bands is not None:
+                _chaos_samples(bands, sheet.masses, i1[rows])
     except Exception as exc:
         where = f"plan {plan_hash(plan)[:12]}, replicas {ids.min()}..{ids.max()}"
         try:

@@ -7,8 +7,8 @@ estimator re-records them, and is logged.  Any other change that moves one
 of these bytes changes what a seed means: it needs a new noise.STREAM
 version, and new digests recorded with it.
 
-The first-chaos samples are left out: their gemv sums in an order the BLAS
-build chooses."""
+The first-chaos samples are left out: each sums per-level dot products
+whose order of summation the BLAS build chooses."""
 
 import hashlib
 

@@ -183,21 +183,32 @@ def test_ks_sorted_takes_the_exact_phi_only_near_the_sup(n, monkeypatch):
         assert 1 <= len(calls) <= 4
 
 
-def test_chaos_stacks_fill_one_array_per_time():
-    # each radius's weights go straight into their row: same bytes as
-    # stacking the ravelled weights, at well under the two full copies a
-    # stack of a list takes at its peak
-    cfg = LatticeConfig(h=1 / 32, t_max=1.0, x_half_width=33.0)
-    times, radii = (0.5, 1.0), tuple(4.0 * k for k in range(1, 9))
-    want = [np.stack([first_chaos_weights(cfg, t, r, KAPPA).ravel() for r in radii]) for t in times]
-    tracemalloc.start()
-    try:
-        got = estimators._chaos_stacks(cfg, times, radii)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert [w.tobytes() for w in got] == [w.tobytes() for w in want]
-    assert peak < 1.5 * sum(w.nbytes for w in want)
+def test_chaos_bands_are_the_nonzero_block_of_the_weights():
+    # each (t, R) band is first_chaos_weights on the smallest lattice that
+    # holds the window's cone, |y| <= R + t: inside [off, off + width) it must
+    # equal the full lattice's weights bit for bit, and those must be zero
+    # on every other cell.  Lattices: the white benchmark plan's, a coarse
+    # one with times below t_max, and a fine one whose x_half_width exceeds
+    # max R + max t.  The bands are kept as built: at its peak the build
+    # holds well under a second copy of them
+    cases = [(LatticeConfig(h=1 / 32, t_max=1.0, x_half_width=33.0), (0.5, 1.0), (1.0, 4.0, 32.0)),
+             (LatticeConfig(h=1 / 8, t_max=1.0, x_half_width=6.0), (0.25, 0.625, 1.0), (0.5, 1.0, 2.0)),
+             (LatticeConfig(h=1 / 64, t_max=0.75, x_half_width=12.0), (0.25, 0.75), (2.0, 8.0))]
+    for cfg, times, radii in cases:
+        tracemalloc.start()
+        try:
+            bands = estimators._chaos_stacks(cfg, times, radii)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * sum(band.nbytes for row in bands for _, band in row) + (64 << 10)
+        assert [len(row) for row in bands] == [len(radii)] * len(times)
+        for t, row in zip(times, bands):
+            for r, (off, band) in zip(radii, row):
+                full = first_chaos_weights(cfg, t, r, KAPPA)
+                assert band.shape == (cfg.time_index(t), round(2 * (r + t) / cfg.h))
+                assert full[:, off: off + band.shape[1]].tobytes() == band.tobytes()
+                assert not full[:, :off].any() and not full[:, off + band.shape[1]:].any()
 
 
 def test_ks_critical_value():
@@ -482,11 +493,43 @@ def test_chunk_reductions_equal_per_replica_reductions(ids):
         for it, t in enumerate(plan.times):
             for ir, r in enumerate(plan.radii):
                 w = first_chaos_weights(cfg, t, r, KAPPA)
-                # one gemv per time over all radii vs one dot: summation
-                # order may differ in the last bits
+                # the band's per-level dot products vs one dot over the
+                # whole sheet: summation order may differ in the last bits
                 assert res.i1[k, it, ir] == pytest.approx(
                     float(np.vdot(w, sheet.masses[: w.shape[0]])), rel=1e-12, abs=1e-15)
         assert res.g[k].tobytes() == window_averages(fld, plan.times, plan.radii).tobytes()
+
+
+@pytest.mark.parametrize("hurst", [0.5, 0.75])
+def test_chunk_chaos_does_not_depend_on_the_stack(hurst, monkeypatch):
+    # each sheet's first chaos is its own dot products over its band, so
+    # it keeps the bits of its one-replica chunk in stacks of 1, 2, 3 and 7.
+    # np.einsum over the stack already differs at 2 on the first lattice;
+    # the second's rows are an odd number of 16-byte pairs, so stacked
+    # sheets start at other alignments.  i1 stays within 1e-13 relative of
+    # one dot of the full weights with the sheet, or of the sum of
+    # |weight * mass| where the sample itself cancels to near zero
+    for x_half_width in (9.0, 9.03125):
+        plan = ExperimentPlan(hurst=hurst, sigma=SigmaSpec.linear(), h=1 / 32, times=(0.5, 1.0),
+                              radii=(1.0, 4.0, 8.0), replicas=16, seed=23, x_half_width=x_half_width)
+        _check_chaos_stack_free(plan, monkeypatch)
+
+
+def _check_chaos_stack_free(plan, monkeypatch):
+    cfg = plan.lattice()
+    ids = range(1, 15)
+    alone = np.array([run_replica_chunk(plan, [k]).i1[0] for k in ids])
+    for size in (1, 2, 3, 7):
+        monkeypatch.setattr(estimators, "_stack_budget", lambda _, size=size: (size, 0))
+        assert run_replica_chunk(plan, ids).i1.tobytes() == alone.tobytes()
+    for k, i1 in zip(ids, alone):
+        masses = sample_sheet(plan.noise_spec(), replica=k).masses
+        for it, t in enumerate(plan.times):
+            for ir, r in enumerate(plan.radii):
+                w = first_chaos_weights(cfg, t, r, KAPPA)
+                m = masses[: w.shape[0]]
+                scale = float(np.vdot(np.abs(w), np.abs(m)))
+                assert i1[it, ir] == pytest.approx(float(np.vdot(w, m)), rel=1e-13, abs=1e-13 * scale)
 
 
 @pytest.mark.parametrize("ids,named", [([], r"\[\]"), ([3, 1], r"\[3 1\]"), ([0, 2, 2], r"\[0 2 2\]")])
@@ -537,14 +580,15 @@ def _check_stacks_share_one_buffer(plan, shape, sizes, monkeypatch):
     monkeypatch.setattr(estimators, "solve", solve_)
     assert [size for size, _, _ in seen] == sizes
     assert len({addr for _, addr, _ in seen}) == len({addr for _, _, addr in seen}) == 1
-    stacks = estimators._chaos_stacks(cfg, plan.times, plan.radii)
-    rows = []
+    bands = estimators._chaos_stacks(cfg, plan.times, plan.radii)
+    rows, alone = [], np.empty_like(res.i1[0])
     for k in ids:
         sheet = sample_sheet(plan.noise_spec(), replica=k)
         fld = solve_(cfg, sheet, plan.sigma)
         assert res.g[k].tobytes() == window_averages(fld, plan.times, plan.radii).tobytes()
         rows.append(plan.sigma(fld.values[:, cfg.center_index]))
-        assert res.i1[k].tobytes() == estimators._chaos_samples(stacks, sheet.masses).tobytes()
+        estimators._chaos_samples(bands, sheet.masses, alone)
+        assert res.i1[k].tobytes() == alone.tobytes()
     # the ids are the plan's one whole block: the chunk ships its moments
     (n, no_rows, moments), = res.sigma_pieces
     assert (n, no_rows) == (len(ids), None)
@@ -566,14 +610,16 @@ def test_warm_chunk_allocates_less_than_a_sheet(hurst, chaos):
     # less than one sheet's masses, so no per-stack pair array or FFT
     # output is back and the weights are not built again.  The dict holds
     # exactly the bytes the stack budget counts plus those of the weights,
-    # one row per radius and per cell of each time's levels, and the budget
-    # counts no more than the sampler's floats and five level-sized rows:
-    # no buffer of every level is back either
+    # one band per (t, R) of t's levels by the 2(R + t)/h cells of the
+    # window's cone, and the budget counts no more than the sampler's
+    # floats and five level-sized rows: no buffer of every level is back
+    # either
     plan = ExperimentPlan(hurst=hurst, sigma=SigmaSpec.linear(), h=1 / 32, times=(0.5, 1.0),
                           radii=(8.0, 16.0, 32.0), replicas=7, seed=5, chaos=chaos)
     spec = plan.noise_spec()
     cfg = plan.lattice()
-    weights = 8 * len(plan.radii) * cfg.n_cells * sum(map(cfg.time_index, plan.times)) if chaos else 0
+    weights = sum(8 * cfg.time_index(t) * round(2 * (r + t) / cfg.h)
+                  for t in plan.times for r in plan.radii) if chaos else 0
     stack, sheet_bytes = estimators._stack_budget(plan)
     assert (stack, spec.n_time, spec.n_space) == ((3, 32, 2112) if hurst == 0.5 else (1, 32, 2112))
     assert sheet_bytes <= 8 * (noise._sheet_floats(spec) + 5 * cfg.n_nodes)
@@ -586,7 +632,8 @@ def test_warm_chunk_allocates_less_than_a_sheet(hurst, chaos):
     finally:
         tracemalloc.stop()
     assert peak < 8 * spec.n_time * spec.n_space
-    assert sum(w.nbytes for w in buffers.pop("chaos", (None, []))[1]) == weights
+    bands = buffers.pop("chaos", (None, []))[1]
+    assert sum(band.nbytes for row in bands for _, band in row) == weights
     assert sum(buf.nbytes for buf in buffers.values()) == stack * sheet_bytes
 
 
