@@ -20,7 +20,6 @@ from .noise import (
     NoiseSpec,
     fgn_cell_covariance,
     read_sheet,
-    region_mass,
     sample_sheet,
     write_sheet,
 )

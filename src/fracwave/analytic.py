@@ -132,20 +132,15 @@ class MomentCurves:
         return cls(mean_sigma=lambda s: 1.0, mean_sigma_sq=linear_white_second_moment)
 
     @classmethod
-    def linear_mean_only(cls) -> "MomentCurves":
-        """sigma(u) = u for fractional noise: mean is 1 for every H; the second
-        moment has no elementary form there and is left out."""
-        return cls(mean_sigma=lambda s: 1.0, mean_sigma_sq=None)
-
-    @classmethod
     def closed_form(cls, sigma, hurst: float) -> Optional["MomentCurves"]:
         """Closed-form curves for a coefficient (a SigmaSpec) at a Hurst index:
         constant sigma at any H, linear sigma at H = 1/2 with both moments and
-        at H > 1/2 with the mean alone.  None for the other kinds."""
+        at H > 1/2 with the mean alone (1 at every H; the second moment has
+        no elementary form there).  None for the other kinds."""
         if sigma.kind == "constant":
             return cls.constant(sigma.params[0])
         if sigma.kind == "linear":
-            return cls.linear_white() if hurst == 0.5 else cls.linear_mean_only()
+            return cls.linear_white() if hurst == 0.5 else cls(mean_sigma=lambda s: 1.0, mean_sigma_sq=None)
         return None
 
     @classmethod

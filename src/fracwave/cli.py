@@ -352,7 +352,7 @@ def _bootstrap_ks(summary: ExperimentSummary, i_time: int, n_boot: int, radius_i
 
 
 def _bootstrap_tasks(n_radii: int, i_time: int, n_boot: int, workers: int) -> list:
-    """The bootstrap as run_tasks tasks: the radii split into one group per
+    """The bootstrap as summarize tasks: the radii split into one group per
     worker, each task drawing the whole index stream itself.  _slope_ci
     takes the slopes and quantiles from the reassembled table, so the worker
     count does not change a bit."""

@@ -63,7 +63,6 @@ __all__ = [
     "summarize",
     "pair_tasks",
     "pool_map",
-    "run_tasks",
     "run_experiment",
     "functional_cov_check",
     "FunctionalCovReport",
@@ -755,13 +754,10 @@ class ExperimentSummary:
             raise ValueError("plan ran without chaos projections")
         return self.i1_samples[:, i_time, i_radius]
 
-    def empirical_curves(self) -> MomentCurves:
-        return MomentCurves.from_samples(self.curve_times, self.curve_mean, self.curve_sq)
-
     def oracle_curves(self) -> MomentCurves:
         """Analytic curves when the coefficient admits them, else empirical."""
         curves = MomentCurves.closed_form(self.plan.sigma, self.plan.hurst)
-        return self.empirical_curves() if curves is None else curves
+        return curves or MomentCurves.from_samples(self.curve_times, self.curve_mean, self.curve_sq)
 
     def oracle_scale(self, i_time: int, i_radius: int) -> float:
         """Oracle standard deviation of the spatial average at a pair."""
@@ -854,9 +850,10 @@ def summarize(plan: ExperimentPlan, merged: ChunkResult, wall_seconds: float,
     joined per block (_curve_moments).
 
     tasks maps each key to a statistic (fn, args) of the summary,
-    fn(summary, *args); None means the pair table (pair_tasks).  They run
-    through run_tasks on `workers` processes, in the mapping's order, so a
-    caller lists its longest first.  A task reads the samples, never another
+    fn(summary, *args); None means the pair table (pair_tasks).  They share
+    one pool_map on `workers` processes, in the mapping's order, so a caller
+    lists its longest first; each fn is a module-level function, since it
+    crosses the pipe by name.  A task reads the samples, never another
     task's result; each reads its columns of the (M, n_times, n_radii) sample
     block with the strides they have here, so the worker count does not
     change a bit.  summary.stats maps each key to its task's result.
@@ -887,16 +884,18 @@ def summarize(plan: ExperimentPlan, merged: ChunkResult, wall_seconds: float,
         curve_sq_se=curve_sq_se,
     )
     tasks = pair_tasks(plan) if tasks is None else tasks
-    summary.stats = dict(zip(tasks, run_tasks(summary, tasks.values(), workers)))
+    summary.stats = dict(zip(tasks, pool_map(_call, (summary,), tasks.values(), workers)))
     return summary
 
 
 def resolve_threads(threads: Optional[int] = None) -> int:
     """Explicit argument, else FRACWAVE_THREADS, else one per CPU this
     process may run on (its affinity mask where the platform has one, else
-    os.cpu_count()).  0 means auto; a FRACWAVE_THREADS that is no integer
-    >= 0 raises ValueError."""
-    if threads is not None and threads > 0:
+    os.cpu_count()).  0 means auto; a negative threads, or a FRACWAVE_THREADS
+    that is no integer >= 0, raises ValueError."""
+    if threads is not None and threads < 0:
+        raise ValueError(f"threads must be >= 0 (0 = auto), got {threads!r}")
+    if threads:
         return threads
     env = os.environ.get("FRACWAVE_THREADS", "").strip()
     if env:
@@ -952,13 +951,6 @@ def _call(summary: ExperimentSummary, task):
     return fn(summary, *args)
 
 
-def run_tasks(summary: ExperimentSummary, tasks: Sequence, workers: int) -> list:
-    """[fn(summary, *args) for fn, args in tasks], in task order, on one
-    pool_map call: tasks of several kinds share one pool.  Each fn must be a
-    module-level function, since it crosses the pipe by name."""
-    return pool_map(_call, (summary,), tasks, workers)
-
-
 def run_experiment(plan: ExperimentPlan, threads: Optional[int] = None,
                    tasks: Optional[Mapping] = None) -> ExperimentSummary:
     """Run all replicas (chunked, optionally in parallel) and summarize.
@@ -990,13 +982,9 @@ class FunctionalCovReport:
     se: np.ndarray
 
     @property
-    def discrepancy(self) -> np.ndarray:
-        return self.empirical - self.oracle
-
-    @property
     def max_se_units(self) -> float:
         safe = np.where(self.se > 0, self.se, np.inf)
-        return float(np.abs(self.discrepancy / safe).max())
+        return float(np.abs((self.empirical - self.oracle) / safe).max())
 
 
 def functional_cov_check(summary: ExperimentSummary, i_radius: Optional[int] = None) -> FunctionalCovReport:

@@ -23,7 +23,6 @@ Contents
 NoiseSpec, NoiseSheet   lattice geometry + sampled cell masses (or a stack)
 fgn_cell_covariance     closed-form cell covariance within one row
 sample_sheet            exact sampler (per replica, an SFC64 seeded by a (seed, replica)-keyed Philox)
-region_mass             total mass of an index rectangle
 write_sheet, read_sheet binary dump of a sampled sheet
 """
 
@@ -46,7 +45,6 @@ __all__ = [
     "STREAM",
     "fgn_cell_covariance",
     "sample_sheet",
-    "region_mass",
     "write_sheet",
     "read_sheet",
 ]
@@ -306,16 +304,6 @@ def _sheet_floats(spec: NoiseSpec) -> int:
         return spec.n_time * spec.n_space
     rows = 2 * ((spec.n_time + 1) // 2)
     return 2 * rows * spec.n_space + rows * spec.n_space
-
-
-def region_mass(sheet: NoiseSheet, rows: tuple[int, int], cols: tuple[int, int]) -> float:
-    """Total noise mass of the index rectangle [rows) x [cols)."""
-    _single(sheet, "region_mass")
-    r0, r1 = rows
-    c0, c1 = cols
-    if not (0 <= r0 <= r1 <= sheet.spec.n_time and 0 <= c0 <= c1 <= sheet.spec.n_space):
-        raise IndexError(f"region ({rows}, {cols}) outside sheet {sheet.masses.shape}")
-    return float(sheet.masses[r0:r1, c0:c1].sum())
 
 
 def write_sheet(sheet: NoiseSheet, path) -> None:

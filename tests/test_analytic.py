@@ -27,6 +27,7 @@ from fracwave.analytic import (
     prelimit_cross_white,
     prelimit_variance_white,
 )
+from fracwave.solver import SigmaSpec
 
 
 # ------------------------------------------------- cone inner product
@@ -162,9 +163,13 @@ def test_cone_window_overlap_integral_validation():
 # ------------------------------------------------- moment curves
 
 
-def test_moment_curves_closed_form_by_sigma_kind():
-    from fracwave.solver import SigmaSpec
+def _linear_mean_only() -> MomentCurves:
+    """The curves of sigma(u) = u under fractional noise: mean 1 at every H,
+    no second moment."""
+    return MomentCurves.closed_form(SigmaSpec.linear(), 0.75)
 
+
+def test_moment_curves_closed_form_by_sigma_kind():
     const = MomentCurves.closed_form(SigmaSpec.constant(3.0), 0.75)
     assert (const.mean_sigma(0.4), const.mean_sigma_sq(0.4)) == (3.0, 9.0)
     white = MomentCurves.closed_form(SigmaSpec.linear(), 0.5)
@@ -225,7 +230,7 @@ def test_asymptotic_variance_white_linear_sigma_frozen():
 
 def test_asymptotic_variance_fractional():
     # sigma mean 1: 2^{2H} t^3/3; H=3/4, t=1: 4^{3/4}/3 = 0.9428090...
-    val = asymptotic_variance(1.0, 0.75, MomentCurves.linear_mean_only())
+    val = asymptotic_variance(1.0, 0.75, _linear_mean_only())
     assert val == pytest.approx(4.0**0.75 / 3.0, rel=1e-12)
     assert val == pytest.approx(0.942809, abs=5e-7)
     # constant curves work too (mean used, not second moment)
@@ -235,7 +240,7 @@ def test_asymptotic_variance_fractional():
 
 def test_asymptotic_variance_validation():
     with pytest.raises(ValueError, match="second-moment"):
-        asymptotic_variance(1.0, 0.5, MomentCurves.linear_mean_only())
+        asymptotic_variance(1.0, 0.5, _linear_mean_only())
     assert asymptotic_variance(0.0, 0.75, MomentCurves.constant(1.0)) == 0.0
     with pytest.raises(ValueError):
         asymptotic_variance(-1.0, 0.75, MomentCurves.constant(1.0))
@@ -249,7 +254,7 @@ def test_asymptotic_variance_keeps_the_bits_of_its_own_integral():
     knots = np.linspace(0.0, 12.0, 49)
     mean = 1.0 + 0.3 * np.sin(knots)
     kinds = [MomentCurves.constant(0.0), MomentCurves.constant(1.7), MomentCurves.linear_white(),
-             MomentCurves.linear_mean_only(),
+             _linear_mean_only(),
              MomentCurves.from_samples(knots, mean, mean**2 + 0.2 + 0.05 * knots)]
     grid = [0.0, 1.0 / 64.0, 0.1, 1.0 / 3.0, 1.0, 2.5, 7.75, 10.0, 11.9,
             *np.random.default_rng(15).uniform(0.0, 12.0, 20)]
@@ -352,7 +357,7 @@ def test_moment_oracles_match_adaptive_quadrature():
     sampled = MomentCurves.from_samples(knots, mean, mean**2 + 0.2 + 0.05 * knots)
     cases = [
         (MomentCurves.constant(1.7), 0.5), (MomentCurves.constant(1.7), 0.75),
-        (MomentCurves.linear_white(), 0.5), (MomentCurves.linear_mean_only(), 0.75),
+        (MomentCurves.linear_white(), 0.5), (_linear_mean_only(), 0.75),
         (sampled, 0.5), (sampled, 0.75),
     ]
     for case, (curves, hurst) in enumerate(cases):
@@ -468,7 +473,7 @@ def test_cross_covariance_frozen_values():
     assert val == pytest.approx(2.0 * poly, rel=1e-12)
     assert val == pytest.approx(5.0 / 24.0, rel=1e-12)
     # fractional analog: 2^{2H} times the same polynomial; H=3/4 -> 2^{1.5}*5/48
-    frac = cross_covariance(0.5, 1.0, 0.75, MomentCurves.linear_mean_only())
+    frac = cross_covariance(0.5, 1.0, 0.75, _linear_mean_only())
     assert frac == pytest.approx(2.0**1.5 * 5.0 / 48.0, rel=1e-12)
     assert frac == pytest.approx(0.294628, abs=5e-7)
     # zero time gives zero covariance
@@ -480,7 +485,7 @@ def test_cross_covariance_diag_matches_variance():
     assert cross_covariance(1.0, 1.0, 0.5, curves) == pytest.approx(
         asymptotic_variance(1.0, 0.5, curves), rel=1e-10
     )
-    frac_curves = MomentCurves.linear_mean_only()
+    frac_curves = _linear_mean_only()
     assert cross_covariance(0.7, 0.7, 0.8, frac_curves) == pytest.approx(
         asymptotic_variance(0.7, 0.8, frac_curves), rel=1e-10
     )
@@ -494,7 +499,7 @@ def test_asymptotic_constants_psd_and_consistency():
     assert np.allclose(cov, cov.T)
     assert np.linalg.eigvalsh(cov).min() > -1e-12
     assert cov[2, 2] == pytest.approx(asymptotic_variance(1.0, 0.5, curves), rel=1e-10)
-    frac_curves = MomentCurves.linear_mean_only()
+    frac_curves = _linear_mean_only()
     frac = asymptotic_constants(0.75, times, frac_curves)
     assert frac[0, 1] == pytest.approx(cross_covariance(0.25, 0.5, 0.75, frac_curves), rel=1e-10)
 

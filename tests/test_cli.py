@@ -17,12 +17,13 @@ import pytest
 from fracwave import analytic, cli, estimators, noise
 from fracwave.cli import _bootstrap_tasks, _ols_slope, _slope_ci, main, parse_config
 from fracwave.estimators import (
+    _call,
     functional_cov_check,
     ks_coupled,
     ks_coupled_se,
     ks_normality,
+    pool_map,
     run_experiment,
-    run_tasks,
 )
 from fracwave.noise import STREAM, NoiseSpec, read_sheet, sample_sheet
 from fracwave.solver import SigmaSpec
@@ -555,7 +556,7 @@ def test_bootstrap_column_gather_equals_row_gather():
     for summary in (chaos_on, chaos_off, paper):
         for i_time in (0, 1):
             for level in (0.95, 0.6, 0.3, 0.05):
-                tables = run_tasks(summary, _bootstrap_tasks(3, i_time, 30, 1), 1)
+                tables = pool_map(_call, (summary,), _bootstrap_tasks(3, i_time, 30, 1), 1)
                 assert _slope_ci(summary.plan.radii, tables, level) == \
                     _bootstrap_row_gather(summary, i_time, 30, level)
 
@@ -613,9 +614,10 @@ def test_bootstrap_split_over_workers_is_exact():
     chaos_on = run_experiment(parse_config(text).plan, threads=1)
     chaos_off = dataclasses.replace(chaos_on, i1_samples=None)
     for summary in (chaos_on, chaos_off):
-        want = _slope_ci(summary.plan.radii, run_tasks(summary, _bootstrap_tasks(3, 0, 30, 1), 1), 0.6)
+        tables = pool_map(_call, (summary,), _bootstrap_tasks(3, 0, 30, 1), 1)
+        want = _slope_ci(summary.plan.radii, tables, 0.6)
         for workers in (2, 3, 5):
-            tables = run_tasks(summary, _bootstrap_tasks(3, 0, 30, workers), workers)
+            tables = pool_map(_call, (summary,), _bootstrap_tasks(3, 0, 30, workers), workers)
             assert _slope_ci(summary.plan.radii, tables, 0.6) == want
 
 

@@ -808,7 +808,7 @@ def test_mean_zero_across_pairs(white_linear_summary):
 
 def test_empirical_moment_curves(white_linear_summary):
     s = white_linear_summary
-    curves = s.empirical_curves()
+    curves = analytic.MomentCurves.from_samples(s.curve_times, s.curve_mean, s.curve_sq)
     # sigma(u) = u: mean curve stays near 1, second moment near cosh(t/sqrt2)
     assert curves.mean_sigma(0.0) == 1.0
     assert curves.mean_sigma_sq(0.0) == 1.0
@@ -840,7 +840,7 @@ def test_functional_cov_check(white_linear_summary):
     )
     # coarse lattice: allow generous SE units plus O(h) headroom
     tol = report.se * 4.0 + 4.0 * white_linear_summary.plan.h * np.abs(report.oracle)
-    assert np.all(np.abs(report.discrepancy) < tol + 1e-12)
+    assert np.all(np.abs(report.empirical - report.oracle) < tol + 1e-12)
 
 
 def test_tightness_moment_routes(white_linear_summary):
@@ -1325,6 +1325,19 @@ def test_resolve_threads_env(monkeypatch):
     assert resolve_threads(2) == 2  # an explicit count does not read it
     monkeypatch.delenv("FRACWAVE_THREADS")
     assert resolve_threads(None) >= 1
+
+
+def test_resolve_threads_refuses_a_negative_count(monkeypatch):
+    # as --threads and FRACWAVE_THREADS do: a negative count is no request
+    # for the environment's or the CPUs' count
+    monkeypatch.setenv("FRACWAVE_THREADS", "2")
+    for negative in (-1, -3):
+        with pytest.raises(ValueError, match=f"threads must be >= 0 \\(0 = auto\\), got {negative}"):
+            resolve_threads(negative)
+    plan = ExperimentPlan(hurst=0.5, sigma=SigmaSpec.constant(1.0), h=0.25, times=(1.0,),
+                          radii=(1.0,), replicas=1, seed=0)
+    with pytest.raises(ValueError, match="threads must be >= 0"):
+        run_experiment(plan, threads=-1)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity mask here")

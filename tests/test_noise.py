@@ -16,7 +16,6 @@ from fracwave.noise import (
     _embedding_spectrum,
     fgn_cell_covariance,
     read_sheet,
-    region_mass,
     sample_sheet,
     write_sheet,
 )
@@ -299,8 +298,6 @@ def test_stacks_are_refused_where_one_sheet_is_meant(tmp_path):
     stack = sample_sheet(spec, [0, 1])
     with pytest.raises(ValueError, match="not a stack"):
         write_sheet(stack, tmp_path / "stack.bin")
-    with pytest.raises(ValueError, match="not a stack"):
-        region_mass(stack, (0, 1), (0, 1))
     with pytest.raises(ValueError, match="replica ids"):
         NoiseSheet(spec=spec, masses=stack.masses, replica=(0,))
     assert NoiseSheet(spec=spec, masses=stack.masses).ref == ("external", "external")
@@ -356,18 +353,6 @@ def test_rows_are_independent_in_time():
     col = sheet.masses[:, 2]
     corr = np.corrcoef(col[:-1], col[1:])[0, 1]
     assert abs(corr) < 4.0 / np.sqrt(spec.n_time)
-
-
-def test_region_mass_matches_slice():
-    spec = NoiseSpec(hurst=0.6, dt=0.1, dx=0.1, n_time=10, n_space=12, seed=1)
-    sheet = sample_sheet(spec, 0)
-    assert region_mass(sheet, (2, 5), (3, 9)) == pytest.approx(
-        float(sheet.masses[2:5, 3:9].sum()), abs=0.0
-    )
-    with pytest.raises(IndexError):
-        region_mass(sheet, (0, 11), (0, 2))
-    with pytest.raises(IndexError):
-        region_mass(sheet, (0, 2), (5, 13))
 
 
 # ------------------------------------------------------------ dump format

@@ -17,6 +17,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fracwave"
 # fracwave's modules (__init__.py only re-exports), and the code that runs:
@@ -63,16 +65,9 @@ def _referenced(tree: ast.Module) -> set[str]:
             if isinstance(node, (ast.Name, ast.Attribute))}
 
 
-def _loaded_attributes(tree: ast.Module) -> set[str]:
-    """Attribute names the code loads (x.name read, not assigned or
-    deleted); a bare name that happens to match is not such a read."""
-    return {node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-
-
 def _public_members(tree: ast.Module):
-    """(class, member) of the public methods, properties and fields of the
-    module's __all__ classes."""
+    """(class, member, is_field) of the public methods, properties and fields
+    of the module's __all__ classes."""
     exported = _exported(tree)
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and node.name in exported:
@@ -84,24 +79,113 @@ def _public_members(tree: ast.Module):
                 else:
                     continue
                 if not name.startswith("_"):
-                    yield node.name, name
+                    yield node.name, name, isinstance(item, ast.AnnAssign)
+
+
+def _annotated_class(annotation, classes):
+    """The class of `classes` that an annotation names, as X or "X", else None."""
+    if isinstance(annotation, ast.Name):
+        annotation = annotation.id
+    elif isinstance(annotation, ast.Constant):
+        annotation = annotation.value
+    return annotation if annotation in classes else None
+
+
+def _attribute_loads(tree: ast.Module, classes) -> set:
+    """(class, through_self, name) of every attribute the code loads (x.name
+    read, not assigned or deleted; a bare name that happens to match is not
+    such a read).  class is the one of `classes` that x is typed as, else
+    None: x is a parameter annotated with it, or (through_self) the self or
+    cls of one of its methods."""
+    loads = set()
+
+    def visit(node, typed, owner):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *filter(None, (args.vararg, args.kwarg))]
+            typed = {k: v for k, v in typed.items() if k not in {a.arg for a in params}}
+            typed.update((a.arg, (cls, False)) for a in params
+                         if (cls := _annotated_class(a.annotation, classes)))
+            if owner in classes and params and params[0].arg in ("self", "cls"):
+                typed[params[0].arg] = (owner, True)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loads.add((*typed.get(getattr(node.value, "id", None), (None, False)), node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, typed, node.name if isinstance(node, ast.ClassDef) else None)
+
+    visit(tree, {}, None)
+    return loads
+
+
+def _unread_members(modules, runners) -> list[str]:
+    """The public members, "class.member", of the modules' exported classes
+    that the runners never load.  A load x.name reads the member
+    name of the class x is typed as, and of every class when x is untyped.
+    Through a class's own self or cls it reads a field (a constructor input)
+    but not a method or property: one that only its own class loads
+    restates the code beside it."""
+    classes = {}
+    for tree in modules:
+        for cls, name, is_field in _public_members(tree):
+            classes.setdefault(cls, {})[name] = is_field
+    loads = set().union(*(_attribute_loads(tree, classes) for tree in runners))
+    by_name = {name for cls, _, name in loads if cls is None}
+    return sorted(f"{cls}.{name}" for cls, members in classes.items()
+                  for name, is_field in members.items()
+                  if name not in by_name and (cls, False, name) not in loads
+                  and not (is_field and (cls, True, name) in loads))
 
 
 def test_every_export_is_used_by_code_that_runs():
     """A name in a module's __all__ must be read by the code that runs (its
     own module included), and a public method, property or field of an
-    exported class must be loaded there as an attribute, x.name: a local
-    variable of the same name does not read it.  A name that only unit tests
-    reach is API that no run uses: delete it, or use it."""
+    exported class must be loaded there as an attribute, x.name, by the
+    rules of _unread_members.  A name that only unit tests reach is API that
+    no run uses: delete it, or use it."""
     trees = [_parse(p) for p in RUNNERS]
     read = set().union(*map(_referenced, trees))
-    loaded = set().union(*map(_loaded_attributes, trees))
-    unread = {}
-    for p in MODULES:
-        tree = _parse(p)
-        members = {f"{cls}.{name}" for cls, name in _public_members(tree) if name not in loaded}
-        unread[p.stem] = sorted((_exported(tree) - read) | members)
-    assert {name: names for name, names in unread.items() if names} == {}
+    modules = dict(zip((p.stem for p in MODULES), trees))  # RUNNERS open with MODULES
+    unread = {stem: sorted(_exported(tree) - read) for stem, tree in modules.items()}
+    assert {stem: names for stem, names in unread.items() if names} == {}
+    assert _unread_members(modules.values(), trees) == []
+
+
+# Two exported classes that share a field name, for the member audit's tests
+_AUDITED = textwrap.dedent("""
+    __all__ = ["ExperimentPlan", "SolutionField"]
+
+
+    class ExperimentPlan:
+        sigma: float
+
+        @property
+        def scale(self):
+            return 2.0 * self.sigma
+
+        def describe(self):
+            return str(self.scale)
+
+
+    class SolutionField:
+        sigma: float
+""")
+
+
+@pytest.mark.parametrize("runner, unread", [
+    # a property loaded only through self restates the code beside it
+    ("def run(plan, field):\n    return plan.describe(), field.sigma\n",
+     ["ExperimentPlan.scale"]),
+    # loaded on a parameter annotated with its class, it is read
+    ("def run(plan: ExperimentPlan, field):\n    return plan.describe(), plan.scale, field.sigma\n",
+     []),
+    # a field loaded only on a receiver typed as another class is unread
+    ('def run(plan: "ExperimentPlan"):\n    return plan.describe(), plan.scale, plan.sigma\n',
+     ["SolutionField.sigma"]),
+], ids=["self-only property", "annotated receiver", "field of another class"])
+def test_member_audit_types_its_receivers(runner, unread):
+    module = ast.parse(_AUDITED)
+    assert _unread_members([module], [module, ast.parse(runner)]) == unread
 
 
 def _defaulted(tree: ast.Module):
