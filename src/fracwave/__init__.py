@@ -14,59 +14,12 @@ Layers:
 - ``cli``: command line front end over the same functionality.
 """
 
-from .noise import (
-    EmbeddingError,
-    NoiseSheet,
-    NoiseSpec,
-    fgn_cell_covariance,
-    read_sheet,
-    sample_sheet,
-    write_sheet,
-)
-from .analytic import (
-    MomentCurves,
-    asymptotic_constants,
-    asymptotic_variance,
-    cone_inner_product,
-    cone_overlap_white,
-    cone_window_overlap,
-    cone_window_overlap_integral,
-    cross_covariance,
-    first_chaos_variance,
-    linear_white_second_moment,
-    linear_white_second_moment_volterra,
-    prelimit_cross_white,
-    prelimit_variance_white,
-)
-from .solver import (
-    KAPPA,
-    LatticeConfig,
-    SigmaSpec,
-    SolutionField,
-    calibrate_kernel,
-    picard_reference,
-    solve,
-)
-from .estimators import (
-    ChunkResult,
-    ExperimentPlan,
-    ExperimentSummary,
-    FunctionalCovReport,
-    PairStats,
-    first_chaos_weights,
-    functional_cov_check,
-    ks_coupled,
-    ks_coupled_se,
-    ks_critical,
-    ks_normality,
-    merge_chunks,
-    plan_hash,
-    run_experiment,
-    run_replica_chunk,
-    summarize,
-    summary_to_dict,
-    tightness_moment,
-    window_averages,
-)
+from . import noise, analytic, solver, estimators
+from .noise import *
+from .analytic import *
+from .solver import *
+from .estimators import *
 
+# the package's public names: each module's __all__ is the one list of its API
+__all__ = [*noise.__all__, *analytic.__all__, *solver.__all__, *estimators.__all__]
 __version__ = "0.1.0"

@@ -171,13 +171,23 @@ def linear_white_second_moment(t: float) -> float:
     return float(out) if out.ndim == 0 else out
 
 
+# Most steps linear_white_second_moment_volterra marches: its work grows as the
+# square of the step count.  The cap is t = 50 at the default step, 3 s on one
+# core; t = 1000 would take about half an hour.
+_MAX_VOLTERRA_STEPS = 50_000
+
+
 def linear_white_second_moment_volterra(t: float, step: float) -> float:
     """Independent route to linear_white_second_moment: trapezoidal marching
-    of the integral equation m(t) = 1 + (1/2) int_0^t (t-s) m(s) ds."""
+    of the integral equation m(t) = 1 + (1/2) int_0^t (t-s) m(s) ds.  Refuses
+    more than _MAX_VOLTERRA_STEPS steps."""
     if t < 0 or step <= 0:
         raise ValueError("t must be nonnegative and step positive")
     if t == 0:
         return 1.0
+    if not t / step <= _MAX_VOLTERRA_STEPS:
+        raise ValueError(f"t={t!r} at step={step!r} is too many steps for the marching, whose "
+                         f"work grows as their square: at most {_MAX_VOLTERRA_STEPS} steps")
     n = max(1, int(np.ceil(t / step)))
     dt = t / n
     grid = dt * np.arange(n + 1)

@@ -987,18 +987,17 @@ class FunctionalCovReport:
         return float(np.abs((self.empirical - self.oracle) / safe).max())
 
 
-def functional_cov_check(summary: ExperimentSummary, i_radius: Optional[int] = None) -> FunctionalCovReport:
+def functional_cov_check(summary: ExperimentSummary) -> FunctionalCovReport:
     """Compare the empirical covariance matrix of radius^{-H} G(t_i) against
-    the limit matrix, entry by entry, with jackknife SEs."""
+    the limit matrix, entry by entry, with jackknife SEs, at the plan's
+    largest radius: the functional CLT is a limit as the radius grows."""
     plan = summary.plan
     if len(plan.times) < 2:
         raise ValueError("functional covariance check needs at least two observation times")
     if plan.replicas < 2:
         raise ValueError("functional covariance check needs at least 2 replicas")
-    if i_radius is None:
-        i_radius = len(plan.radii) - 1
-    r = plan.radii[i_radius]
-    scaled = summary.g_samples[:, :, i_radius] / r**plan.hurst
+    r = plan.radii[-1]
+    scaled = summary.g_samples[:, :, -1] / r**plan.hurst
     n_t = len(plan.times)
     emp = np.cov(scaled.T, ddof=1)
     emp = np.atleast_2d(emp)

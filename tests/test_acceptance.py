@@ -278,7 +278,7 @@ def test_criterion_6_functional_clt_covariance(ens_d, ens_f):
     the limit covariance: white case against the polynomial value 5/24,
     fractional case against the quadrature oracle."""
     with _criterion(6):
-        rep = functional_cov_check(ens_d, i_radius=2)  # R=32
+        rep = functional_cov_check(ens_d)  # the largest radius, R=32
         i, j = 1, 2  # times 0.5 and 1.0
         target = 5.0 / 24.0
         assert rep.oracle[i, j] == pytest.approx(target, rel=1e-9)

@@ -231,6 +231,20 @@ def test_oracle_volterra_rejects_a_step_that_is_not_positive(capsys, step):
     assert "step positive" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--t", "50.001"],
+    ["--t", "1", "--step", "1e-9"],
+    ["--t", "1e300", "--step", "1e-300"],
+])
+def test_oracle_volterra_refuses_a_step_count_past_the_cap(capsys, argv):
+    # the marching's work grows as the square of its step count; past the cap
+    # the command exits 2 with one line, before it allocates the step arrays
+    code, out, err = _run(capsys, ["oracle", "volterra", *argv])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "at most 50000 steps" in err
+
+
 # ------------------------------------------------------------ config parsing
 
 

@@ -1,9 +1,10 @@
 """Source hygiene that no linter in the toolchain checks: every name a file
 of code that runs imports is used in that file (names listed in a module's
 __all__ are exempt, and so is __init__.py, whose imports are re-exports),
-every name a module exports is read by code that runs (an import is not a
-read), so is every public member of an exported class, and every default
-of any function or method is set by some call there and left by another;
+the package exports exactly its modules' __all__, every name a module
+exports is read by code that runs (an import is not a read), so is every
+public member of an exported class, and every default of any function or
+method is set by some call there and left by another;
 and the commands import only what they run: no module imports scipy
 anywhere, no command loads scipy or numpy.polynomial, and only rate loads
 numpy.ma."""
@@ -149,6 +150,21 @@ def test_every_export_is_used_by_code_that_runs():
     unread = {stem: sorted(_exported(tree) - read) for stem, tree in modules.items()}
     assert {stem: names for stem, names in unread.items() if names} == {}
     assert _unread_members(modules.values(), trees) == []
+
+
+def test_package_exports_exactly_its_modules_all():
+    """The package's public names are the library modules' __all__, in
+    order, each the module's own object: a module's __all__ is the one
+    declaration of its API, and no second list repeats it."""
+    import fracwave
+    from fracwave import analytic, estimators, noise, solver
+
+    modules = (noise, analytic, solver, estimators)
+    assert {m.__name__.rpartition(".")[2] for m in modules} == {p.stem for p in MODULES} - {"cli"}
+    assert fracwave.__all__ == [name for m in modules for name in m.__all__]
+    assert len(set(fracwave.__all__)) == len(fracwave.__all__)
+    assert {f"{m.__name__}.{name}" for m in modules for name in m.__all__
+            if getattr(fracwave, name) is not getattr(m, name)} == set()
 
 
 # Two exported classes that share a field name, for the member audit's tests
